@@ -78,6 +78,14 @@ let encode t =
     t.metrics;
   Codec.contents w
 
+(* A header count, bounded by the bytes left: each entry occupies at
+   least [min_bytes], so a forged count fails as truncation instead of
+   sizing an allocation. *)
+let r_count r ~min_bytes =
+  let n = Codec.r_u32 r in
+  if n > Codec.remaining r / min_bytes then raise Codec.Truncated;
+  n
+
 let of_string buf =
   match
     let r = Codec.reader_of_string buf in
@@ -91,7 +99,7 @@ let of_string buf =
     let workload = Codec.r_string r in
     let prng_seed = Codec.r_u32 r in
     let wall_cycles = Codec.r_i64 r in
-    let n = Codec.r_u32 r in
+    let n = r_count r ~min_bytes:4 in
     (* [Array.init n] preallocates from the header count; each seed
        decodes through a zero-copy sub-reader over the file string
        (no per-seed [bytes] copy). *)
@@ -105,7 +113,7 @@ let of_string buf =
     let metrics =
       if version < 2 then [||]
       else begin
-        let m = Codec.r_u32 r in
+        let m = r_count r ~min_bytes:16 in
         Array.init m (fun _ ->
             let handler_cycles = Codec.r_i64 r in
             let nw = Codec.r_u32 r in

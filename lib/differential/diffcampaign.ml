@@ -24,7 +24,6 @@ module Trace = Iris_core.Trace
 module Replayer = Iris_core.Replayer
 module Ctx = Iris_hv.Ctx
 module Domain = Iris_hv.Domain
-module Checkpoint = Iris_hv.Checkpoint
 module Gmem = Iris_memory.Gmem
 module Machine = Iris_svm.Machine
 module Campaign = Iris_fuzzer.Campaign
@@ -59,19 +58,13 @@ let segments ~jobs ~total =
   let jobs = max 1 (min jobs (max 1 total)) in
   Array.init jobs (fun w -> (w * total / jobs, (w + 1) * total / jobs))
 
-let revert_to_anchor ~replayer = function
-  | Campaign.Anchor_full snap ->
-      Domain.revert (Replayer.ctx replayer).Ctx.dom snap
-  | Campaign.Anchor_cow (cps, mark, _) ->
-      ignore (Checkpoint.rewind cps mark : Domain.revert_stats)
-
 (* Run one [a, b) segment: revert the worker's domain to S_0, replay
    the prefix 0..a-1 to reach S_a, then walk the segment — every seed
    (lossy ones included) is submitted on the VT-x side to advance the
    trace, and comparable ones are additionally observed and mirrored
    on a fresh SVM machine sized to the same guest RAM. *)
 let execute_segment ?plant ~replayer ~anchor ~(trace : Trace.t) (a, b) =
-  revert_to_anchor ~replayer anchor;
+  Campaign.restore ~replayer anchor;
   let left = Backend.vtx ~replayer in
   let right =
     Backend.svm ?plant ~mem_pages:(mem_pages_of (Replayer.ctx replayer)) ()
@@ -157,13 +150,7 @@ let run_with ?plant ~replayer ~(trace : Trace.t) () =
     execute_segment ?plant ~replayer ~anchor ~trace
       (0, Array.length trace.Trace.seeds)
   in
-  (match anchor with
-  | Campaign.Anchor_full _ -> ()
-  | Campaign.Anchor_cow (cps, mark, _) ->
-      (* the walk advanced past the mark; rewind before popping so
-         the journal folds from a clean S_0 *)
-      ignore (Checkpoint.rewind cps mark : Domain.revert_stats);
-      Checkpoint.pop cps mark);
+  Campaign.release ~replayer anchor;
   finalize ?plant ~verdicts ()
 
 let expected_planted ~plant (trace : Trace.t) =

@@ -61,32 +61,19 @@ let submit_probed replayer seed =
   let span = Cov.span_end ctx.Ctx.cov in
   (outcome, span)
 
-(* The campaign's instrument pack: per-mutation counters plus the
-   coverage-gain gauge the paper's Table 2 reports per campaign. *)
-type fuzz_instruments = {
-  f_probe : Iris_telemetry.Probe.t;
-  f_mutations : Iris_telemetry.Registry.counter;
-  f_vm_crashes : Iris_telemetry.Registry.counter;
-  f_hv_crashes : Iris_telemetry.Registry.counter;
-  f_new_lines : Iris_telemetry.Registry.counter;
-  f_gain_pct : Iris_telemetry.Registry.gauge;
-}
-
-let fuzz_instruments ctx =
-  match Iris_hv.Observe.probe ctx with
-  | None -> None
-  | Some p ->
-      let reg =
-        (Iris_telemetry.Probe.hub p).Iris_telemetry.Hub.registry
-      in
-      Some
-        { f_probe = p;
-          f_mutations = Iris_telemetry.Registry.counter reg "fuzz.mutations";
-          f_vm_crashes = Iris_telemetry.Registry.counter reg "fuzz.vm_crashes";
-          f_hv_crashes = Iris_telemetry.Registry.counter reg "fuzz.hv_crashes";
-          f_new_lines = Iris_telemetry.Registry.counter reg "fuzz.new_lines";
-          f_gain_pct =
-            Iris_telemetry.Registry.gauge reg "fuzz.coverage_gain_pct" }
+(* Campaign-level aggregates: per-campaign counters plus the
+   coverage-gain gauge the paper's Table 2 reports per campaign.  The
+   sequential runner writes them into its probe's hub, the
+   orchestrator into the merged hub, so both end with the same totals. *)
+let note_totals hub r =
+  let module R = Iris_telemetry.Registry in
+  let reg = hub.Iris_telemetry.Hub.registry in
+  R.add (R.counter reg "fuzz.mutations") r.executed;
+  R.add (R.counter reg "fuzz.new_lines") (r.fuzz_lines - r.baseline_lines);
+  R.add (R.counter reg "fuzz.vm_crashes") r.vm_crashes;
+  R.add (R.counter reg "fuzz.hv_crashes") r.hv_crashes;
+  R.set (R.gauge reg "fuzz.coverage_gain_pct")
+    (Int64.of_float r.coverage_increase_pct)
 
 (* --- pure test-case generation ---
 
@@ -167,6 +154,14 @@ let raw_digest raw =
   in
   let h = Fnv.int64 h raw.raw_cycles in
   Fnv.to_hex h
+
+(* The outcome reported for a case whose worker context died beyond
+   the replayer's triage. *)
+let crash_raw msg =
+  { raw_failure = Hypervisor_crash;
+    raw_detail = "worker context died: " ^ msg;
+    raw_span = Cov.Pset.empty;
+    raw_cycles = 0L }
 
 (* Reach the valid state S_R by replaying the recorded prefix.  Every
    subsequent test case restores to here, which also resets the
@@ -257,13 +252,37 @@ let anchor ?(mode = Cow) ~replayer ~trace ~seed_index () =
       let mark = Iris_hv.Checkpoint.push cps in
       Anchor_cow (cps, mark, cow_slots ctx)
 
+let no_footprint =
+  { Iris_hv.Domain.rs_pages = 0; rs_ept_entries = 0; rs_vmcs_fields = 0 }
+
+(* The one way back to S_R.  Reverting also resets the virtual clock.
+   The COW path returns what it restored; the full path has no
+   journal footprint to report. *)
+let rewind ~replayer = function
+  | Anchor_full s_r ->
+      Iris_hv.Domain.revert (Replayer.ctx replayer).Ctx.dom s_r;
+      no_footprint
+  | Anchor_cow (cps, mark, _) -> Iris_hv.Checkpoint.rewind cps mark
+
+let restore ~replayer anchor =
+  ignore (rewind ~replayer anchor : Iris_hv.Domain.revert_stats)
+
+(* Rewind before popping: a walk past the mark must not fold into the
+   parent epoch. *)
+let release ~replayer anchor =
+  restore ~replayer anchor;
+  match anchor with
+  | Anchor_full _ -> ()
+  | Anchor_cow (cps, mark, _) -> Iris_hv.Checkpoint.pop cps mark
+
 (* COW-effectiveness telemetry (visible in [stats]): how many reverts
    took the journal path and how little they had to restore, broken
-   down by the exit reason under test. *)
-let note_cow slots ~reason rs =
-  match slots with
-  | None -> ()
-  | Some sl ->
+   down by the exit reason under test.  Only [execute_case] counts, so
+   guided and differential restores stay out of [cow.*]. *)
+let note_cow anchor ~reason rs =
+  match anchor with
+  | Anchor_full _ | Anchor_cow (_, _, None) -> ()
+  | Anchor_cow (_, _, Some sl) ->
       let module R = Iris_telemetry.Registry in
       R.slot_incr sl slot_reverts;
       R.slot_add sl slot_pages rs.Iris_hv.Domain.rs_pages;
@@ -279,11 +298,7 @@ let execute_case ~replayer ~anchor seed =
   let (raw_failure, raw_detail), raw_span = submit_probed replayer seed in
   let raw_cycles = Int64.sub (Iris_vtx.Clock.now (Ctx.clock ctx)) t0 in
   (* Every test starts again from the valid state S_R. *)
-  (match anchor with
-  | Anchor_full s_r -> Iris_hv.Domain.revert ctx.Ctx.dom s_r
-  | Anchor_cow (cps, mark, slots) ->
-      let rs = Iris_hv.Checkpoint.rewind cps mark in
-      note_cow slots ~reason:seed.Seed.reason rs);
+  note_cow anchor ~reason:seed.Seed.reason (rewind ~replayer anchor);
   { raw_failure; raw_detail; raw_span; raw_cycles }
 
 (* --- ordered merge (pure) ---
@@ -353,14 +368,13 @@ let run_with ?(snapshot_mode = Cow) ~config ~replayer ~trace ~reason ~area
         anchor ~mode:snapshot_mode ~replayer ~trace ~seed_index ()
       in
       let ctx = Replayer.ctx replayer in
-      let fi = fuzz_instruments ctx in
-      (match fi with
+      let probe = Iris_hv.Observe.probe ctx in
+      (match probe with
       | None -> ()
-      | Some f ->
-          let hub = Iris_telemetry.Probe.hub f.f_probe in
-          Iris_telemetry.Tracer.begin_span hub.Iris_telemetry.Hub.tracer
-            ~cat:"phase" ~tid:(Iris_telemetry.Probe.tid f.f_probe)
-            ~name:"campaign"
+      | Some p ->
+          Iris_telemetry.Tracer.begin_span
+            (Iris_telemetry.Probe.hub p).Iris_telemetry.Hub.tracer
+            ~cat:"phase" ~tid:(Iris_telemetry.Probe.tid p) ~name:"campaign"
             ~args:
               [ ("reason", Iris_vtx.Exit_reason.name reason);
                 ("seed_index", string_of_int seed_index) ]
@@ -369,24 +383,16 @@ let run_with ?(snapshot_mode = Cow) ~config ~replayer ~trace ~reason ~area
       let raws =
         Array.init n (fun i -> execute_case ~replayer ~anchor:anch (case p i))
       in
-      (match anch with
-      | Anchor_full _ -> ()
-      | Anchor_cow (cps, mark, _) -> Iris_hv.Checkpoint.pop cps mark);
+      release ~replayer anch;
       let result = finalize ~plan:p ~raws in
-      (match fi with
+      (match probe with
       | None -> ()
-      | Some f ->
-          Iris_telemetry.Registry.add f.f_mutations result.executed;
-          Iris_telemetry.Registry.add f.f_new_lines
-            (result.fuzz_lines - result.baseline_lines);
-          Iris_telemetry.Registry.add f.f_vm_crashes result.vm_crashes;
-          Iris_telemetry.Registry.add f.f_hv_crashes result.hv_crashes;
-          Iris_telemetry.Registry.set f.f_gain_pct
-            (Int64.of_float result.coverage_increase_pct);
+      | Some p ->
+          let hub = Iris_telemetry.Probe.hub p in
+          note_totals hub result;
           let now = Iris_vtx.Clock.now (Ctx.clock ctx) in
-          Iris_telemetry.Probe.unwind f.f_probe ~now;
-          Iris_telemetry.Tracer.end_span
-            (Iris_telemetry.Probe.hub f.f_probe).Iris_telemetry.Hub.tracer
+          Iris_telemetry.Probe.unwind p ~now;
+          Iris_telemetry.Tracer.end_span hub.Iris_telemetry.Hub.tracer
             ~name:"campaign"
             ~args:
               [ ("executed", string_of_int result.executed);

@@ -42,6 +42,18 @@ type result = {
 val pct_string : result -> string
 (** Table I cell text, e.g. "+122%". *)
 
+val note_totals : Iris_telemetry.Hub.t -> result -> unit
+(** Add a campaign's [fuzz.*] aggregates (mutations, new lines, VM and
+    hypervisor crashes, coverage-gain gauge) to [hub] — the sequential
+    runner's probe hub or the orchestrator's merged one. *)
+
+val submit_probed :
+  Iris_core.Replayer.t -> Iris_core.Seed.t ->
+  (failure_class * string) * Iris_coverage.Cov.Pset.t
+(** Submit one seed inside a coverage span and triage the outcome.  A
+    hypervisor panic also closes the probe's dangling exit spans and
+    marks an [hv_crash] instant when the context has a probe. *)
+
 type config = {
   mutations : int;       (** N, 10000 in the paper *)
   prng_seed : int;
@@ -122,6 +134,10 @@ val raw_digest : raw -> string
     replays of the same (S_R, seed) can be compared without keeping
     the spans around — the service layer's corpus replay check. *)
 
+val crash_raw : string -> raw
+(** The [Hypervisor_crash] outcome ("worker context died: [msg]") for
+    a case whose worker context died beyond the replayer's triage. *)
+
 val reach_sr :
   replayer:Iris_core.Replayer.t -> trace:Iris_core.Trace.t ->
   seed_index:int -> Iris_hv.Domain.snapshot
@@ -148,6 +164,15 @@ val anchor :
 (** Replay the recorded prefix up to (excluding) [seed_index] and pin
     the valid state [S_R] in [mode] (default [Cow]).  Raises
     [Invalid_argument] if the prefix itself crashes. *)
+
+val restore : replayer:Iris_core.Replayer.t -> anchor -> unit
+(** Return the replayer's domain to the anchored state (which also
+    resets the virtual clock).  Unlike {!execute_case} it records no
+    [cow.*] telemetry. *)
+
+val release : replayer:Iris_core.Replayer.t -> anchor -> unit
+(** {!restore}, then drop the anchor: a COW mark is popped, folding its
+    journal into the parent epoch. *)
 
 val execute_case :
   replayer:Iris_core.Replayer.t -> anchor:anchor ->

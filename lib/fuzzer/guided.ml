@@ -54,23 +54,13 @@ let mutate prng ~max_stack seed =
   in
   go stack seed
 
-let submit_probed replayer seed =
-  let ctx = Replayer.ctx replayer in
-  Cov.span_begin ctx.Ctx.cov;
-  let outcome =
-    match Replayer.submit replayer seed with
-    | Replayer.Replayed -> (Campaign.No_failure, "")
-    | Replayer.Vm_crashed msg -> (Campaign.Vm_crash, msg)
-    | exception Ctx.Hypervisor_panic msg -> (Campaign.Hypervisor_crash, msg)
-  in
-  (outcome, Cov.span_end ctx.Ctx.cov)
-
-(* Same, plus the virtual cycles the submission consumed — measured
-   before the caller reverts (reverting resets the clock). *)
+(* [Campaign.submit_probed], plus the virtual cycles the submission
+   consumed — measured before the caller reverts (reverting resets the
+   clock). *)
 let submit_timed replayer cycles seed =
   let ctx = Replayer.ctx replayer in
   let t0 = Iris_vtx.Clock.now (Ctx.clock ctx) in
-  let r = submit_probed replayer seed in
+  let r = Campaign.submit_probed replayer seed in
   cycles :=
     Int64.add !cycles
       (Int64.sub (Iris_vtx.Clock.now (Ctx.clock ctx)) t0);
@@ -89,20 +79,12 @@ let run_with ?(snapshot_mode = Campaign.Cow) ~config ~replayer ~trace
         Campaign.anchor ~mode:snapshot_mode ~replayer ~trace
           ~seed_index:target.Seed.index ()
       in
-      let ctx = Replayer.ctx replayer in
-      let restore_to_sr () =
-        match anchor with
-        | Campaign.Anchor_full s_r -> Iris_hv.Domain.revert ctx.Ctx.dom s_r
-        | Campaign.Anchor_cow (cps, mark, _) ->
-            ignore (Iris_hv.Checkpoint.rewind cps mark
-                    : Iris_hv.Domain.revert_stats)
-      in
       let virgin = Bitmap.create ~size:config.bitmap_size () in
       let scratch = Bitmap.create ~size:config.bitmap_size () in
       let exec_cycles = ref 0L in
       (* Baseline: the unmutated target. *)
       let _, base_span = submit_timed replayer exec_cycles target in
-      restore_to_sr ();
+      Campaign.restore ~replayer anchor;
       Bitmap.record_set scratch base_span;
       ignore (Bitmap.merge_new ~virgin scratch);
       let union = ref base_span in
@@ -157,13 +139,11 @@ let run_with ?(snapshot_mode = Campaign.Cow) ~config ~replayer ~trace
             if List.length !crashing < 64 then
               crashing :=
                 (mutant, Campaign.Hypervisor_crash, detail) :: !crashing);
-        restore_to_sr ();
+        Campaign.restore ~replayer anchor;
         if i mod sample_every = 0 then sample i
       done;
       sample config.iterations;
-      (match anchor with
-      | Campaign.Anchor_full _ -> ()
-      | Campaign.Anchor_cow (cps, mark, _) -> Iris_hv.Checkpoint.pop cps mark);
+      Campaign.release ~replayer anchor;
       Some
         { seed_index = target.Seed.index;
           executed = config.iterations;

@@ -49,19 +49,26 @@ type worker = {
   wk_anchor : Campaign.anchor;
 }
 
-(* Boot one isolated universe: construct a dummy domain, arm it on the
-   recording snapshot, replay the prefix to S_R.  When a hub is given
-   the probe is attached only after S_R so that setup (boot + prefix
-   replay) never reaches the merged counters.  Exposed for the service
-   layer, whose per-job universes boot exactly like workers. *)
-let boot_universe ?hub ~recording ~seed_index ~name () =
-  let trace = recording.Manager.trace in
+(* A dummy domain at the recording's initial state: constructed, armed
+   on the recording snapshot, memory dropped, no probe.  Every worker,
+   sweep task, service universe and bisection attempt starts here. *)
+let dummy ~recording ~name =
   let cov = Cov.create () in
   let hooks = Iris_hv.Hooks.create () in
   let ctx = Iris_hv.Xen.construct ~dummy:true ~cov ~hooks ~name () in
   Manager.arm_dummy ctx ~revert_to:(Some recording.Manager.snapshot)
     ~keep_memory:false;
-  let replayer = Replayer.create ctx in
+  Replayer.create ctx
+
+(* Boot one isolated universe: a [dummy] with its prefix replayed to
+   S_R.  When a hub is given the probe is attached only after S_R so
+   that setup (boot + prefix replay) never reaches the merged counters.
+   Exposed for the service layer, whose per-job universes boot exactly
+   like workers. *)
+let boot_universe ?hub ~recording ~seed_index ~name () =
+  let trace = recording.Manager.trace in
+  let replayer = dummy ~recording ~name in
+  let ctx = Replayer.ctx replayer in
   let t0 = Iris_vtx.Clock.now (Ctx.clock ctx) in
   let anchor = Campaign.anchor ~replayer ~trace ~seed_index () in
   let setup = Int64.sub (Iris_vtx.Clock.now (Ctx.clock ctx)) t0 in
@@ -179,12 +186,7 @@ let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
       (* Panic containment: a worker whose hypervisor context dies in
          a way the replayer could not triage still reports the crash
          verdict for its case; the pool respawns the worker. *)
-      let on_crash exn _i =
-        { Campaign.raw_failure = Campaign.Hypervisor_crash;
-          raw_detail = "worker context died: " ^ Printexc.to_string exn;
-          raw_span = Cov.Pset.empty;
-          raw_cycles = 0L }
-      in
+      let on_crash exn _i = Campaign.crash_raw (Printexc.to_string exn) in
       let host_t0 = Unix.gettimeofday () in
       let raws, stats, who = Pool.run ~jobs ~total ~init ~task ~on_crash in
       let host_seconds = Unix.gettimeofday () -. host_t0 in
@@ -202,17 +204,8 @@ let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
         build_report ~jobs ~hubs ~setups ~stats ~busy ~host_seconds
       in
       (* Campaign-level aggregates on the merged hub: the same totals
-         the sequential runner's instrument pack ends up with. *)
-      let reg = report.r_hub.Hub.registry in
-      let open Iris_telemetry.Registry in
-      add (counter reg "fuzz.mutations") result.Campaign.executed;
-      add (counter reg "fuzz.new_lines")
-        (result.Campaign.fuzz_lines - result.Campaign.baseline_lines);
-      add (counter reg "fuzz.vm_crashes") result.Campaign.vm_crashes;
-      add (counter reg "fuzz.hv_crashes") result.Campaign.hv_crashes;
-      set
-        (gauge reg "fuzz.coverage_gain_pct")
-        (Int64.of_float result.Campaign.coverage_increase_pct);
+         the sequential runner's probe hub ends up with. *)
+      Campaign.note_totals report.r_hub result;
       Some { fuzz_result = result; fuzz_report = report }
 
 (* --- case-level sharding: whole guided/naive runs fanned out --- *)
@@ -226,8 +219,8 @@ type sweep_outcome = {
 (* A guided run is inherently sequential (each round mutates the
    corpus previous rounds grew), so the unit of sharding is a whole
    run.  Each task builds a fresh dummy VM exactly like the
-   sequential [Guided.run] does, with the probe attached from
-   construction: every run (prefix replay included) executes exactly
+   sequential [Guided.run] does, with the probe attached before the
+   prefix replay: every run (prefix replay included) executes exactly
    once globally, so merged counters stay partition-independent. *)
 let guided_sweep ?(jobs = 1) ?(guided = true) ~config ~recording ~reasons () =
   let trace = recording.Manager.trace in
@@ -238,16 +231,12 @@ let guided_sweep ?(jobs = 1) ?(guided = true) ~config ~recording ~reasons () =
   let busy = Array.make jobs 0L in
   let init wid = (wid, hubs.(wid)) in
   let task (wid, hub) i =
-    let cov = Cov.create () in
-    let hooks = Iris_hv.Hooks.create () in
-    let ctx =
-      Iris_hv.Xen.construct ~dummy:true ~cov ~hooks
-        ~name:(Printf.sprintf "worker%d-dummy" wid) ()
+    let replayer =
+      dummy ~recording ~name:(Printf.sprintf "worker%d-dummy" wid)
     in
-    ignore (Iris_hv.Observe.attach hub ctx : Iris_telemetry.Probe.t);
-    Manager.arm_dummy ctx ~revert_to:(Some recording.Manager.snapshot)
-      ~keep_memory:false;
-    let replayer = Replayer.create ctx in
+    ignore
+      (Iris_hv.Observe.attach hub (Replayer.ctx replayer)
+        : Iris_telemetry.Probe.t);
     let r =
       Guided.run_with ~config ~replayer ~trace ~reason:reasons.(i) ~guided ()
     in
@@ -297,18 +286,10 @@ let diff_sweep ?(jobs = 1) ?plant ~recording () =
   let hubs = Array.init jobs (fun _ -> Hub.create ()) in
   let setups = Array.make jobs 0L in
   let init wid =
-    let cov = Cov.create () in
-    let hooks = Iris_hv.Hooks.create () in
-    let ctx =
-      Iris_hv.Xen.construct ~dummy:true ~cov ~hooks
+    let replayer, anchor, setup =
+      boot_universe ~recording ~seed_index:0
         ~name:(Printf.sprintf "worker%d-dummy" wid) ()
     in
-    Manager.arm_dummy ctx ~revert_to:(Some recording.Manager.snapshot)
-      ~keep_memory:false;
-    let replayer = Replayer.create ctx in
-    let t0 = Iris_vtx.Clock.now (Ctx.clock ctx) in
-    let anchor = Campaign.anchor ~replayer ~trace ~seed_index:0 () in
-    let setup = Int64.sub (Iris_vtx.Clock.now (Ctx.clock ctx)) t0 in
     setups.(wid) <- Int64.add setups.(wid) setup;
     (replayer, anchor)
   in

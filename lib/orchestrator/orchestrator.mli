@@ -42,14 +42,23 @@ type report = {
 val utilization : report -> worker_report -> float
 (** (setup + busy) / model wall, in [0, 1]. *)
 
+val dummy :
+  recording:Iris_core.Manager.recording -> name:string ->
+  Iris_core.Replayer.t
+(** A fresh dummy VM at the recording's initial state: constructed as
+    [name], armed on the recording snapshot with guest memory dropped
+    ({!Iris_core.Manager.arm_dummy}), no telemetry probe attached and
+    no prefix replayed.  The one dummy constructor behind every worker,
+    sweep task, service universe and bisection attempt; attach a probe
+    to its context if the caller wants one. *)
+
 val boot_universe :
   ?hub:Iris_telemetry.Hub.t ->
   recording:Iris_core.Manager.recording ->
   seed_index:int -> name:string -> unit ->
   Iris_core.Replayer.t * Iris_fuzzer.Campaign.anchor * int64
-(** Boot one isolated worker universe: construct a dummy domain, arm
-    it on the recording snapshot, replay the prefix to the valid
-    state S_R and pin it (COW anchor).  Returns the replayer, the
+(** Boot one isolated worker universe: a {!dummy} with the prefix
+    replayed to the valid state S_R and pinned (COW anchor).  Returns the replayer, the
     anchor and the setup cost in modeled cycles.  When [hub] is given
     the telemetry probe is attached only after S_R, keeping setup out
     of mergeable counters.  The building block behind {!fuzz}'s

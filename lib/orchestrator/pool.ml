@@ -1,12 +1,14 @@
-(* Generic work-stealing domain pool.
+(* Generic work-stealing domain pool: the only place the libraries
+   spawn domains.
 
    [run] executes [total] indexed tasks on [jobs] OCaml 5 domains.
-   Each worker owns opaque state built by [init] — for the
-   orchestrator, a fully isolated hypervisor + dummy VM — and writes
-   each task's result into its own slot of a shared result array
-   (distinct slots, one writer each: data-race free; the results
-   become visible to the caller via the happens-before edge of
-   [Domain.join]).
+   Each worker owns opaque state built by [init] and writes each
+   task's result into its own slot of a shared result array (distinct
+   slots, one writer each: data-race free; the results become visible
+   to the caller via the happens-before edge of [Domain.join]).  The
+   orchestrator's workers own a fully isolated hypervisor + dummy VM;
+   the campaign service runs one scheduling round's job quanta, one
+   task per picked job.
 
    Panic containment: an exception escaping [task] does not take the
    campaign down.  The worker reports [on_crash exn index] as that
@@ -71,25 +73,6 @@ let run (type w r) ~jobs ~total ~(init : int -> w)
     let domains = Array.init jobs (fun w -> Domain.spawn (fun () -> worker w)) in
     Array.iter Domain.join domains
   end;
-  (* Backstop: the scheduler dispenses every index exactly once, so
-     after the join no slot should be empty — but if a worker died in
-     a way containment could not catch, finish its slots inline rather
-     than hand the merge a hole. *)
-  let finished =
-    Array.mapi
-      (fun i r ->
-        match r with
-        | Some r -> r
-        | None ->
-            let st = stats.(0) in
-            let r =
-              match task (init 0) i with
-              | r -> r
-              | exception e -> on_crash e i
-            in
-            st.executed <- st.executed + 1;
-            who.(i) <- 0;
-            r)
-      results
-  in
-  (finished, stats, who)
+  (* [Shard] hands out every index once and [Domain.join] re-raises a
+     worker's uncaught exception, so after the joins every slot is set. *)
+  (Array.map Option.get results, stats, who)

@@ -2,14 +2,16 @@
 
     [run] executes [total] indexed tasks on [jobs] OCaml 5 domains,
     each owning opaque state built by [init] (for the orchestrator: an
-    isolated hypervisor + dummy VM).  Results land in per-index slots
+    isolated hypervisor + dummy VM; for the campaign service: nothing,
+    one task per job quantum).  Results land in per-index slots
     — distinct slots, one writer each — and become visible through the
     happens-before edge of [Domain.join].
 
     An exception escaping [task] does not take the run down: the
     worker records [on_crash exn index] as that task's result,
     rebuilds its state with [init] (respawn), and keeps draining the
-    queue.  Exceptions from [init] or [on_crash] propagate.
+    queue.  Exceptions from [init] or [on_crash] propagate out of
+    [run] (re-raised by [Domain.join]).
 
     [jobs = 1] runs the whole schedule inline on the calling domain —
     the same code path with no spawn, so a sequential run is the

@@ -13,6 +13,7 @@ module Campaign = Iris_fuzzer.Campaign
 module Bisect = Iris_inspect.Bisect
 module Provenance = Iris_inspect.Provenance
 module Orchestrator = Iris_orchestrator.Orchestrator
+module Pool = Iris_orchestrator.Pool
 module Fnv = Iris_util.Fnv64
 
 type status =
@@ -68,22 +69,16 @@ let ensure_recording (cache : recordings) ~workload ~exits ~prng_seed
       Hashtbl.replace cache key r;
       r
 
-(* A dummy at the recording's initial state (no anchor) — what the
-   bisector's [make_replayer] wants, one per attempt. *)
-let fresh_replayer recording ~name =
-  let cov = Cov.create () in
-  let hooks = Iris_hv.Hooks.create () in
-  let ctx = Iris_hv.Xen.construct ~dummy:true ~cov ~hooks ~name () in
-  Manager.arm_dummy ctx ~revert_to:(Some recording.Manager.snapshot)
-    ~keep_memory:false;
-  Replayer.create ctx
+(* Minimize case [i] of [plan] into a digest-verified reproducer, from
+   a fresh dummy per bisection attempt. *)
+let minimize ~recording ~plan ~name i =
+  let seed_index = plan.Campaign.plan_target.Seed.index in
+  Bisect.minimize
+    ~make_replayer:(fun () -> Orchestrator.dummy ~recording ~name)
+    ~prefix:(Array.sub recording.Manager.trace.Trace.seeds 0 seed_index)
+    ~crasher:(Campaign.case plan i)
 
 (* --- jobs --- *)
-
-type universe = {
-  u_replayer : Replayer.t;
-  u_anchor : Campaign.anchor;
-}
 
 type job = {
   j_id : int;
@@ -95,16 +90,11 @@ type job = {
   mutable j_plan : Campaign.plan option;
   mutable j_raws : Campaign.raw option array;
   mutable j_done : int;
-  mutable j_universe : universe option;
+  mutable j_universe : (Replayer.t * Campaign.anchor) option;
   mutable j_respawns : int;
   mutable j_cycles : int64;
   mutable j_cancel : bool;
   mutable j_result : Campaign.result option;
-  (* per-round scratch, written by the executing domain, read after
-     the join barrier *)
-  mutable j_round_consumed : int;
-  mutable j_round_panic : string option;
-  mutable j_round_timeout : bool;
 }
 
 type t = {
@@ -160,10 +150,7 @@ let submit t spec =
       j_respawns = 0;
       j_cycles = 0L;
       j_cancel = false;
-      j_result = None;
-      j_round_consumed = 0;
-      j_round_panic = None;
-      j_round_timeout = false }
+      j_result = None }
   in
   Hashtbl.replace t.jobs id job;
   t.order <- id :: t.order;
@@ -257,13 +244,16 @@ let prepare t job =
     Registry.incr (counter t "service.jobs_failed");
     false
 
-(* --- quantum execution (runs on the job's own domain) --- *)
+(* --- quantum execution (runs on a pool worker) --- *)
 
-let panic_raw msg =
-  { Campaign.raw_failure = Campaign.Hypervisor_crash;
-    raw_detail = "worker context died: " ^ msg;
-    raw_span = Cov.Pset.empty;
-    raw_cycles = 0L }
+(* What one quantum did, returned through the pool's result array. *)
+type round = {
+  consumed : int;
+  panic : string option;  (* the universe died; respawn after backoff *)
+  timeout : bool;
+}
+
+let idle = { consumed = 0; panic = None; timeout = false }
 
 let timed_out job =
   match job.j_spec.Jobspec.timeout_cycles with
@@ -273,66 +263,45 @@ let timed_out job =
 (* Execute up to [budget] cases of [job], in case order.  Outcomes are
    pure functions of (S_R, seed), so the only effect of quantum
    boundaries is *where* this loop pauses — never what it computes.
-   Never raises: panics record a crash outcome for the current case
-   and drop the universe for respawn. *)
+   A case that panics records a crash outcome and drops the universe
+   for respawn; a universe that fails to boot raises, and the pool's
+   [on_crash] reports it. *)
 let exec_quantum job budget =
-  job.j_round_consumed <- 0;
-  job.j_round_panic <- None;
-  job.j_round_timeout <- false;
-  let plan =
-    match job.j_plan with Some p -> p | None -> assert false
-  in
-  let recording =
-    match job.j_recording with Some r -> r | None -> assert false
-  in
-  let seed_index = plan.Campaign.plan_target.Seed.index in
+  let plan = Option.get job.j_plan in
+  let recording = Option.get job.j_recording in
   let total = Campaign.case_count plan in
-  try
-    let universe =
-      match job.j_universe with
-      | Some u -> u
-      | None ->
-          let replayer, anchor, _setup =
-            Orchestrator.boot_universe ~hub:job.j_hub ~recording ~seed_index
-              ~name:(Printf.sprintf "svc-%s-dummy" job.j_key)
-              ()
-          in
-          let u = { u_replayer = replayer; u_anchor = anchor } in
-          job.j_universe <- Some u;
-          u
-    in
-    let continue = ref true in
-    while
-      !continue && job.j_round_consumed < budget && job.j_done < total
-    do
-      if timed_out job then begin
-        job.j_round_timeout <- true;
-        continue := false
-      end
-      else begin
-        let i = job.j_done in
-        let seed = Campaign.case plan i in
-        (match
-           Campaign.execute_case ~replayer:universe.u_replayer
-             ~anchor:universe.u_anchor seed
-         with
-        | raw ->
-            job.j_raws.(i) <- Some raw;
-            job.j_cycles <- Int64.add job.j_cycles raw.Campaign.raw_cycles
-        | exception exn ->
-            job.j_raws.(i) <- Some (panic_raw (Printexc.to_string exn));
-            job.j_universe <- None;
-            job.j_round_panic <- Some (Printexc.to_string exn);
-            continue := false);
-        job.j_done <- i + 1;
-        job.j_round_consumed <- job.j_round_consumed + 1
-      end
-    done;
-    if job.j_done >= total then job.j_round_timeout <- false
-  with exn ->
-    (* universe boot died: nothing executed this round *)
-    job.j_universe <- None;
-    job.j_round_panic <- Some (Printexc.to_string exn)
+  let replayer, anchor =
+    match job.j_universe with
+    | Some u -> u
+    | None ->
+        let replayer, anchor, _setup =
+          Orchestrator.boot_universe ~hub:job.j_hub ~recording
+            ~seed_index:plan.Campaign.plan_target.Seed.index
+            ~name:(Printf.sprintf "svc-%s-dummy" job.j_key)
+            ()
+        in
+        job.j_universe <- Some (replayer, anchor);
+        (replayer, anchor)
+  in
+  let rec go consumed =
+    if consumed >= budget || job.j_done >= total then { idle with consumed }
+    else if timed_out job then { idle with consumed; timeout = true }
+    else begin
+      let i = job.j_done in
+      job.j_done <- i + 1;
+      match Campaign.execute_case ~replayer ~anchor (Campaign.case plan i) with
+      | raw ->
+          job.j_raws.(i) <- Some raw;
+          job.j_cycles <- Int64.add job.j_cycles raw.Campaign.raw_cycles;
+          go (consumed + 1)
+      | exception exn ->
+          let msg = Printexc.to_string exn in
+          job.j_raws.(i) <- Some (Campaign.crash_raw msg);
+          job.j_universe <- None;
+          { consumed = consumed + 1; panic = Some msg; timeout = false }
+    end
+  in
+  go 0
 
 (* --- job completion (main domain) --- *)
 
@@ -343,9 +312,6 @@ let note_crashes t job plan recording =
     List.map
       (fun (d, n) -> (Provenance.device_name d, n))
       (Provenance.devices_touched ~before:seed_index prov)
-  in
-  let prefix =
-    Array.sub recording.Manager.trace.Trace.seeds 0 seed_index
   in
   Array.iteri
     (fun i raw_opt ->
@@ -368,12 +334,11 @@ let note_crashes t job plan recording =
               c_devices = devices }
           in
           let minimize () =
-            let crasher = Campaign.case plan i in
-            let make_replayer () =
-              fresh_replayer recording
+            match
+              minimize ~recording ~plan
                 ~name:(Printf.sprintf "svc-%s-triage" job.j_key)
-            in
-            match Bisect.minimize ~make_replayer ~prefix ~crasher with
+                i
+            with
             | None -> None
             | Some b ->
                 Some
@@ -390,15 +355,9 @@ let note_crashes t job plan recording =
     job.j_raws
 
 let finish_completed t job =
-  let plan = match job.j_plan with Some p -> p | None -> assert false in
-  let recording =
-    match job.j_recording with Some r -> r | None -> assert false
-  in
-  let raws =
-    Array.map
-      (function Some r -> r | None -> assert false)
-      job.j_raws
-  in
+  let plan = Option.get job.j_plan in
+  let recording = Option.get job.j_recording in
+  let raws = Array.map Option.get job.j_raws in
   let result = Campaign.finalize ~plan ~raws in
   job.j_result <- Some result;
   job.j_status <- Completed;
@@ -423,11 +382,10 @@ let finish_completed t job =
 
 let backoff_rounds respawns = min 8 (1 lsl min respawns 3)
 
-let post_round t picks =
-  List.iter
-    (fun (id, _budget) ->
-      let job = job t id in
-      let consumed = job.j_round_consumed in
+let post_round t work rounds =
+  Array.iter2
+    (fun (job, _budget) { consumed; panic; timeout } ->
+      let id = job.j_id in
       Registry.add (counter t "service.cases") consumed;
       let total =
         match job.j_plan with
@@ -445,14 +403,14 @@ let post_round t picks =
         job.j_universe <- None;
         Jobqueue.complete t.queue ~id ~consumed ~finished:true
       end
-      else if job.j_round_timeout then begin
+      else if timeout then begin
         job.j_status <- Timed_out;
         job.j_universe <- None;
         Registry.incr (counter t "service.jobs_timed_out");
         Jobqueue.complete t.queue ~id ~consumed ~finished:true
       end
       else
-        match job.j_round_panic with
+        match panic with
         | Some msg when job.j_respawns >= t.max_respawns ->
             job.j_status <- Failed ("respawn budget exhausted: " ^ msg);
             job.j_universe <- None;
@@ -465,7 +423,7 @@ let post_round t picks =
               ~rounds:(backoff_rounds job.j_respawns);
             Jobqueue.complete t.queue ~id ~consumed ~finished:false
         | None -> Jobqueue.complete t.queue ~id ~consumed ~finished:false)
-    picks
+    work rounds
 
 let job_infos t =
   List.rev_map
@@ -539,25 +497,24 @@ let step t =
           end)
         picks
     in
-    let to_run =
-      List.filter (fun (id, _) -> not (job t id).j_cancel) runnable
+    (* One pool task per picked job: disjoint universes and job
+       records, so quanta run in parallel; the pool's join is the
+       happens-before edge the main domain reads them across. *)
+    let work =
+      Array.of_list (List.map (fun (id, budget) -> (job t id, budget)) runnable)
     in
-    (match to_run with
-    | [] -> ()
-    | [ (id, budget) ] -> exec_quantum (job t id) budget
-    | _ when t.pool_jobs = 1 ->
-        List.iter (fun (id, budget) -> exec_quantum (job t id) budget) to_run
-    | _ ->
-        (* one domain per distinct job: disjoint universes, disjoint
-           job records; the join is the happens-before edge the main
-           domain reads results across *)
-        List.map
-          (fun (id, budget) ->
-            let j = job t id in
-            Domain.spawn (fun () -> exec_quantum j budget))
-          to_run
-        |> List.iter Domain.join);
-    post_round t runnable;
+    let n = Array.length work in
+    let rounds, _stats, _who =
+      Pool.run ~jobs:(min t.pool_jobs n) ~total:n ~init:ignore
+        ~task:(fun () i ->
+          let j, budget = work.(i) in
+          if j.j_cancel then idle else exec_quantum j budget)
+        ~on_crash:(fun exn i ->
+          (* the universe failed to boot: nothing executed *)
+          (fst work.(i)).j_universe <- None;
+          { idle with panic = Some (Printexc.to_string exn) })
+    in
+    post_round t work rounds;
     Registry.incr (counter t "service.rounds");
     emit_status t;
     true
@@ -768,17 +725,10 @@ let verify_triage t =
           | None -> incr mismatches
           | Some (plan, recording) ->
               incr checked;
-              let seed_index = plan.Campaign.plan_target.Seed.index in
-              let prefix =
-                Array.sub recording.Manager.trace.Trace.seeds 0 seed_index
-              in
-              let crasher =
-                Campaign.case plan b.Triage.b_rep.Triage.c_case
-              in
-              let make_replayer () =
-                fresh_replayer recording ~name:"svc-verify-triage"
-              in
-              (match Bisect.minimize ~make_replayer ~prefix ~crasher with
+              (match
+                 minimize ~recording ~plan ~name:"svc-verify-triage"
+                   b.Triage.b_rep.Triage.c_case
+               with
               | Some check
                 when check.Bisect.b_digest = repro.Triage.r_digest
                      && check.Bisect.b_deterministic ->

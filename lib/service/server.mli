@@ -2,9 +2,10 @@
 
     Jobs ({!Jobspec.t}) enter a {!Jobqueue} and are executed in
     deficit-round-robin quanta over isolated per-job universes (built
-    with {!Iris_orchestrator.boot_universe}); each scheduling round
-    dispatches up to [jobs] runnable jobs onto their own OCaml
-    domains.  Completed campaigns feed the {!Corpus} store, crashes
+    with {!Iris_orchestrator.Orchestrator.boot_universe}); each
+    scheduling round runs up to [jobs] runnable jobs' quanta through
+    {!Iris_orchestrator.Pool}, one task per job — inline when only one
+    job is picked.  Completed campaigns feed the {!Corpus} store, crashes
     feed {!Triage} (auto-minimized through {!Iris_inspect.Bisect}),
     per-job telemetry hubs merge commutatively into the server hub,
     and every round can stream a JSONL status snapshot.
@@ -59,7 +60,8 @@ val create :
   ?jobs:int -> ?quantum:int -> ?max_respawns:int ->
   ?recordings:recordings -> ?status_sink:(string -> unit) ->
   unit -> t
-(** [jobs] is the domain-pool width per round (default 1), [quantum]
+(** [jobs] is the most jobs picked per round and the width of the
+    {!Iris_orchestrator.Pool} their quanta run on (default 1), [quantum]
     the DRR base budget in cases (default 256), [max_respawns] the
     per-job panic budget (default 5).  [status_sink] receives one
     JSONL snapshot per round. *)

@@ -449,6 +449,34 @@ let test_guided_deterministic () =
   in
   check Alcotest.bool "deterministic" true (once () = once ())
 
+let test_guided_panic_telemetry () =
+  (* With a probe attached, every hypervisor panic a guided run
+     triages must leave one [hv_crash] instant on the trace, exactly
+     as campaign cases do. *)
+  let m = mgr () in
+  let recording = Manager.record m W.Cpu_bound ~exits:400 in
+  let hub = Iris_telemetry.Hub.create () in
+  Manager.set_hub m (Some hub);
+  match
+    Iris_fuzzer.Guided.run ~config:(guided_config 400) ~manager:m ~recording
+      ~reason:R.Rdtsc
+  with
+  | None -> Alcotest.fail "rdtsc seeds exist"
+  | Some r ->
+      let tracer = hub.Iris_telemetry.Hub.tracer in
+      let instants =
+        List.length
+          (List.filter
+             (fun sp -> sp.Iris_telemetry.Tracer.name = "hv_crash")
+             (Iris_telemetry.Tracer.spans tracer))
+      in
+      check Alcotest.bool "hypervisor crashes found" true
+        (r.Iris_fuzzer.Guided.hv_crashes > 0);
+      check Alcotest.int "no spans dropped" 0
+        (Iris_telemetry.Tracer.dropped tracer);
+      check Alcotest.int "one hv_crash instant per crash"
+        r.Iris_fuzzer.Guided.hv_crashes instants
+
 (* --- Table 1 plumbing --- *)
 
 let test_table1_structure () =
@@ -513,7 +541,9 @@ let () =
       ( "guided",
         [ Alcotest.test_case "beats naive" `Slow test_guided_beats_naive;
           Alcotest.test_case "absent reason" `Slow test_guided_absent_reason;
-          Alcotest.test_case "deterministic" `Slow test_guided_deterministic ]
+          Alcotest.test_case "deterministic" `Slow test_guided_deterministic;
+          Alcotest.test_case "panic telemetry" `Slow
+            test_guided_panic_telemetry ]
       );
       ( "table1",
         [ Alcotest.test_case "structure" `Quick test_table1_structure;

@@ -123,6 +123,28 @@ let test_pool_panic_containment () =
   (* 2 boots + 1 respawn. *)
   check Alcotest.int "worker universe rebuilt" 3 (Atomic.get boots)
 
+let test_pool_empty () =
+  let results, stats, who =
+    Pool.run ~jobs:3 ~total:0 ~init:(fun w -> w)
+      ~task:(fun _ i -> i) ~on_crash:(fun _ _ -> -1)
+  in
+  check Alcotest.int "no results" 0 (Array.length results);
+  check Alcotest.int "no attribution" 0 (Array.length who);
+  check Alcotest.int "nothing executed" 0
+    (Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats)
+
+let test_pool_fewer_tasks_than_workers () =
+  let results, stats, who =
+    Pool.run ~jobs:4 ~total:2 ~init:(fun w -> w)
+      ~task:(fun _ i -> 10 + i) ~on_crash:(fun _ _ -> -1)
+  in
+  check Alcotest.(array int) "every slot filled" [| 10; 11 |] results;
+  check Alcotest.int "four workers reported" 4 (Array.length stats);
+  check Alcotest.int "work conservation" 2
+    (Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats);
+  check Alcotest.bool "who in range" true
+    (Array.for_all (fun w -> w >= 0 && w < 4) who)
+
 (* --- domain-safety satellites --- *)
 
 let test_registries_frozen () =
@@ -271,6 +293,9 @@ let test_guided_sweep_byte_identical () =
   check Alcotest.string "sweep results byte-identical (corpora included)"
     (digest s1.Orch.sweep_results)
     (digest s3.Orch.sweep_results);
+  check Alcotest.string "merged telemetry identical"
+    (digest (Hub.snapshot s1.Orch.sweep_report.Orch.r_hub))
+    (digest (Hub.snapshot s3.Orch.sweep_report.Orch.r_hub));
   (* And equal to the plain sequential runner, reason by reason. *)
   let seq =
     Guided.run ~config:(guided_config 120) ~manager:m ~recording
@@ -300,7 +325,10 @@ let () =
           Alcotest.test_case "parallel jobs=4" `Quick
             test_pool_parallel_executes_all;
           Alcotest.test_case "panic containment" `Quick
-            test_pool_panic_containment ] );
+            test_pool_panic_containment;
+          Alcotest.test_case "empty" `Quick test_pool_empty;
+          Alcotest.test_case "fewer tasks than workers" `Quick
+            test_pool_fewer_tasks_than_workers ] );
       ( "domain-safety",
         [ Alcotest.test_case "registries frozen" `Quick
             test_registries_frozen;
