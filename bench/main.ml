@@ -1562,17 +1562,18 @@ let serve_bench () =
     let server = Svc.Server.create ~jobs ~quantum:48 ~recordings:cache () in
     List.iter (fun s -> ignore (Svc.Server.submit server s : int)) specs;
     let summary = Svc.Server.drain server in
+    let wall = wall_now () -. t0 in
     Printf.printf
       "  jobs=%d: %d rounds, %d completed, %d crashes -> %d buckets, corpus \
        %d (%.2f s)\n%!"
       jobs summary.Svc.Server.d_rounds summary.Svc.Server.d_completed
       summary.Svc.Server.d_crashes summary.Svc.Server.d_buckets
-      summary.Svc.Server.d_corpus (wall_now () -. t0);
-    (server, summary)
+      summary.Svc.Server.d_corpus wall;
+    (server, summary, wall)
   in
-  let s1, sum1 = drained ~jobs:1 ~specs:scenario in
-  let s4, sum4 = drained ~jobs:4 ~specs:scenario in
-  let s4r, _ = drained ~jobs:4 ~specs:(List.rev scenario) in
+  let s1, sum1, wall1 = drained ~jobs:1 ~specs:scenario in
+  let s4, sum4, wall4 = drained ~jobs:4 ~specs:scenario in
+  let s4r, _, _ = drained ~jobs:4 ~specs:(List.rev scenario) in
   if sum1.Svc.Server.d_completed <> List.length scenario then
     failwith "serve: not every job completed";
   (* gate 1: scheduling-independent report bytes *)
@@ -1620,7 +1621,9 @@ let serve_bench () =
   Report.put_i "serve.corpus_before_distill" before;
   Report.put_i "serve.corpus_after_distill" after;
   Report.put_f "serve.distill_ratio" ratio;
-  Report.put_i "serve.coverage_points" (Array.length cov_after)
+  Report.put_i "serve.coverage_points" (Array.length cov_after);
+  Report.put_f "serve.drain_wall_s_jobs1" wall1;
+  Report.put_f "serve.drain_wall_s_jobs4" wall4
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                             *)

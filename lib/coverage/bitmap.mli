@@ -4,7 +4,12 @@
     to a bitmap, which is exported as a shared memory area accessible
     at the guest level".  The fuzzer uses it as a cheap novelty
     signal: a test case is interesting if it sets a byte no previous
-    input set. *)
+    input set.
+
+    Each map also lists the slots it has filled, so [merge],
+    [merge_new], [reset] and [set_bytes] cost time proportional to the
+    slots touched, not to [size]: the per-case novelty check over a
+    span of a few dozen points does not walk 64 KiB. *)
 
 type t
 

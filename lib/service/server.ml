@@ -69,14 +69,35 @@ let ensure_recording (cache : recordings) ~workload ~exits ~prng_seed
       Hashtbl.replace cache key r;
       r
 
-(* Minimize case [i] of [plan] into a digest-verified reproducer, from
-   a fresh dummy per bisection attempt. *)
-let minimize ~recording ~plan ~name i =
-  let seed_index = plan.Campaign.plan_target.Seed.index in
-  Bisect.minimize
-    ~make_replayer:(fun () -> Orchestrator.dummy ~recording ~name)
-    ~prefix:(Array.sub recording.Manager.trace.Trace.seeds 0 seed_index)
-    ~crasher:(Campaign.case plan i)
+(* Minimize each [(crash, recording, plan)] request into a
+   digest-verified reproducer, one pool task per request.  Every
+   bisection attempt builds its own dummy, so tasks share only the
+   read-only recording and plan, and each result is a function of its
+   request alone, whatever [jobs] is.  A minimization that raises reads
+   as unreproduced. *)
+let minimize_all ~jobs requests =
+  let requests = Array.of_list requests in
+  let n = Array.length requests in
+  let results, _stats, _who =
+    Pool.run ~jobs:(min jobs n) ~total:n ~init:ignore
+      ~task:(fun () i ->
+        let (crash : Triage.crash), recording, plan = requests.(i) in
+        let name = Printf.sprintf "svc-%s-triage" crash.Triage.c_spec_key in
+        Bisect.minimize
+          ~make_replayer:(fun () -> Orchestrator.dummy ~recording ~name)
+          ~prefix:
+            (Array.sub recording.Manager.trace.Trace.seeds 0
+               plan.Campaign.plan_target.Seed.index)
+          ~crasher:(Campaign.case plan crash.Triage.c_case))
+      ~on_crash:(fun _exn _i -> None)
+  in
+  results
+
+let repro_of (b : Bisect.result) =
+  { Triage.r_digest = b.Bisect.b_digest;
+    r_seeds = Array.length b.Bisect.b_seeds;
+    r_deterministic = b.Bisect.b_deterministic;
+    r_attempts = b.Bisect.b_attempts }
 
 (* --- jobs --- *)
 
@@ -108,6 +129,9 @@ type t = {
   provenance : (string, Provenance.t) Hashtbl.t;  (* recording key -> index *)
   corpus_store : Corpus.t;
   triage_store : Triage.t;
+  mutable bisect_pending :
+    (Triage.crash * Manager.recording * Campaign.plan) list;
+      (* crashes noted this round that created or took over a bucket *)
   server_hub : Hub.t;
   status_sink : (string -> unit) option;
   mutable status_seq : int;
@@ -125,6 +149,7 @@ let create ?(jobs = 1) ?(quantum = 256) ?(max_respawns = 5) ?recordings:cache
     provenance = Hashtbl.create 8;
     corpus_store = Corpus.create ();
     triage_store = Triage.create ();
+    bisect_pending = [];
     server_hub = Hub.create ();
     status_sink;
     status_seq = 0 }
@@ -333,19 +358,10 @@ let note_crashes t job plan recording =
               c_span = span;
               c_devices = devices }
           in
+          (* bisected after the round, by [bisect_round] *)
           let minimize () =
-            match
-              minimize ~recording ~plan
-                ~name:(Printf.sprintf "svc-%s-triage" job.j_key)
-                i
-            with
-            | None -> None
-            | Some b ->
-                Some
-                  { Triage.r_digest = b.Bisect.b_digest;
-                    r_seeds = Array.length b.Bisect.b_seeds;
-                    r_deterministic = b.Bisect.b_deterministic;
-                    r_attempts = b.Bisect.b_attempts }
+            t.bisect_pending <- (crash, recording, plan) :: t.bisect_pending;
+            None
           in
           (match Triage.note t.triage_store crash ~minimize with
           | `New -> Registry.incr (counter t "service.triage_new_buckets")
@@ -478,6 +494,25 @@ let emit_status t =
       in
       sink (Export.status_line ~extra ~seq (Hub.snapshot t.server_hub))
 
+(* The round's bisection phase: minimize, one pool task per bucket,
+   every bucket whose representative this round set.  A crash replaced
+   later in the same round is no bucket's representative any more and
+   is skipped; a serial run would have overwritten its repro too. *)
+let bisect_round t =
+  let pending = t.bisect_pending in
+  t.bisect_pending <- [];
+  let todo =
+    List.filter_map
+      (fun (b : Triage.bucket) ->
+        List.find_opt (fun (c, _, _) -> c == b.Triage.b_rep) pending
+        |> Option.map (fun request -> (b, request)))
+      (Triage.buckets t.triage_store)
+  in
+  let results = minimize_all ~jobs:t.pool_jobs (List.map snd todo) in
+  List.iteri
+    (fun i (b, _) -> b.Triage.b_repro <- Option.map repro_of results.(i))
+    todo
+
 let step t =
   if Jobqueue.is_idle t.queue then false
   else begin
@@ -515,6 +550,7 @@ let step t =
           { idle with panic = Some (Printexc.to_string exn) })
     in
     post_round t work rounds;
+    bisect_round t;
     Registry.incr (counter t "service.rounds");
     emit_status t;
     true
@@ -715,27 +751,34 @@ let verify_triage t =
             Hashtbl.replace by_key j.j_key (plan, recording)
       | _ -> ())
     t.order;
-  let checked = ref 0 and mismatches = ref 0 and unreproduced = ref 0 in
-  List.iter
-    (fun (b : Triage.bucket) ->
-      match b.Triage.b_repro with
-      | None -> incr unreproduced
-      | Some repro -> (
-          match Hashtbl.find_opt by_key b.Triage.b_rep.Triage.c_spec_key with
-          | None -> incr mismatches
-          | Some (plan, recording) ->
-              incr checked;
-              (match
-                 minimize ~recording ~plan ~name:"svc-verify-triage"
-                   b.Triage.b_rep.Triage.c_case
-               with
-              | Some check
-                when check.Bisect.b_digest = repro.Triage.r_digest
-                     && check.Bisect.b_deterministic ->
-                  ()
-              | Some _ | None -> incr mismatches)))
-    (Triage.buckets t.triage_store);
-  (!checked, !mismatches, !unreproduced)
+  let mismatches = ref 0 and unreproduced = ref 0 in
+  let checks =
+    List.filter_map
+      (fun (b : Triage.bucket) ->
+        let rep = b.Triage.b_rep in
+        match b.Triage.b_repro with
+        | None ->
+            incr unreproduced;
+            None
+        | Some repro -> (
+            match Hashtbl.find_opt by_key rep.Triage.c_spec_key with
+            | None ->
+                incr mismatches;
+                None
+            | Some (plan, recording) -> Some (repro, (rep, recording, plan))))
+      (Triage.buckets t.triage_store)
+  in
+  let results = minimize_all ~jobs:t.pool_jobs (List.map snd checks) in
+  List.iteri
+    (fun i (repro, _) ->
+      match results.(i) with
+      | Some check
+        when check.Bisect.b_digest = repro.Triage.r_digest
+             && check.Bisect.b_deterministic ->
+          ()
+      | Some _ | None -> incr mismatches)
+    checks;
+  (List.length checks, !mismatches, !unreproduced)
 
 let verify t =
   let corpus_checked, corpus_mismatches = verify_corpus t in

@@ -5,10 +5,13 @@
     with {!Iris_orchestrator.Orchestrator.boot_universe}); each
     scheduling round runs up to [jobs] runnable jobs' quanta through
     {!Iris_orchestrator.Pool}, one task per job — inline when only one
-    job is picked.  Completed campaigns feed the {!Corpus} store, crashes
-    feed {!Triage} (auto-minimized through {!Iris_inspect.Bisect}),
-    per-job telemetry hubs merge commutatively into the server hub,
-    and every round can stream a JSONL status snapshot.
+    job is picked.  Completed campaigns feed the {!Corpus} store and
+    crashes feed {!Triage}.  Crashes that create a bucket or take over
+    its representative are minimized through {!Iris_inspect.Bisect} in
+    a pool phase after each round, one task per bucket on the same
+    [jobs] domains, and their repros are filled in before the round's
+    status line.  Per-job telemetry hubs merge commutatively into the
+    server hub, and every round can stream a JSONL status snapshot.
 
     Determinism contract.  A case outcome is a pure function of
     (S_R, seed); cases run in index order within their job; jobs own
@@ -61,7 +64,8 @@ val create :
   ?recordings:recordings -> ?status_sink:(string -> unit) ->
   unit -> t
 (** [jobs] is the most jobs picked per round and the width of the
-    {!Iris_orchestrator.Pool} their quanta run on (default 1), [quantum]
+    {!Iris_orchestrator.Pool} their quanta and the round's crash
+    bisections run on (default 1), [quantum]
     the DRR base budget in cases (default 256), [max_respawns] the
     per-job panic budget (default 5).  [status_sink] receives one
     JSONL snapshot per round. *)
@@ -121,7 +125,8 @@ val verify : t -> verify_summary
 (** Re-replay the determinism contract: every corpus entry re-executes
     from a freshly booted universe and must reproduce its admission
     digest byte-identically; every triage bucket's representative is
-    re-minimized and must land on the stored reproducer digest. *)
+    re-minimized, through the same pooled bisection phase as {!step},
+    and must land on the stored reproducer digest. *)
 
 val verify_ok : verify_summary -> bool
 

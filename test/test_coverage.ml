@@ -245,6 +245,120 @@ let test_bitmap_merge_saturates () =
   (* 200 + 200 hits per slot clamp at 255 instead of wrapping. *)
   check Alcotest.bool "slots survive saturation" true (Bitmap.set_bytes a > 0)
 
+(* Reference model: a dense map with the same slot hash, where every
+   operation scans all [size] slots.  A 64-slot map makes hash
+   collisions common. *)
+module Dense_bitmap = struct
+  let size = 64
+
+  let slot p = (p * 0x9E3779B1) lsr 11 land (size - 1)
+
+  let create () = Array.make size 0
+
+  let record m (p : Cov.point) =
+    let i = slot (p :> int) in
+    if m.(i) < 255 then m.(i) <- m.(i) + 1
+
+  let set_bytes m = Array.fold_left (fun n v -> if v <> 0 then n + 1 else n) 0 m
+
+  let merge_new ~virgin m =
+    let fresh = ref 0 in
+    Array.iteri
+      (fun i v ->
+        if v <> 0 then begin
+          if virgin.(i) = 0 then incr fresh;
+          virgin.(i) <- min 255 (virgin.(i) + v)
+        end)
+      m;
+    !fresh
+
+  let reset m = Array.fill m 0 size 0
+end
+
+type bitmap_op =
+  | B_record of int * Cov.point list * int  (* map, points, repetitions *)
+  | B_reset of int
+  | B_merge of int * int  (* into, from *)
+  | B_merge_new of int * int  (* virgin, from *)
+  | B_copy of int * int  (* replace the first map by a copy of the second *)
+
+let bitmap_maps = 3
+
+let arb_bitmap_ops =
+  let map_index = QCheck.Gen.int_bound (bitmap_maps - 1) in
+  let point =
+    QCheck.Gen.map2 Cov.point (QCheck.Gen.oneofl Comp.all)
+      (QCheck.Gen.int_range 0 500)
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ ( 6,
+            map3
+              (fun m ps reps -> B_record (m, ps, reps))
+              map_index
+              (list_size (int_range 0 12) point)
+              (* runs past 255 hits saturate a slot *)
+              (frequency [ (5, return 1); (1, int_range 256 300) ]) );
+          (2, map (fun m -> B_reset m) map_index);
+          (2, map2 (fun a b -> B_merge (a, b)) map_index map_index);
+          (3, map2 (fun a b -> B_merge_new (a, b)) map_index map_index);
+          (1, map2 (fun a b -> B_copy (a, b)) map_index map_index) ])
+  in
+  let print = function
+    | B_record (m, ps, reps) ->
+        Printf.sprintf "record(%d,%d points x%d)" m (List.length ps) reps
+    | B_reset m -> Printf.sprintf "reset(%d)" m
+    | B_merge (a, b) -> Printf.sprintf "merge(%d<-%d)" a b
+    | B_merge_new (a, b) -> Printf.sprintf "merge_new(%d<-%d)" a b
+    | B_copy (a, b) -> Printf.sprintf "copy(%d:=%d)" a b
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat ";" (List.map print ops))
+    QCheck.Gen.(list_size (int_range 0 60) op)
+
+let prop_bitmap_dense_model =
+  QCheck.Test.make ~name:"bitmap = dense full-scan model on random ops"
+    ~count:300 arb_bitmap_ops (fun ops ->
+      let real =
+        Array.init bitmap_maps (fun _ -> Bitmap.create ~size:Dense_bitmap.size ())
+      in
+      let model = Array.init bitmap_maps (fun _ -> Dense_bitmap.create ()) in
+      let densities_agree () =
+        Array.for_all2
+          (fun r m -> Bitmap.set_bytes r = Dense_bitmap.set_bytes m)
+          real model
+      in
+      List.for_all
+        (fun op ->
+          let novelty_agrees =
+            match op with
+            | B_record (k, ps, reps) ->
+                let pset = Cov.Pset.of_list ps in
+                for _ = 1 to reps do
+                  Bitmap.record_set real.(k) pset;
+                  Cov.Pset.iter (Dense_bitmap.record model.(k)) pset
+                done;
+                true
+            | B_reset k ->
+                Bitmap.reset real.(k);
+                Dense_bitmap.reset model.(k);
+                true
+            | B_merge (a, b) ->
+                Bitmap.merge ~into:real.(a) real.(b);
+                ignore (Dense_bitmap.merge_new ~virgin:model.(a) model.(b) : int);
+                true
+            | B_merge_new (a, b) ->
+                Bitmap.merge_new ~virgin:real.(a) real.(b)
+                = Dense_bitmap.merge_new ~virgin:model.(a) model.(b)
+            | B_copy (a, b) ->
+                real.(a) <- Bitmap.copy real.(b);
+                model.(a) <- Array.copy model.(b);
+                true
+          in
+          novelty_agrees && densities_agree ())
+        ops)
+
 let test_cov_merge_counts () =
   let mk probes =
     let c = Cov.create () in
@@ -584,7 +698,8 @@ let () =
           Alcotest.test_case "merge union" `Quick test_bitmap_merge_union;
           Alcotest.test_case "merge saturates" `Quick
             test_bitmap_merge_saturates;
-          Alcotest.test_case "cov merge" `Quick test_cov_merge_counts ] );
+          Alcotest.test_case "cov merge" `Quick test_cov_merge_counts ]
+        @ qcheck [ prop_bitmap_dense_model ] );
       ( "ipt",
         [ Alcotest.test_case "decode matches gcov" `Quick
             test_ipt_decode_matches_gcov;

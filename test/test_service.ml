@@ -24,6 +24,8 @@ module W = Iris_guest.Workload
 module Gpr = Iris_x86.Gpr
 module F = Iris_vmcs.Field
 module Cov = Iris_coverage.Cov
+module Bisect = Iris_inspect.Bisect
+module Orchestrator = Iris_orchestrator.Orchestrator
 
 let check = Alcotest.check
 
@@ -374,6 +376,122 @@ let test_wire_pipe_session () =
   Alcotest.(check bool) "shutdown ok" true (Wire.response_ok r5);
   Alcotest.(check bool) "shutdown stops" true stop5
 
+(* --- Pooled bisection --- *)
+
+let vmcs_spec ~tenant ~reason ~prng_seed =
+  Jobspec.make ~tenant ~priority:1 ~boot_scale:0.02 ~workload:W.Cpu_bound
+    ~exits:300 ~reason ~area:Mutation.Area_vmcs ~mutations:60 ~prng_seed ()
+
+(* VMCS mutants crash often, and each reason's campaign is run by two
+   tenants over different recordings: their crashes share buckets but
+   bisect to different reproducers.  One head job per tenant is picked
+   a round, so at jobs > 1 the two tenants' jobs finish in the same
+   round and a representative can be replaced within it. *)
+let crash_specs =
+  [ vmcs_spec ~tenant:"carol" ~reason:R.Cpuid ~prng_seed:21;
+    vmcs_spec ~tenant:"dave" ~reason:R.Cpuid ~prng_seed:22;
+    vmcs_spec ~tenant:"carol" ~reason:R.Rdtsc ~prng_seed:21;
+    vmcs_spec ~tenant:"dave" ~reason:R.Rdtsc ~prng_seed:22 ]
+
+(* Drain one round at a time (a quantum this large finishes a job per
+   pick) and return the signatures of buckets whose representative a
+   later round replaced. *)
+let drain_tracking_reps ~jobs specs =
+  let server = Server.create ~jobs ~quantum:512 ~recordings:shared_cache () in
+  List.iter (fun s -> ignore (Server.submit server s : int)) specs;
+  let reps () =
+    List.map
+      (fun b -> (b.Triage.b_signature, b.Triage.b_rep))
+      (Triage.buckets (Server.triage server))
+  in
+  let replaced = ref [] and seen = ref [] in
+  while Server.step server do
+    let now = reps () in
+    List.iter
+      (fun (s, rep) ->
+        match List.assoc_opt s !seen with
+        | Some old when old != rep -> replaced := s :: !replaced
+        | Some _ | None -> ())
+      now;
+    seen := now
+  done;
+  (server, List.sort_uniq compare !replaced)
+
+let test_pooled_bisection_deterministic () =
+  let by_key = List.sort (fun a b -> compare (Jobspec.key a) (Jobspec.key b)) in
+  let ascending = by_key crash_specs in
+  let drains =
+    List.concat_map
+      (fun jobs ->
+        [ drain_tracking_reps ~jobs ascending;
+          drain_tracking_reps ~jobs (List.rev ascending) ])
+      [ 1; 3 ]
+  in
+  let triage_json (s, _) = J.to_string (Triage.to_json (Server.triage s)) in
+  List.iter
+    (fun d ->
+      check Alcotest.string "triage bytes independent of jobs and order"
+        (triage_json (List.hd drains))
+        (triage_json d))
+    drains;
+  let buckets = Triage.buckets (Server.triage (fst (List.hd drains))) in
+  Alcotest.(check bool) "crashes were bucketed" true (buckets <> []);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        (b.Triage.b_signature ^ " has a reproducer")
+        true (b.Triage.b_repro <> None))
+    buckets;
+  (* at jobs = 1 every pick finishes in its own round, so replacements
+     show between steps *)
+  let replaced =
+    List.concat_map snd (List.filteri (fun i _ -> i < 2) drains)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check bool) "a representative was replaced" true (replaced <> []);
+  List.iter
+    (fun signature ->
+      let b =
+        List.find (fun b -> b.Triage.b_signature = signature) buckets
+      in
+      let rep = b.Triage.b_rep in
+      let spec =
+        List.find (fun s -> Jobspec.key s = rep.Triage.c_spec_key) crash_specs
+      in
+      let recording =
+        Manager.record ~store_seeds:true ~store_metrics:false
+          (Manager.create ~boot_scale:0.02 ~prng_seed:spec.Jobspec.prng_seed ())
+          W.Cpu_bound ~exits:300
+      in
+      let plan =
+        Option.get
+          (Campaign.plan
+             ~config:
+               { Campaign.mutations = spec.Jobspec.mutations;
+                 prng_seed = spec.Jobspec.prng_seed }
+             ~trace:recording.Manager.trace ~reason:spec.Jobspec.reason
+             ~area:spec.Jobspec.area)
+      in
+      let direct =
+        Bisect.minimize
+          ~make_replayer:(fun () ->
+            Orchestrator.dummy ~recording ~name:"test-triage")
+          ~prefix:
+            (Array.sub recording.Manager.trace.Iris_core.Trace.seeds 0
+               plan.Campaign.plan_target.Seed.index)
+          ~crasher:(Campaign.case plan rep.Triage.c_case)
+      in
+      check
+        Alcotest.(option string)
+        "replaced bucket's repro = direct bisection of its representative"
+        (Option.map (fun r -> r.Bisect.b_digest) direct)
+        (Option.map (fun r -> r.Triage.r_digest) b.Triage.b_repro))
+    replaced;
+  let v = Server.verify (fst (List.nth drains 2)) in
+  Alcotest.(check bool) "verify ok" true (Server.verify_ok v);
+  check Alcotest.int "every bucket re-minimized" (List.length buckets)
+    v.Server.v_buckets_checked
+
 (* --- Device provenance --- *)
 
 let test_provenance_devices () =
@@ -450,7 +568,9 @@ let () =
             test_server_report_schedule_independent;
           Alcotest.test_case "replay-from-corpus byte-identity" `Slow
             test_server_replay_from_corpus;
-          Alcotest.test_case "wire pipe session" `Slow test_wire_pipe_session
+          Alcotest.test_case "wire pipe session" `Slow test_wire_pipe_session;
+          Alcotest.test_case "pooled bisection deterministic" `Slow
+            test_pooled_bisection_deterministic
         ] );
       ( "provenance",
         [ Alcotest.test_case "device touches" `Slow test_provenance_devices ]
