@@ -52,13 +52,22 @@ type worker = {
 (* A dummy domain at the recording's initial state: constructed, armed
    on the recording snapshot, memory dropped, no probe.  Every worker,
    sweep task, service universe and bisection attempt starts here. *)
-let dummy ~recording ~name =
-  let cov = Cov.create () in
+let build_dummy ~cov ~recording ~name =
   let hooks = Iris_hv.Hooks.create () in
   let ctx = Iris_hv.Xen.construct ~dummy:true ~cov ~hooks ~name () in
   Manager.arm_dummy ctx ~revert_to:(Some recording.Manager.snapshot)
     ~keep_memory:false;
   Replayer.create ctx
+
+let dummy ~recording ~name = build_dummy ~cov:(Cov.create ()) ~recording ~name
+
+(* A reset, enabled store reads exactly like a fresh one, so reusing it
+   changes no outcome; it only spares the allocation of the store's
+   per-component arrays, which dominates a dummy's cost. *)
+let dummy_on ~cov ~recording ~name =
+  Cov.reset cov;
+  Cov.enable cov;
+  build_dummy ~cov ~recording ~name
 
 (* Boot one isolated universe: a [dummy] with its prefix replayed to
    S_R.  When a hub is given the probe is attached only after S_R so

@@ -48,9 +48,20 @@ val dummy :
 (** A fresh dummy VM at the recording's initial state: constructed as
     [name], armed on the recording snapshot with guest memory dropped
     ({!Iris_core.Manager.arm_dummy}), no telemetry probe attached and
-    no prefix replayed.  The one dummy constructor behind every worker,
-    sweep task, service universe and bisection attempt; attach a probe
-    to its context if the caller wants one. *)
+    no prefix replayed.  The dummy constructor behind every worker,
+    sweep task and service universe (bisection attempts use
+    {!dummy_on}); attach a probe to its context if the caller wants
+    one. *)
+
+val dummy_on :
+  cov:Iris_coverage.Cov.t -> recording:Iris_core.Manager.recording ->
+  name:string -> Iris_core.Replayer.t
+(** {!dummy} over a caller-owned coverage store, reset and enabled
+    first, so it behaves exactly like a fresh one.  For callers that
+    build many short-lived dummies one after another (the service's
+    bisection tasks): reusing one store spares the allocation of its
+    per-component arrays, most of a dummy's heap cost.  The previous
+    dummy on [cov] must be dead. *)
 
 val boot_universe :
   ?hub:Iris_telemetry.Hub.t ->

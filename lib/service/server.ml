@@ -73,25 +73,32 @@ let ensure_recording (cache : recordings) ~workload ~exits ~prng_seed
    digest-verified reproducer, one pool task per request.  Every
    bisection attempt builds its own dummy, so tasks share only the
    read-only recording and plan, and each result is a function of its
-   request alone, whatever [jobs] is.  A minimization that raises reads
-   as unreproduced. *)
+   request alone, whatever [jobs] is.  A worker's attempts run one after
+   another, so they all build on the worker's one coverage store: a
+   fresh store per attempt is ~0.6 MB of arrays, and that churn spread
+   over the workers' malloc arenas makes the process's peak resident
+   set vary from run to run.  A minimization that raises reads as
+   unreproduced. *)
 let minimize_all ~jobs requests =
   let requests = Array.of_list requests in
   let n = Array.length requests in
-  let results, _stats, _who =
-    Pool.run ~jobs:(min jobs n) ~total:n ~init:ignore
-      ~task:(fun () i ->
-        let (crash : Triage.crash), recording, plan = requests.(i) in
-        let name = Printf.sprintf "svc-%s-triage" crash.Triage.c_spec_key in
-        Bisect.minimize
-          ~make_replayer:(fun () -> Orchestrator.dummy ~recording ~name)
-          ~prefix:
-            (Array.sub recording.Manager.trace.Trace.seeds 0
-               plan.Campaign.plan_target.Seed.index)
-          ~crasher:(Campaign.case plan crash.Triage.c_case))
-      ~on_crash:(fun _exn _i -> None)
-  in
-  results
+  if n = 0 then [||]
+  else
+    let results, _stats, _who =
+      Pool.run ~jobs:(min jobs n) ~total:n
+        ~init:(fun _ -> Cov.create ())
+        ~task:(fun cov i ->
+          let (crash : Triage.crash), recording, plan = requests.(i) in
+          let name = Printf.sprintf "svc-%s-triage" crash.Triage.c_spec_key in
+          Bisect.minimize
+            ~make_replayer:(fun () -> Orchestrator.dummy_on ~cov ~recording ~name)
+            ~prefix:
+              (Array.sub recording.Manager.trace.Trace.seeds 0
+                 plan.Campaign.plan_target.Seed.index)
+            ~crasher:(Campaign.case plan crash.Triage.c_case))
+        ~on_crash:(fun _exn _i -> None)
+    in
+    results
 
 let repro_of (b : Bisect.result) =
   { Triage.r_digest = b.Bisect.b_digest;

@@ -280,6 +280,39 @@ let test_fuzz_absent_reason () =
 let guided_config n =
   { Guided.default_config with Guided.iterations = n; prng_seed = 5 }
 
+(* A dummy built on a used, even disabled, coverage store replays the
+   recording exactly like one built on a fresh store: same outcomes,
+   same coverage. *)
+let test_dummy_on_reused_store () =
+  let m = mgr () in
+  let recording = Manager.record m W.Os_boot ~exits:150 in
+  let seeds = recording.Manager.trace.Iris_core.Trace.seeds in
+  let replay rep =
+    let outcomes =
+      Array.map
+        (fun s ->
+          match Iris_core.Replayer.submit rep s with
+          | Iris_core.Replayer.Replayed -> "replayed"
+          | Iris_core.Replayer.Vm_crashed msg -> "crashed: " ^ msg
+          | exception Iris_hv.Ctx.Hypervisor_panic msg -> "panic: " ^ msg)
+        seeds
+    in
+    let cov = (Iris_core.Replayer.ctx rep).Iris_hv.Ctx.cov in
+    let hits =
+      List.map
+        (fun p -> (p, Iris_coverage.Cov.hits cov p))
+        (Iris_coverage.Cov.Pset.elements (Iris_coverage.Cov.covered cov))
+    in
+    (outcomes, hits)
+  in
+  let fresh = replay (Orch.dummy ~recording ~name:"fresh") in
+  let cov = Iris_coverage.Cov.create () in
+  ignore (replay (Orch.dummy_on ~cov ~recording ~name:"first"));
+  Iris_coverage.Cov.disable cov;
+  let reused = replay (Orch.dummy_on ~cov ~recording ~name:"second") in
+  check Alcotest.bool "coverage recorded" true (snd fresh <> []);
+  check Alcotest.string "reused store = fresh store" (digest fresh) (digest reused)
+
 let test_guided_sweep_byte_identical () =
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
@@ -341,5 +374,7 @@ let () =
         [ Alcotest.test_case "fuzz jobs byte-identical" `Slow
             test_fuzz_jobs_byte_identical;
           Alcotest.test_case "absent reason" `Slow test_fuzz_absent_reason;
+          Alcotest.test_case "dummy on a reused store" `Quick
+            test_dummy_on_reused_store;
           Alcotest.test_case "guided sweep byte-identical" `Slow
             test_guided_sweep_byte_identical ] ) ]
