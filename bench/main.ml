@@ -25,6 +25,8 @@ module Clock = Iris_vtx.Clock
 module Stats = Iris_util.Stats
 module Plot = Iris_util.Textplot
 module Orch = Iris_orchestrator.Orchestrator
+module Scenario = Iris_scenario.Scenario
+module Gate = Iris_scenario.Gate
 
 (* Key numbers the experiments also push into BENCH_iris.json, so CI
    and notebooks can track them without scraping stdout. *)
@@ -62,9 +64,11 @@ end
 
 let report_path = "BENCH_iris.json"
 
-(* Host wall clock in seconds: monotonic, unlike [Sys.time], which is
-   process CPU time summed across domains. *)
-let wall_now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+(* A failed gate (DESIGN.md, "Gates") or a missed paper-size threshold
+   fails the run. *)
+let gate = function Ok facts -> facts | Error msg -> failwith msg
+
+let require ok msg = if not ok then failwith msg
 
 let prng_seed = 2023
 
@@ -498,11 +502,11 @@ let hotpath () =
      handler tables) so the measured window sees steady state. *)
   for _ = 1 to 2_000 do one () done;
   let exits = 50_000 in
+  let t0 = Scenario.wall_now () in
   let w0 = Gc.minor_words () in
-  let t0 = Sys.time () in
   for _ = 1 to exits do one () done;
-  let host_s = Sys.time () -. t0 in
   let words_per_exit = (Gc.minor_words () -. w0) /. float_of_int exits in
+  let host_s = Scenario.wall_now () -. t0 in
   let host_tp = float_of_int exits /. host_s in
   Printf.printf
     "hot loop: %d exits in %.3f s host time -> %.0f exits/s, %.1f minor \
@@ -512,48 +516,24 @@ let hotpath () =
   Report.put_f "hotpath.minor_words_per_exit" words_per_exit;
   Report.put_f "hotpath.speedup_vs_prepr_ideal"
     (host_tp /. pre_pr_ideal_exits_per_sec);
-  if host_tp < 2.0 *. pre_pr_ideal_exits_per_sec then
-    failwith
-      (Printf.sprintf
-         "HOTPATH VIOLATION: %.0f host exits/s < 2x pre-PR ideal %.0f"
-         host_tp pre_pr_ideal_exits_per_sec);
-  if words_per_exit > minor_words_per_exit_budget then
-    failwith
-      (Printf.sprintf
-         "ALLOCATION VIOLATION: %.1f minor words/exit exceeds the %.0f-word \
-          budget"
-         words_per_exit minor_words_per_exit_budget);
-  (* Behavior gate: the fast paths must be invisible to every observable.
-     (a) record -> trace digest is stable run to run; (b) a sharded
-     campaign report is byte-identical across jobs 1 vs 4 (exercising
-     the dense coverage merge, slot-batched telemetry flush and the
-     scratch-event engine under domain parallelism). *)
-  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
-  let record_digest () =
-    let m = mgr () in
-    let recording = Manager.record m W.Cpu_bound ~exits:1_200 in
-    Trace.digest recording.Manager.trace
+  require
+    (host_tp >= 2.0 *. pre_pr_ideal_exits_per_sec)
+    (Printf.sprintf "hotpath: %.0f host exits/s < 2x pre-PR ideal %.0f"
+       host_tp pre_pr_ideal_exits_per_sec);
+  require
+    (words_per_exit <= minor_words_per_exit_budget)
+    (Printf.sprintf
+       "hotpath: %.1f minor words/exit exceeds the %.0f-word budget"
+       words_per_exit minor_words_per_exit_budget);
+  (* The fast paths must be invisible to every observable: record ->
+     trace digest is stable run to run.  (The sharded campaign's jobs
+     identity under the same fast paths is [scaling]'s gate.) *)
+  let d =
+    gate
+      (Gate.trace_digest (fun () ->
+           Manager.record (mgr ()) W.Cpu_bound ~exits:1_200))
   in
-  let d1 = record_digest () and d2 = record_digest () in
-  if d1 <> d2 then
-    failwith "DETERMINISM VIOLATION: trace digest differs across records";
-  Printf.printf "trace digest stable across records: %s\n" d1;
-  let m = mgr () in
-  let recording = Manager.record m W.Cpu_bound ~exits:1_200 in
-  let config = { Iris_fuzzer.Campaign.mutations = 2_000; prng_seed } in
-  let campaign jobs =
-    match
-      Orch.fuzz ~jobs ~config ~recording ~reason:R.Rdtsc
-        ~area:Iris_fuzzer.Mutation.Area_vmcs ()
-    with
-    | Some o -> digest o.Orch.fuzz_result
-    | None -> failwith "hotpath: no RDTSC seed in the CPU-bound trace"
-  in
-  let c1 = campaign 1 and c4 = campaign 4 in
-  if c1 <> c4 then
-    failwith
-      "DETERMINISM VIOLATION: jobs=4 campaign report differs from jobs=1";
-  Printf.printf "campaign report byte-identical at jobs 1 vs 4: %s\n" c1
+  Printf.printf "trace digest stable across records: %s\n" d
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 10: recording overhead per VM exit                            *)
@@ -1076,23 +1056,12 @@ let scaling () =
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:1_200 in
   let config = { Iris_fuzzer.Campaign.mutations = 10_000; prng_seed } in
-  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
-  let run jobs =
-    match
-      Orch.fuzz ~jobs ~config ~recording ~reason:R.Rdtsc
-        ~area:Iris_fuzzer.Mutation.Area_vmcs ()
-    with
-    | None -> failwith "scaling: no RDTSC seed in the CPU-bound trace"
-    | Some o -> o
+  let sweep =
+    gate (Gate.campaign ~manager:m ~recording ~config ~jobs:[ 1; 2; 4; 8 ])
   in
-  let sweep = List.map (fun jobs -> (jobs, run jobs)) [ 1; 2; 4; 8 ] in
-  let base =
-    match sweep with
-    | (1, o) :: _ -> o
-    | _ -> assert false
-  in
-  let wall o =
-    Orch.cycles_to_seconds o.Orch.fuzz_report.Orch.r_model_wall_cycles
+  let wall jobs =
+    Orch.cycles_to_seconds
+      (List.assoc jobs sweep).Orch.fuzz_report.Orch.r_model_wall_cycles
   in
   let header =
     [ "jobs"; "model wall (s)"; "speedup"; "steals"; "host (s)";
@@ -1103,51 +1072,29 @@ let scaling () =
       (fun (jobs, o) ->
         let rep = o.Orch.fuzz_report in
         let k = Printf.sprintf "scaling.jobs%d" jobs in
-        Report.put_f (k ^ ".model_wall_seconds") (wall o);
+        Report.put_f (k ^ ".model_wall_seconds") (wall jobs);
         Report.put_f (k ^ ".host_seconds") rep.Orch.r_host_seconds;
         [ string_of_int jobs;
-          Printf.sprintf "%.4f" (wall o);
-          Printf.sprintf "%.2fx" (wall base /. wall o);
+          Printf.sprintf "%.4f" (wall jobs);
+          Printf.sprintf "%.2fx" (wall 1 /. wall jobs);
           string_of_int
             (Array.fold_left
                (fun a w -> a + w.Orch.w_steals)
                0 rep.Orch.r_workers);
           Printf.sprintf "%.2f" rep.Orch.r_host_seconds;
-          String.sub (digest o.Orch.fuzz_result) 0 12 ])
+          String.sub (Scenario.digest o.Orch.fuzz_result) 0 12 ])
       sweep
   in
   print_string
     (Plot.table ~title:"10K-mutation RDTSC/vmcs campaign, sharded" ~header
        rows);
   print_string (Orch.render_workers (List.assoc 4 sweep).Orch.fuzz_report);
-  (* The determinism contract, checked on the real experiment: merged
-     campaign reports and merged telemetry snapshots are byte-identical
-     for every job count. *)
-  let base_report = digest base.Orch.fuzz_result in
-  let base_snap =
-    digest (Iris_telemetry.Hub.snapshot base.Orch.fuzz_report.Orch.r_hub)
-  in
-  List.iter
-    (fun (jobs, o) ->
-      if digest o.Orch.fuzz_result <> base_report then
-        failwith
-          (Printf.sprintf
-             "DETERMINISM VIOLATION: jobs=%d report differs from jobs=1" jobs);
-      if
-        digest (Iris_telemetry.Hub.snapshot o.Orch.fuzz_report.Orch.r_hub)
-        <> base_snap
-      then
-        failwith
-          (Printf.sprintf
-             "DETERMINISM VIOLATION: jobs=%d merged telemetry differs from \
-              jobs=1"
-             jobs))
-    sweep;
-  let speedup4 = wall base /. wall (List.assoc 4 sweep) in
+  let speedup4 = wall 1 /. wall 4 in
   Report.put_f "scaling.speedup_jobs4" speedup4;
   Report.put_i "scaling.deterministic" 1;
   Printf.printf
-    "\nmerged reports and telemetry byte-identical across jobs 1/2/4/8: yes\n";
+    "\nmerged reports and telemetry byte-identical across jobs 1/2/4/8 and \
+     equal to the sequential full-restore report: yes\n";
   Printf.printf "model speedup at jobs=4: %.2fx (target >= 2x)\n" speedup4
 
 (* ------------------------------------------------------------------ *)
@@ -1172,15 +1119,14 @@ let revert_bench () =
   let module Domain = Iris_hv.Domain in
   let plan =
     match
-      Campaign.plan ~config ~trace ~reason:R.Rdtsc
-        ~area:Iris_fuzzer.Mutation.Area_vmcs
+      Campaign.plan ~config ~trace ~reason:Scenario.campaign_reason
+        ~area:Scenario.campaign_area
     with
     | Some p -> p
     | None -> failwith "revert: no RDTSC seed in the CPU-bound trace"
   in
   let seed_index = plan.Campaign.plan_target.Seed.index in
   let cases = Campaign.case_count plan in
-  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
   let run mode =
     let replayer =
       Manager.make_dummy m ~revert_to:recording.Manager.snapshot
@@ -1188,20 +1134,20 @@ let revert_bench () =
     in
     let anchor = Campaign.anchor ~mode ~replayer ~trace ~seed_index () in
     let dom = (Replayer.ctx replayer).Iris_hv.Ctx.dom in
-    let t0 = Sys.time () in
+    let t0 = Scenario.wall_now () in
     let raws =
       Array.init cases (fun i ->
           Campaign.execute_case ~replayer ~anchor (Campaign.case plan i))
     in
-    let host = Sys.time () -. t0 in
+    let host = Scenario.wall_now () -. t0 in
     (Campaign.finalize ~plan ~raws, host, anchor, dom)
   in
   let res_full, host_full, anch_full, _ = run Campaign.Full_restore in
   let res_cow, host_cow, _, dom_cow = run Campaign.Cow in
-  let equivalent = digest res_full = digest res_cow in
-  if not equivalent then
-    failwith
-      "EQUIVALENCE VIOLATION: COW campaign report differs from full restore";
+  gate
+    (Gate.same ~what:"revert campaign report"
+       [ ("full restore", Scenario.digest res_full);
+         ("cow rewind", Scenario.digest res_cow) ]);
   (* Modeled restore footprint, bytes per case. *)
   let full_bytes =
     match anch_full with
@@ -1232,30 +1178,7 @@ let revert_bench () =
     "modeled revert speedup: %.1fx (gate: >= 5x)   host: %.2fs vs %.2fs \
      (%.2fx)\n"
     modeled_speedup host_full host_cow host_speedup;
-  Printf.printf "reports byte-identical across restore paths: %b\n" equivalent;
-  (* The parallel path rides the same engine: a jobs=4 COW orchestrator
-     run must reproduce the sequential full-restore report (the
-     workers use the standard empty-memory dummy, so the oracle here
-     does too). *)
-  let seq_oracle =
-    let replayer =
-      Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-    in
-    Campaign.run_with ~snapshot_mode:Campaign.Full_restore ~config ~replayer
-      ~trace ~reason:R.Rdtsc ~area:Iris_fuzzer.Mutation.Area_vmcs ()
-  in
-  (match
-     ( seq_oracle,
-       Orch.fuzz ~jobs:4 ~config ~recording ~reason:R.Rdtsc
-         ~area:Iris_fuzzer.Mutation.Area_vmcs () )
-   with
-  | Some seq, Some o4 ->
-      if digest seq <> digest o4.Orch.fuzz_result then
-        failwith
-          "DETERMINISM VIOLATION: jobs=4 COW report differs from sequential \
-           full restore"
-      else Printf.printf "jobs=4 COW = sequential full restore: true\n"
-  | _ -> failwith "revert: campaign unexpectedly empty");
+  Printf.printf "reports byte-identical across restore paths: true\n";
   Report.put_f "revert.full_case_seconds" (host_full /. float_of_int cases);
   Report.put_f "revert.cow_case_seconds" (host_cow /. float_of_int cases);
   Report.put_i "revert.full_case_bytes" full_bytes;
@@ -1263,11 +1186,9 @@ let revert_bench () =
   Report.put_f "revert.modeled_speedup" modeled_speedup;
   Report.put_f "revert.host_speedup" host_speedup;
   Report.put_i "revert.equivalent" 1;
-  if modeled_speedup < 5.0 then
-    failwith
-      (Printf.sprintf
-         "REVERT REGRESSION: modeled speedup %.2fx below the 5x gate"
-         modeled_speedup)
+  require (modeled_speedup >= 5.0)
+    (Printf.sprintf "revert: modeled speedup %.2fx below the 5x gate"
+       modeled_speedup)
 
 (* ------------------------------------------------------------------ *)
 (* Inspect: checkpoint-search divergence location vs linear re-replay *)
@@ -1285,58 +1206,22 @@ let inspect_bench () =
   | Replayer.Replayed -> ()
   | Replayer.Vm_crashed msg ->
       failwith ("inspect: baseline replay crashed: " ^ msg));
-  let reference = baseline.Manager.replay_trace in
   let m = mgr () in
   let planted, seeds =
-    match
-      Insp.Synthetic.perturb ~kind:Insp.Synthetic.Crash_rip
-        ~at:(trace_exits * 3 / 5)
-        recording.Manager.trace.Trace.seeds
-    with
-    | Some r -> r
-    | None -> failwith "inspect: no guest-RIP-reading seed to perturb"
+    gate
+      (Scenario.plant
+         ~at:(Scenario.plant_position ~exits:trace_exits)
+         recording.Manager.trace.Trace.seeds)
   in
-  (* Linear ground truth: one instrumented whole-prefix replay. *)
-  let truth =
-    Manager.replay_seeds m ~revert_to:recording.Manager.snapshot seeds
+  let report =
+    (gate
+       (Gate.locate ~manager:m ~recording
+          ~reference:baseline.Manager.replay_trace ~planted ~every:64 seeds))
+      .Gate.report
   in
-  let crashed =
-    match truth.Manager.outcome with
-    | Replayer.Vm_crashed msg -> Some (truth.Manager.submitted, msg)
-    | Replayer.Replayed -> None
-  in
-  let dv =
-    Analysis.divergence ?crashed ~recorded:reference
-      ~replayed:truth.Manager.replay_trace ()
-  in
-  let truth_first =
-    match dv.Analysis.dv_first with
-    | Some d -> d.Analysis.d_index
-    | None -> failwith "inspect: planted fault did not diverge"
-  in
-  (* The locator: checkpointed detection pass + backward segment
-     probes. *)
-  let every = 64 in
-  let replayer =
-    Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-  in
-  let session = Insp.Session.start ~every ~replayer ~seeds () in
-  let report = Insp.Locator.locate session ~reference in
-  Insp.Session.finish session;
-  let found =
-    match report.Insp.Locator.first_divergent with
-    | Some d -> d.Insp.Locator.dg_index
-    | None -> failwith "inspect: locator found no divergence"
-  in
-  Printf.printf
-    "planted fault at seed #%d; ground truth #%d; locator #%d\n" planted
-    truth_first found;
-  if found <> planted || found <> truth_first then
-    failwith
-      (Printf.sprintf
-         "INSPECT EXACTNESS VIOLATION: planted #%d, truth #%d, locator #%d"
-         planted truth_first found);
-  (* The savings gate compares instrumented seeds: what the probes
+  Printf.printf "planted fault at seed #%d; ground truth and locator agree\n"
+    planted;
+  (* The savings threshold compares instrumented seeds: what the probes
      replayed under the metrics recorder vs the whole-prefix linear
      sweep the same diagnosis used to cost. *)
   let instrumented = max 1 report.Insp.Locator.seeds_instrumented in
@@ -1347,12 +1232,11 @@ let inspect_bench () =
      %d linear -> %.1fx fewer (gate: >= 5x)\n"
     report.Insp.Locator.checkpoints report.Insp.Locator.reverts
     report.Insp.Locator.probes instrumented linear savings;
-  if savings < 5.0 then
-    failwith
-      (Printf.sprintf
-         "INSPECT REGRESSION: locator replayed only %.2fx fewer seeds than \
-          the linear sweep (gate: >= 5x)"
-         savings);
+  require (savings >= 5.0)
+    (Printf.sprintf
+       "inspect: locator replayed only %.2fx fewer seeds than the linear \
+        sweep (gate: >= 5x)"
+       savings);
   (* Crash bisection determinism: minimize the planted crasher and
      require byte-identical verification digests across two replays. *)
   let prefix = Array.sub seeds 0 planted in
@@ -1369,16 +1253,14 @@ let inspect_bench () =
         planted b.Insp.Bisect.b_suffix_start
         (Array.length b.Insp.Bisect.b_seeds)
         b.Insp.Bisect.b_attempts b.Insp.Bisect.b_digest;
-      if not b.Insp.Bisect.b_deterministic then
-        failwith
-          "INSPECT DETERMINISM VIOLATION: bisection reproducer digests \
-           differ across two replays";
+      require b.Insp.Bisect.b_deterministic
+        "inspect: bisection reproducer digests differ across two replays";
       Report.put_i "inspect.bisect_suffix_seeds"
         (Array.length b.Insp.Bisect.b_seeds);
       Report.put_i "inspect.bisect_attempts" b.Insp.Bisect.b_attempts;
       Report.put_i "inspect.bisect_deterministic" 1);
   Report.put_i "inspect.planted_index" planted;
-  Report.put_i "inspect.located_index" found;
+  Report.put_i "inspect.located_index" planted;
   Report.put_i "inspect.exact" 1;
   Report.put_i "inspect.checkpoints" report.Insp.Locator.checkpoints;
   Report.put_i "inspect.reverts" report.Insp.Locator.reverts;
@@ -1394,68 +1276,33 @@ let inspect_bench () =
 let diff_bench () =
   section "Diff: VT-x vs SVM differential oracle";
   let module Dc = Iris_differential.Diffcampaign in
-  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
-  (* Unperturbed zero-false-positive gate on the two extreme
-     workloads — CPU-bound (densest comparable set) and OS boot (the
-     mode-changing trace that punishes any anchoring shortcut) — plus
-     the determinism contract: the merged divergence report is
-     byte-identical across job counts. *)
+  (* The two extreme workloads: CPU-bound (densest comparable set),
+     which also carries every planted asymmetry, and OS boot (the
+     mode-changing trace that punishes any anchoring shortcut). *)
   List.iter
-    (fun (w, key) ->
-      let m = mgr () in
-      let recording = Manager.record m w ~exits:1_200 in
-      let runs =
-        List.map (fun jobs -> (jobs, Orch.diff_sweep ~jobs ~recording ()))
-          [ 1; 4 ]
-      in
-      let base = (List.assoc 1 runs).Orch.diff_report in
+    (fun (w, key, plants) ->
+      let recording = Manager.record (mgr ()) w ~exits:1_200 in
+      let facts = gate (Gate.diff ~recording ~jobs:[ 1; 4 ] ~plants) in
+      let base = (List.assoc 1 facts.Gate.unperturbed).Orch.diff_report in
       Printf.printf
         "%-10s %d seeds: %d comparable (%d agree), %d lossy, %d findings\n"
         (W.name w) base.Dc.total base.Dc.comparable base.Dc.agreements
         base.Dc.lossy
         (List.length base.Dc.findings);
-      List.iter
-        (fun (jobs, o) ->
-          if digest o.Orch.diff_report <> digest base then
-            failwith
-              (Printf.sprintf
-                 "DETERMINISM VIOLATION: jobs=%d divergence report differs \
-                  from jobs=1 on %s"
-                 jobs (W.name w)))
-        runs;
-      if base.Dc.findings <> [] then
-        failwith
-          (Printf.sprintf
-             "DIFF FALSE POSITIVE: %d findings on unperturbed %s (expected 0)"
-             (List.length base.Dc.findings)
-             (W.name w));
       Report.put_i ("diff." ^ key ^ ".comparable") base.Dc.comparable;
       Report.put_i ("diff." ^ key ^ ".lossy") base.Dc.lossy;
       Report.put_i ("diff." ^ key ^ ".findings")
-        (List.length base.Dc.findings))
-    [ (W.Cpu_bound, "cpu_bound"); (W.Os_boot, "os_boot") ];
-  (* Planted asymmetries: every intentional SVM-side divergence must
-     surface, and nothing else — the ground-truth index set is
-     computed SVM-vs-SVM with no VT-x involvement, so the gate is
-     exact set equality, not a count. *)
-  let m = mgr () in
-  let recording = Manager.record m W.Cpu_bound ~exits:1_200 in
-  List.iter
-    (fun plant ->
-      let name = Iris_svm.Machine.asymmetry_name plant in
-      let expected = Dc.expected_planted ~plant recording.Manager.trace in
-      let o = Orch.diff_sweep ~jobs:4 ~plant ~recording () in
-      let detected = Dc.finding_indices o.Orch.diff_report in
-      Printf.printf "plant %-16s ground truth %d, detected %d\n" name
-        (List.length expected) (List.length detected);
-      if detected <> expected then
-        failwith
-          (Printf.sprintf
-             "DIFF PLANT GATE: %s ground truth %d findings, detected %d"
-             name (List.length expected) (List.length detected));
-      Report.put_i ("diff.plant." ^ name ^ ".findings")
-        (List.length detected))
-    Iris_svm.Machine.all_asymmetries;
+        (List.length base.Dc.findings);
+      List.iter
+        (fun (plant, expected, _) ->
+          let name = Iris_svm.Machine.asymmetry_name plant in
+          Printf.printf "plant %-16s ground truth = detected = %d\n" name
+            (List.length expected);
+          Report.put_i ("diff.plant." ^ name ^ ".findings")
+            (List.length expected))
+        facts.Gate.planted)
+    [ (W.Cpu_bound, "cpu_bound", Iris_svm.Machine.all_asymmetries);
+      (W.Os_boot, "os_boot", []) ];
   Report.put_i "diff.deterministic" 1;
   Report.put_i "diff.plants_exact" 1;
   Printf.printf
@@ -1523,98 +1370,56 @@ let micro () =
 (* serve: the campaign service's determinism and distillation gates   *)
 (* ------------------------------------------------------------------ *)
 
-(* Three hard gates over a standard multi-tenant scenario set:
-     1. the drained queue's merged report is byte-identical across
-        --jobs 1/4 and across two submission orders;
-     2. corpus distillation shrinks the store >= 2x with zero
-        coverage loss;
-     3. every corpus entry and every triage bucket's minimized
-        reproducer re-replays to its stored digest. *)
+(* Gate.serve over the standard multi-tenant scenario set at jobs 1/4,
+   plus the paper-size threshold: corpus distillation shrinks the
+   store >= 2x with zero coverage loss. *)
 let serve_bench () =
   let module Svc = Iris_service in
-  let module J = Report.J in
   section "campaign service (serve): determinism + corpus distillation";
-  let spec ~tenant ~priority ~reason ~area ~prng_seed =
-    Svc.Jobspec.make ~tenant ~priority ~boot_scale:0.05
-      ~workload:W.Cpu_bound ~exits:1_200 ~reason ~area ~mutations:400
-      ~prng_seed ()
+  let facts =
+    gate
+      (Gate.serve ~recordings:(Svc.Server.recordings ()) ~quantum:48
+         ~jobs:[ 1; 4 ] Scenario.serve_specs)
   in
-  (* Two tenants at different priorities; overlapping scenarios (same
-     target at several PRNG seeds) are exactly what distillation is
-     for — their admitted seeds mostly cover the same lines. *)
-  let scenario =
-    [ spec ~tenant:"alice" ~priority:3 ~reason:R.Rdtsc
-        ~area:Iris_fuzzer.Mutation.Area_gpr ~prng_seed:21;
-      spec ~tenant:"alice" ~priority:3 ~reason:R.Rdtsc
-        ~area:Iris_fuzzer.Mutation.Area_gpr ~prng_seed:22;
-      spec ~tenant:"alice" ~priority:3 ~reason:R.Rdtsc
-        ~area:Iris_fuzzer.Mutation.Area_vmcs ~prng_seed:21;
-      spec ~tenant:"bob" ~priority:1 ~reason:R.Cpuid
-        ~area:Iris_fuzzer.Mutation.Area_vmcs ~prng_seed:21;
-      spec ~tenant:"bob" ~priority:1 ~reason:R.Cpuid
-        ~area:Iris_fuzzer.Mutation.Area_vmcs ~prng_seed:22;
-      spec ~tenant:"bob" ~priority:1 ~reason:R.Cpuid
-        ~area:Iris_fuzzer.Mutation.Area_gpr ~prng_seed:21 ]
+  List.iter
+    (fun d ->
+      let s = d.Gate.summary in
+      Printf.printf
+        "  %s: %d rounds, %d completed, %d crashes -> %d buckets, corpus %d \
+         (%.2f s)\n"
+        d.Gate.label s.Svc.Server.d_rounds s.Svc.Server.d_completed
+        s.Svc.Server.d_crashes s.Svc.Server.d_buckets s.Svc.Server.d_corpus
+        d.Gate.wall_s)
+    facts.Gate.drains;
+  let drained label =
+    List.find (fun d -> d.Gate.label = label) facts.Gate.drains
   in
-  let cache = Svc.Server.recordings () in
-  let drained ~jobs ~specs =
-    let t0 = wall_now () in
-    let server = Svc.Server.create ~jobs ~quantum:48 ~recordings:cache () in
-    List.iter (fun s -> ignore (Svc.Server.submit server s : int)) specs;
-    let summary = Svc.Server.drain server in
-    let wall = wall_now () -. t0 in
-    Printf.printf
-      "  jobs=%d: %d rounds, %d completed, %d crashes -> %d buckets, corpus \
-       %d (%.2f s)\n%!"
-      jobs summary.Svc.Server.d_rounds summary.Svc.Server.d_completed
-      summary.Svc.Server.d_crashes summary.Svc.Server.d_buckets
-      summary.Svc.Server.d_corpus wall;
-    (server, summary, wall)
-  in
-  let s1, sum1, wall1 = drained ~jobs:1 ~specs:scenario in
-  let s4, sum4, wall4 = drained ~jobs:4 ~specs:scenario in
-  let s4r, _, _ = drained ~jobs:4 ~specs:(List.rev scenario) in
-  if sum1.Svc.Server.d_completed <> List.length scenario then
-    failwith "serve: not every job completed";
-  (* gate 1: scheduling-independent report bytes *)
-  let r1 = J.to_string (Svc.Server.report s1) in
-  let r4 = J.to_string (Svc.Server.report s4) in
-  let r4r = J.to_string (Svc.Server.report s4r) in
-  if r1 <> r4 then
-    failwith "serve: report differs between --jobs 1 and --jobs 4";
-  if r1 <> r4r then
-    failwith "serve: report depends on submission order";
+  let d1 = drained "jobs=1" and d4 = drained "jobs=4" in
+  let sum4 = d4.Gate.summary in
   Printf.printf
-    "report: %d bytes, byte-identical across jobs=1/4 and both orders \
-     (digest %s)\n"
-    (String.length r1) sum4.Svc.Server.d_report_digest;
-  (* gate 2: distillation shrinks >= 2x, coverage preserved exactly *)
-  let corpus = Svc.Server.corpus s4 in
-  let cov_before = Svc.Corpus.coverage corpus in
-  let before, after = Svc.Server.distill s4 in
-  let cov_after = Svc.Corpus.coverage corpus in
-  if cov_before <> cov_after then
-    failwith "serve: distillation lost coverage";
-  let ratio = float_of_int before /. float_of_int (max 1 after) in
-  Printf.printf
-    "distillation: %d seeds -> %d (%.2fx) over %d coverage points, zero \
-     loss\n"
-    before after ratio (Array.length cov_after);
-  if ratio < 2.0 then
-    failwith
-      (Printf.sprintf "serve: distillation only %.2fx (gate: >= 2x)" ratio);
-  (* gate 3: the determinism contract re-replays byte-identically *)
-  let v = Svc.Server.verify s4 in
+    "report byte-identical across jobs=1/4 and both orders (digest %s)\n"
+    sum4.Svc.Server.d_report_digest;
+  let v = facts.Gate.verify in
   Printf.printf
     "verify: %d corpus entries, %d triage buckets re-replayed; %d/%d \
      mismatches, %d unreproduced\n"
     v.Svc.Server.v_corpus_checked v.Svc.Server.v_buckets_checked
     v.Svc.Server.v_corpus_mismatches v.Svc.Server.v_bucket_mismatches
     v.Svc.Server.v_buckets_unreproduced;
-  if not (Svc.Server.verify_ok v) then
-    failwith "serve: replay-from-corpus verification failed";
+  let corpus = Svc.Server.corpus d4.Gate.server in
+  let cov_before = Svc.Corpus.coverage corpus in
+  let before, after = Svc.Server.distill d4.Gate.server in
+  let cov_after = Svc.Corpus.coverage corpus in
+  require (cov_before = cov_after) "serve: distillation lost coverage";
+  let ratio = float_of_int before /. float_of_int (max 1 after) in
+  Printf.printf
+    "distillation: %d seeds -> %d (%.2fx) over %d coverage points, zero \
+     loss\n"
+    before after ratio (Array.length cov_after);
+  require (ratio >= 2.0)
+    (Printf.sprintf "serve: distillation only %.2fx (gate: >= 2x)" ratio);
   Report.put "serve.report_digest"
-    (J.String sum4.Svc.Server.d_report_digest);
+    (Report.J.String sum4.Svc.Server.d_report_digest);
   Report.put_i "serve.jobs_completed" sum4.Svc.Server.d_completed;
   Report.put_i "serve.crashes" sum4.Svc.Server.d_crashes;
   Report.put_i "serve.triage_buckets" sum4.Svc.Server.d_buckets;
@@ -1622,8 +1427,8 @@ let serve_bench () =
   Report.put_i "serve.corpus_after_distill" after;
   Report.put_f "serve.distill_ratio" ratio;
   Report.put_i "serve.coverage_points" (Array.length cov_after);
-  Report.put_f "serve.drain_wall_s_jobs1" wall1;
-  Report.put_f "serve.drain_wall_s_jobs4" wall4
+  Report.put_f "serve.drain_wall_s_jobs1" d1.Gate.wall_s;
+  Report.put_f "serve.drain_wall_s_jobs4" d4.Gate.wall_s
 
 (* ------------------------------------------------------------------ *)
 (* driver                                                             *)
@@ -1643,9 +1448,9 @@ let targets : (string * (unit -> unit)) list =
     ("micro", micro) ]
 
 let timed name f =
-  let t0 = wall_now () in
+  let t0 = Scenario.wall_now () in
   f ();
-  (name, wall_now () -. t0)
+  (name, Scenario.wall_now () -. t0)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -19,6 +19,7 @@ module W = Iris_guest.Workload
 module R = Iris_vtx.Exit_reason
 module T = Iris_telemetry
 module Orch = Iris_orchestrator.Orchestrator
+module Gate = Iris_scenario.Gate
 
 (* --- shared options --- *)
 
@@ -624,108 +625,71 @@ let inspect_cmd =
           | Replayer.Vm_crashed msg ->
               Printf.eprintf "baseline replay crashed: %s\n" msg;
               exit 1);
-          match
-            Insp.Synthetic.perturb ~kind:Insp.Synthetic.Crash_rip ~at
-              rec_trace.Trace.seeds
-          with
-          | None ->
-              Printf.eprintf
-                "no seed at or after #%d reads guest RIP; nothing to perturb\n"
-                at;
+          match Iris_scenario.Scenario.plant ~at rec_trace.Trace.seeds with
+          | Error msg ->
+              Printf.eprintf "%s; nothing to perturb\n" msg;
               exit 1
-          | Some (idx, seeds) ->
+          | Ok (idx, seeds) ->
               Printf.printf "perturbed seed #%d (non-canonical guest RIP)\n"
                 idx;
               (baseline.Manager.replay_trace, seeds, Some idx))
     in
-    (* Ground truth: one linear instrumented replay, through the
-       structured divergence report. *)
-    let truth =
-      Manager.replay_seeds mgr ~revert_to:recording.Manager.snapshot seeds
+    (* The gate: the locator agrees with one linear instrumented
+       replay (and with the planted index). *)
+    let locate ~thorough =
+      Gate.locate ~manager:mgr ~recording ~reference ?planted ~thorough ~every
+        seeds
     in
-    let crashed =
-      match truth.Manager.outcome with
-      | Replayer.Vm_crashed msg -> Some (truth.Manager.submitted, msg)
-      | Replayer.Replayed -> None
+    let verdict =
+      match locate ~thorough with
+      | Error _ when not thorough ->
+          (* The fast scan stops at the first clean segment; a
+             multi-fault trace with healed divergence can fool it. *)
+          Printf.printf
+            "fast scan disagrees with ground truth; re-running thorough...\n";
+          locate ~thorough:true
+      | v -> v
     in
-    let dv =
-      Analysis.divergence ?crashed ~recorded:reference
-        ~replayed:truth.Manager.replay_trace ()
-    in
-    (match hub with
-    | None -> ()
-    | Some hub -> Analysis.note_divergence ~hub ~recorded:reference dv);
-    let locate_once ~thorough =
-      let rep =
-        Manager.make_dummy mgr ~revert_to:recording.Manager.snapshot ()
-      in
-      let session = Insp.Session.start ~every ~replayer:rep ~seeds () in
-      let report = Insp.Locator.locate ~thorough session ~reference in
-      Insp.Session.finish session;
-      report
-    in
-    let loc_first (r : Insp.Locator.report) =
-      Option.map
-        (fun d -> d.Insp.Locator.dg_index)
-        r.Insp.Locator.first_divergent
-    in
-    let truth_first =
-      Option.map (fun d -> d.Analysis.d_index) dv.Analysis.dv_first
-    in
-    let report = locate_once ~thorough in
-    let report, agreed =
-      if loc_first report = truth_first then (report, true)
-      else if thorough then (report, false)
-      else begin
-        (* The fast scan stops at the first clean segment; a
-           multi-fault trace with healed divergence can fool it. *)
+    match verdict with
+    | Error msg ->
+        telemetry_report ~trace_out ~metrics hub;
+        Printf.eprintf "locator disagrees with the linear ground truth: %s\n"
+          msg;
+        exit 1
+    | Ok { Gate.divergence = dv; report = r; _ } ->
+        (match hub with
+        | None -> ()
+        | Some hub -> Analysis.note_divergence ~hub ~recorded:reference dv);
+        (match r.Insp.Locator.first_divergent with
+        | None ->
+            Printf.printf
+              "no divergence: the replay fits the reference on all %d \
+               compared seeds\n"
+              dv.Analysis.dv_compared
+        | Some d -> print_diagnosis d);
+        Option.iter
+          (Printf.printf "planted fault at #%d -> locator found the exact \
+                          index\n")
+          planted;
         Printf.printf
-          "fast scan disagrees with ground truth; re-running thorough...\n";
-        let r = locate_once ~thorough:true in
-        (r, loc_first r = truth_first)
-      end
-    in
-    (match report.Insp.Locator.first_divergent with
-    | None ->
-        Printf.printf
-          "no divergence: the replay fits the reference on all %d compared \
-           seeds\n"
-          dv.Analysis.dv_compared
-    | Some d -> print_diagnosis d);
-    (match planted with
-    | None -> ()
-    | Some idx ->
-        Printf.printf "planted fault at #%d -> locator %s\n" idx
-          (match loc_first report with
-          | Some i when i = idx -> "found the exact index"
-          | Some i -> Printf.sprintf "reported #%d (MISMATCH)" i
-          | None -> "found nothing (MISMATCH)"));
-    let r = report in
-    Printf.printf
-      "cost: %d checkpoints, %d reverts, %d probes, %d instrumented seeds\n"
-      r.Insp.Locator.checkpoints r.Insp.Locator.reverts
-      r.Insp.Locator.probes r.Insp.Locator.seeds_instrumented;
-    if r.Insp.Locator.seeds_instrumented > 0 then
-      Printf.printf
-        "linear instrumented re-replay would have cost %d seeds -> %.1fx \
-         fewer\n"
-        r.Insp.Locator.linear_seeds
-        (float_of_int r.Insp.Locator.linear_seeds
-        /. float_of_int r.Insp.Locator.seeds_instrumented);
-    (match field with
-    | None -> ()
-    | Some fname ->
-        let before =
-          match truth_first with
-          | Some i -> i
-          | None -> Trace.length rec_trace
-        in
-        print_provenance ~trace:rec_trace ~before fname);
-    telemetry_report ~trace_out ~metrics hub;
-    if not agreed then begin
-      Printf.eprintf "locator disagrees with the linear ground truth\n";
-      exit 1
-    end
+          "cost: %d checkpoints, %d reverts, %d probes, %d instrumented seeds\n"
+          r.Insp.Locator.checkpoints r.Insp.Locator.reverts
+          r.Insp.Locator.probes r.Insp.Locator.seeds_instrumented;
+        if r.Insp.Locator.seeds_instrumented > 0 then
+          Printf.printf
+            "linear instrumented re-replay would have cost %d seeds -> %.1fx \
+             fewer\n"
+            r.Insp.Locator.linear_seeds
+            (float_of_int r.Insp.Locator.linear_seeds
+            /. float_of_int r.Insp.Locator.seeds_instrumented);
+        Option.iter
+          (print_provenance ~trace:rec_trace
+             ~before:
+               (match dv.Analysis.dv_first with
+               | Some d -> d.Analysis.d_index
+               | None -> Trace.length rec_trace))
+          field;
+        telemetry_report ~trace_out ~metrics hub
   in
   Cmd.v
     (Cmd.info "inspect"
@@ -948,11 +912,11 @@ let diff_cmd =
   let run workload exits prng_seed boot_scale jobs plant trace_out metrics =
     let plants =
       match plant with
-      | None -> Ok None
-      | Some "all" -> Ok (Some Machine.all_asymmetries)
+      | None -> Ok []
+      | Some "all" -> Ok Machine.all_asymmetries
       | Some name -> (
           match Machine.asymmetry_of_name name with
-          | Some k -> Ok (Some [ k ])
+          | Some k -> Ok [ k ]
           | None ->
               Error
                 (Printf.sprintf "unknown asymmetry %S (try: %s, all)" name
@@ -969,70 +933,33 @@ let diff_cmd =
         Printf.printf "recording %d exits of %s (seed %d)...\n%!" exits
           (W.name workload) prng_seed;
         let recording = Manager.record mgr workload ~exits in
-        let trace = recording.Manager.trace in
-        let merged_hub = T.Hub.create () in
-        let failed = ref false in
-        let sweep ?plant () =
-          let outcome = Orch.diff_sweep ~jobs ?plant ~recording () in
-          T.Hub.merge_into ~into:merged_hub
-            outcome.Orch.diff_run.Orch.r_hub;
-          Format.printf "%a@." Diffc.pp_report outcome.Orch.diff_report;
-          if jobs > 1 then
-            print_string (Orch.render_workers outcome.Orch.diff_run);
-          outcome
-        in
-        (match plants with
-        | None ->
-            let outcome = sweep () in
-            let r = outcome.Orch.diff_report in
-            if r.Diffc.findings <> [] then begin
-              Printf.eprintf
-                "unperturbed backends disagree on %d cases (expected 0)\n"
-                (List.length r.Diffc.findings);
-              failed := true
-            end
-            else
-              Printf.printf
-                "backends agree on all %d comparable cases (%d lossy)\n"
-                r.Diffc.comparable r.Diffc.lossy
-        | Some kinds ->
+        match Gate.diff ~recording ~jobs:[ jobs ] ~plants with
+        | Error msg ->
+            Printf.eprintf "differential gate failed: %s\n" msg;
+            exit 1
+        | Ok facts ->
+            let merged_hub = T.Hub.create () in
             List.iter
-              (fun kind ->
-                let expected = Diffc.expected_planted ~plant:kind trace in
-                let outcome = sweep ~plant:kind () in
-                let detected =
-                  Diffc.finding_indices outcome.Orch.diff_report
-                in
-                Printf.printf "plant %s: ground truth %d, detected %d -> "
-                  (Machine.asymmetry_name kind)
-                  (List.length expected) (List.length detected);
-                if detected = expected then Printf.printf "exact match\n"
-                else begin
-                  Printf.printf "MISMATCH\n";
-                  let missed =
-                    List.filter (fun i -> not (List.mem i detected)) expected
-                  and spurious =
-                    List.filter (fun i -> not (List.mem i expected)) detected
-                  in
-                  if missed <> [] then
-                    Printf.eprintf "  missed: %s\n"
-                      (String.concat " " (List.map string_of_int missed));
-                  if spurious <> [] then
-                    Printf.eprintf "  spurious: %s\n"
-                      (String.concat " " (List.map string_of_int spurious));
-                  failed := true
-                end)
-              kinds);
-        (match trace_out with
-        | None -> ()
-        | Some path ->
-            T.Export.write_file ~path
-              (T.Export.chrome_trace_string ~process_name:"iris-diff"
-                 merged_hub.T.Hub.tracer);
-            Printf.printf "chrome trace written to %s\n" path);
-        if metrics then
-          print_string (T.Hub.summary ~title:"differential" merged_hub);
-        if !failed then exit 1
+              (fun o ->
+                T.Hub.merge_into ~into:merged_hub o.Orch.diff_run.Orch.r_hub;
+                Format.printf "%a@." Diffc.pp_report o.Orch.diff_report;
+                if jobs > 1 then
+                  print_string (Orch.render_workers o.Orch.diff_run))
+              (List.map snd facts.Gate.unperturbed
+              @ List.map (fun (_, _, o) -> o) facts.Gate.planted);
+            Printf.printf
+              "backends agree on every comparable case; %d planted \
+               asymmetries detected exactly\n"
+              (List.length facts.Gate.planted);
+            (match trace_out with
+            | None -> ()
+            | Some path ->
+                T.Export.write_file ~path
+                  (T.Export.chrome_trace_string ~process_name:"iris-diff"
+                     merged_hub.T.Hub.tracer);
+                Printf.printf "chrome trace written to %s\n" path);
+            if metrics then
+              print_string (T.Hub.summary ~title:"differential" merged_hub)
   in
   Cmd.v
     (Cmd.info "diff"

@@ -140,19 +140,6 @@ let finalize ?plant ~(verdicts : Oracle.verdict array) () =
 
 let finding_indices report = List.map (fun f -> f.f_index) report.findings
 
-(* Sequential driver against a caller-owned replayer: anchor at S_0,
-   walk the whole trace as one segment, release the anchor mark.  The
-   [--jobs 1] oracle the bench gate compares the sharded runs
-   against. *)
-let run_with ?plant ~replayer ~(trace : Trace.t) () =
-  let anchor = Campaign.anchor ~replayer ~trace ~seed_index:0 () in
-  let verdicts =
-    execute_segment ?plant ~replayer ~anchor ~trace
-      (0, Array.length trace.Trace.seeds)
-  in
-  Campaign.release ~replayer anchor;
-  finalize ?plant ~verdicts ()
-
 let expected_planted ~plant (trace : Trace.t) =
   Oracle.expected_planted ~plant trace.Trace.seeds
 

@@ -54,15 +54,6 @@ val finalize :
 
 val finding_indices : report -> int list
 
-val run_with :
-  ?plant:Iris_svm.Machine.asymmetry ->
-  replayer:Iris_core.Replayer.t ->
-  trace:Iris_core.Trace.t ->
-  unit ->
-  report
-(** Sequential driver against a caller-owned replayer: anchor at S_0,
-    sweep every recorded seed, release the anchor. *)
-
 val expected_planted :
   plant:Iris_svm.Machine.asymmetry -> Iris_core.Trace.t -> int list
 (** Ground truth finding set for a planted run (see

@@ -159,9 +159,16 @@ let parse_number st =
       | Some f -> Float f
       | None -> fail st "bad number")
 
-let rec parse_value st =
+let max_depth = 128
+
+(* [depth] counts the arrays and objects enclosing the value; past
+   [max_depth] the input is rejected instead of recursed into, so a
+   hostile wire line or corpus file cannot exhaust the stack. *)
+let rec parse_value st depth =
   skip_ws st;
   match peek st with
+  | Some ('[' | '{') when depth >= max_depth ->
+      fail st (Printf.sprintf "nesting deeper than %d" max_depth)
   | None -> fail st "unexpected end of input"
   | Some 'n' -> literal st "null" Null
   | Some 't' -> literal st "true" (Bool true)
@@ -176,7 +183,7 @@ let rec parse_value st =
       end
       else begin
         let rec items acc =
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           skip_ws st;
           match peek st with
           | Some ',' ->
@@ -202,7 +209,7 @@ let rec parse_value st =
           let k = parse_string st in
           skip_ws st;
           expect st ':';
-          let v = parse_value st in
+          let v = parse_value st (depth + 1) in
           (k, v)
         in
         let rec fields acc =
@@ -224,7 +231,7 @@ let rec parse_value st =
 
 let of_string s =
   let st = { src = s; pos = 0 } in
-  match parse_value st with
+  match parse_value st 0 with
   | v ->
       skip_ws st;
       if st.pos <> String.length s then

@@ -21,9 +21,13 @@ val to_string : t -> string
 
 val to_buffer : Buffer.t -> t -> unit
 
+val max_depth : int
+(** Deepest nesting of arrays and objects {!of_string} accepts (128). *)
+
 val of_string : string -> (t, string) result
 (** Strict parser for the subset above (integers parse as [Int],
-    other numerics as [Float]).  Trailing garbage is an error. *)
+    other numerics as [Float]).  Trailing garbage, and nesting deeper
+    than {!max_depth}, are errors. *)
 
 val member : string -> t -> t option
 (** [member key (Obj ...)] looks up a field; [None] elsewhere. *)

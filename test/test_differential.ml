@@ -17,6 +17,7 @@ module F = Iris_vmcs.Field
 module R = Iris_vtx.Exit_reason
 module W = Iris_guest.Workload
 module Comp = Iris_coverage.Component
+module Gate = Iris_scenario.Gate
 open Iris_x86
 
 let check = Alcotest.check
@@ -192,43 +193,31 @@ let recording =
     (let m = Manager.create ~boot_scale:0.05 ~prng_seed:2023 () in
      Manager.record m W.Cpu_bound ~exits:300)
 
+let gate = function Ok facts -> facts | Error msg -> Alcotest.fail msg
+
+let unperturbed_report ~recording ~jobs =
+  let facts = gate (Gate.diff ~recording ~jobs ~plants:[]) in
+  (snd (List.hd facts.Gate.unperturbed)).Orch.diff_report
+
 let test_unperturbed_sweep_zero_findings () =
-  let recording = Lazy.force recording in
-  let m = Manager.create ~boot_scale:0.05 ~prng_seed:2023 () in
-  let replayer =
-    Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-  in
-  let r = Dc.run_with ~replayer ~trace:recording.Manager.trace () in
+  let r = unperturbed_report ~recording:(Lazy.force recording) ~jobs:[ 1 ] in
   check Alcotest.int "total = trace length" 300 r.Dc.total;
-  check Alcotest.int "no findings" 0 (List.length r.Dc.findings);
   check Alcotest.bool "a real comparable set" true (r.Dc.comparable > 100);
   check Alcotest.int "partition" r.Dc.total (r.Dc.comparable + r.Dc.lossy);
   check Alcotest.int "all comparable agree" r.Dc.comparable r.Dc.agreements
 
 let test_planted_sweep_matches_ground_truth () =
-  let recording = Lazy.force recording in
-  List.iter
-    (fun plant ->
-      let m = Manager.create ~boot_scale:0.05 ~prng_seed:2023 () in
-      let replayer =
-        Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-      in
-      let expected = Dc.expected_planted ~plant recording.Manager.trace in
-      let r = Dc.run_with ~plant ~replayer ~trace:recording.Manager.trace () in
-      check
-        Alcotest.(list int)
-        (Machine.asymmetry_name plant)
-        expected (Dc.finding_indices r))
-    Machine.all_asymmetries
+  let facts =
+    gate
+      (Gate.diff ~recording:(Lazy.force recording) ~jobs:[ 1 ]
+         ~plants:Machine.all_asymmetries)
+  in
+  check Alcotest.int "every plant swept"
+    (List.length Machine.all_asymmetries)
+    (List.length facts.Gate.planted)
 
 let test_sharded_sweep_deterministic () =
-  let recording = Lazy.force recording in
-  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
-  let run jobs = (Orch.diff_sweep ~jobs ~recording ()).Orch.diff_report in
-  let base = run 1 in
-  check Alcotest.int "no findings" 0 (List.length base.Dc.findings);
-  check Alcotest.string "jobs=3 report byte-identical" (digest base)
-    (digest (run 3))
+  ignore (unperturbed_report ~recording:(Lazy.force recording) ~jobs:[ 1; 3 ])
 
 let test_os_boot_mode_changes_survive () =
   (* The §VI-B regression: OS boot changes CPU mode mid-trace, so any
@@ -236,11 +225,7 @@ let test_os_boot_mode_changes_survive () =
      crash-on-one false positives.  The segment walk must not. *)
   let m = Manager.create ~boot_scale:0.05 ~prng_seed:2023 () in
   let recording = Manager.record m W.Os_boot ~exits:300 in
-  let replayer =
-    Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-  in
-  let r = Dc.run_with ~replayer ~trace:recording.Manager.trace () in
-  check Alcotest.int "no findings" 0 (List.length r.Dc.findings);
+  let r = unperturbed_report ~recording ~jobs:[ 1 ] in
   check Alcotest.bool "some cases comparable" true (r.Dc.comparable > 0)
 
 let () =

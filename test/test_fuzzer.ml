@@ -14,6 +14,8 @@ open Iris_x86
 
 let check = Alcotest.check
 
+let digest = Iris_scenario.Scenario.digest
+
 let sample_seed () =
   { Seed.index = 0;
     reason = R.Rdtsc;
@@ -303,7 +305,6 @@ let test_campaign_plan_finalize_equals_run () =
   (* The orchestrator's decomposition — plan (pure), execute each case,
      finalize (pure ordered fold) — must reproduce [Campaign.run]
      byte for byte: this is what makes the parallel merge exact. *)
-  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
   let trace = recording.Manager.trace in
@@ -341,7 +342,6 @@ let test_nested_checkpoint_rewind () =
   (* Nested marks let the fuzzer rewind to a mid-case point without
      replaying the prefix: rerunning a case after rewinding its mark
      observes exactly the same raw outcome. *)
-  let digest v = Digest.to_hex (Digest.string (Marshal.to_string v [])) in
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
   let trace = recording.Manager.trace in

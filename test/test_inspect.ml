@@ -15,6 +15,7 @@ module Session = Iris_inspect.Session
 module Locator = Iris_inspect.Locator
 module Bisect = Iris_inspect.Bisect
 module Synthetic = Iris_inspect.Synthetic
+module Gate = Iris_scenario.Gate
 
 let check = Alcotest.check
 
@@ -43,24 +44,15 @@ let perturb ~kind ~at =
   | Some r -> r
   | None -> Alcotest.fail "no guest-RIP-reading seed to perturb"
 
-let ground_truth seeds =
+(* Gate.locate against the unperturbed baseline replay. *)
+let locate ?planted ?thorough seeds =
   let m, recording, baseline = Lazy.force cache in
-  let truth =
-    Manager.replay_seeds m ~revert_to:recording.Manager.snapshot seeds
-  in
-  let crashed =
-    match truth.Manager.outcome with
-    | Replayer.Vm_crashed msg -> Some (truth.Manager.submitted, msg)
-    | Replayer.Replayed -> None
-  in
-  Analysis.divergence ?crashed
-    ~recorded:baseline.Manager.replay_trace
-    ~replayed:truth.Manager.replay_trace ()
-
-let first_of report =
-  Option.map
-    (fun d -> d.Locator.dg_index)
-    report.Locator.first_divergent
+  match
+    Gate.locate ~manager:m ~recording ~reference:baseline.Manager.replay_trace
+      ?planted ?thorough ~every:32 seeds
+  with
+  | Ok facts -> facts
+  | Error msg -> Alcotest.fail msg
 
 (* --- replayer checkpointing --- *)
 
@@ -223,35 +215,17 @@ let test_session_travel () =
 
 (* --- locator --- *)
 
-let run_locator ?(every = 32) ?thorough seeds =
-  let _, _, baseline = Lazy.force cache in
-  let rep = fresh_replayer () in
-  let session = Session.start ~every ~replayer:rep ~seeds () in
-  let report =
-    Locator.locate ?thorough session
-      ~reference:baseline.Manager.replay_trace
-  in
-  Session.finish session;
-  report
-
 let test_locator_identical_traces () =
   let _, recording, _ = Lazy.force cache in
-  let report = run_locator recording.Manager.trace.Trace.seeds in
-  check (Alcotest.option Alcotest.int) "no divergence" None (first_of report);
+  let { Gate.report; _ } = locate recording.Manager.trace.Trace.seeds in
+  check Alcotest.bool "no divergence" true
+    (report.Locator.first_divergent = None);
   check Alcotest.bool "no crash" true (report.Locator.crashed_at = None)
 
 let test_locator_finds_planted_crash () =
   let at, seeds = perturb ~kind:Synthetic.Crash_rip ~at:200 in
-  (* The locator must agree with the linear instrumented ground
-     truth, and both with the planted index. *)
-  let dv = ground_truth seeds in
-  check
-    (Alcotest.option Alcotest.int)
-    "ground truth sees the planted index" (Some at)
-    (Option.map (fun d -> d.Analysis.d_index) dv.Analysis.dv_first);
-  let report = run_locator seeds in
-  check (Alcotest.option Alcotest.int) "locator agrees" (Some at)
-    (first_of report);
+  (* The gate: planted index = linear ground truth = locator. *)
+  let { Gate.report; _ } = locate ~planted:at seeds in
   (match report.Locator.first_divergent with
   | Some d ->
       check Alcotest.bool "crash attributed" true (d.Locator.dg_crashed <> None)
@@ -267,28 +241,19 @@ let test_locator_finds_transient_divergence () =
      injection heals — no crash, no coverage delta, located purely
      through the metrics probes. *)
   let at, seeds = perturb ~kind:Synthetic.Wrong_value ~at:150 in
-  let dv = ground_truth seeds in
-  check
-    (Alcotest.option Alcotest.int)
-    "ground truth" (Some at)
-    (Option.map (fun d -> d.Analysis.d_index) dv.Analysis.dv_first);
-  (match dv.Analysis.dv_first with
+  let { Gate.divergence; report; _ } = locate ~planted:at seeds in
+  (match divergence.Analysis.dv_first with
   | Some d ->
       check Alcotest.bool "write mismatch, not coverage" true
         d.Analysis.d_write_mismatch
   | None -> ());
-  let report = run_locator seeds in
-  check (Alcotest.option Alcotest.int) "locator agrees" (Some at)
-    (first_of report);
   (match report.Locator.first_divergent with
   | Some d ->
       check Alcotest.bool "field delta reported" true
         (d.Locator.dg_write_deltas <> [])
   | None -> ());
   (* Thorough scan reaches the same answer. *)
-  let thorough = run_locator ~thorough:true seeds in
-  check (Alcotest.option Alcotest.int) "thorough agrees" (Some at)
-    (first_of thorough)
+  ignore (locate ~planted:at ~thorough:true seeds : Gate.locate)
 
 (* --- bisection --- *)
 

@@ -195,9 +195,15 @@ let test_seed_memory_overhead () =
 (* --- determinism of the whole pipeline --- *)
 
 let test_pipeline_deterministic () =
-  let once () =
+  let record () =
     let mgr = Manager.create ~boot_scale:0.02 ~prng_seed:44 () in
-    let recording = Manager.record mgr W.Cpu_bound ~exits:300 in
+    (mgr, Manager.record mgr W.Cpu_bound ~exits:300)
+  in
+  (match Iris_scenario.Gate.trace_digest (fun () -> snd (record ())) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  let once () =
+    let mgr, recording = record () in
     let replay = Manager.replay mgr recording in
     ( Trace.length recording.Manager.trace,
       replay.Manager.replay_cycles,

@@ -17,12 +17,11 @@ module R = Iris_vtx.Exit_reason
 module W = Iris_guest.Workload
 module Hub = Iris_telemetry.Hub
 module Registry = Iris_telemetry.Registry
+module Gate = Iris_scenario.Gate
 
 let check = Alcotest.check
 
-(* Byte-identity oracle: two values are "byte-identical" when their
-   marshalled representations digest equally. *)
-let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+let digest = Iris_scenario.Scenario.digest
 
 (* --- Shard: the sharded deque scheduler --- *)
 
@@ -220,42 +219,21 @@ let config n = { Campaign.mutations = n; prng_seed = 77 }
 let test_fuzz_jobs_byte_identical () =
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
-  (* The sequential oracle runs on the deep-copy full-restore path;
-     the orchestrator's workers run on the COW rewind path — the
-     merged report must be byte-identical anyway. *)
-  let seq =
-    Campaign.run ~snapshot_mode:Campaign.Full_restore ~config:(config 80)
-      ~manager:m ~recording ~reason:R.Rdtsc ~area:Mutation.Area_vmcs ()
-  in
-  let orch jobs =
-    Orch.fuzz ~jobs ~config:(config 80) ~recording ~reason:R.Rdtsc
-      ~area:Mutation.Area_vmcs ()
-  in
-  match (seq, orch 1, orch 4) with
-  | Some seq, Some o1, Some o4 ->
-      (* The merged report is byte-identical to the sequential one and
-         across job counts. *)
-      check Alcotest.string "jobs=1 (cow) = sequential (full restore)"
-        (digest seq)
-        (digest o1.Orch.fuzz_result);
-      check Alcotest.string "jobs=4 = jobs=1" (digest o1.Orch.fuzz_result)
-        (digest o4.Orch.fuzz_result);
-      (* Merged telemetry snapshots are byte-identical too. *)
-      check Alcotest.string "merged telemetry identical"
-        (digest (Hub.snapshot o1.Orch.fuzz_report.Orch.r_hub))
-        (digest (Hub.snapshot o4.Orch.fuzz_report.Orch.r_hub));
+  match
+    Gate.campaign ~manager:m ~recording ~config:(config 80) ~jobs:[ 1; 4 ]
+  with
+  | Error msg -> Alcotest.fail msg
+  | Ok runs ->
+      let o1 = List.assoc 1 runs
+      and rep = (List.assoc 4 runs).Orch.fuzz_report in
       (* Worker accounting sanity. *)
-      let rep = o4.Orch.fuzz_report in
       check Alcotest.int "4 workers" 4 (Array.length rep.Orch.r_workers);
       check Alcotest.int "work conservation"
         (Campaign.case_count
-           (match
-              Campaign.plan ~config:(config 80)
-                ~trace:recording.Manager.trace ~reason:R.Rdtsc
-                ~area:Mutation.Area_vmcs
-            with
-           | Some p -> p
-           | None -> Alcotest.fail "plan exists"))
+           (Option.get
+              (Campaign.plan ~config:(config 80)
+                 ~trace:recording.Manager.trace ~reason:R.Rdtsc
+                 ~area:Mutation.Area_vmcs)))
         (Array.fold_left
            (fun a w -> a + w.Orch.w_executed)
            0 rep.Orch.r_workers);
@@ -267,7 +245,24 @@ let test_fuzz_jobs_byte_identical () =
       check Alcotest.bool "jobs=4 wall no worse than jobs=1" true
         (rep.Orch.r_model_wall_cycles
         <= o1.Orch.fuzz_report.Orch.r_model_wall_cycles)
-  | _ -> Alcotest.fail "rdtsc seeds exist"
+
+(* The identity check behind every gate names the first label whose
+   digest differs, so a failing gate says which jobs count or
+   submission order broke. *)
+let test_gate_same_names_first_difference () =
+  check Alcotest.(result unit string) "equal digests pass" (Ok ())
+    (Gate.same ~what:"report" [ ("jobs=1", "d0"); ("jobs=4", "d0") ]);
+  let names label labelled =
+    match Gate.same ~what:"report" labelled with
+    | Ok () -> Alcotest.fail "unequal digests must fail"
+    | Error msg ->
+        check Alcotest.bool (msg ^ " names " ^ label) true
+          (String.starts_with ~prefix:("report: " ^ label ^ " ") msg)
+  in
+  names "jobs=4" [ ("jobs=1", "d0"); ("jobs=4", "d1") ];
+  names "jobs=2 reversed"
+    [ ("jobs=1", "d0"); ("jobs=2", "d0"); ("jobs=2 reversed", "d1");
+      ("jobs=4", "d2") ]
 
 let test_fuzz_absent_reason () =
   let m = mgr () in
@@ -373,6 +368,8 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "fuzz jobs byte-identical" `Slow
             test_fuzz_jobs_byte_identical;
+          Alcotest.test_case "gate names first difference" `Quick
+            test_gate_same_names_first_difference;
           Alcotest.test_case "absent reason" `Slow test_fuzz_absent_reason;
           Alcotest.test_case "dummy on a reused store" `Quick
             test_dummy_on_reused_store;

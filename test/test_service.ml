@@ -26,6 +26,7 @@ module F = Iris_vmcs.Field
 module Cov = Iris_coverage.Cov
 module Bisect = Iris_inspect.Bisect
 module Orchestrator = Iris_orchestrator.Orchestrator
+module Gate = Iris_scenario.Gate
 
 let check = Alcotest.check
 
@@ -312,50 +313,48 @@ let test_status_line_shape () =
    long-lived daemon amortises recording cost. *)
 let shared_cache = Server.recordings ()
 
-let drained_server ~jobs ~specs =
-  let server = Server.create ~jobs ~quantum:24 ~recordings:shared_cache () in
-  List.iter (fun s -> ignore (Server.submit server s : int)) specs;
-  let summary = Server.drain server in
-  (server, summary)
+(* Gate.serve at test size: jobs 1 and 2 in order, jobs 2 reversed. *)
+let serve_gate =
+  lazy
+    (match
+       Gate.serve ~recordings:shared_cache ~quantum:24 ~jobs:[ 1; 2 ]
+         [ spec_a; spec_b ]
+     with
+    | Ok facts -> facts
+    | Error msg -> Alcotest.fail msg)
 
 let test_server_report_schedule_independent () =
-  let s1, sum1 = drained_server ~jobs:1 ~specs:[ spec_a; spec_b ] in
-  let s2, sum2 = drained_server ~jobs:2 ~specs:[ spec_b; spec_a ] in
-  check Alcotest.int "all jobs completed (jobs=1)" 2 sum1.Server.d_completed;
-  check Alcotest.int "all jobs completed (jobs=2)" 2 sum2.Server.d_completed;
-  check Alcotest.string "merged report independent of jobs and order"
-    (J.to_string (Server.report s1))
-    (J.to_string (Server.report s2));
-  check Alcotest.string "report digest matches"
-    sum1.Server.d_report_digest sum2.Server.d_report_digest;
-  (* identical campaigns on both servers admit an identical corpus *)
-  check Alcotest.string "corpus digests equal"
-    (Corpus.digest (Server.corpus s1))
-    (Corpus.digest (Server.corpus s2));
+  let drains = (Lazy.force serve_gate).Gate.drains in
+  (* identical campaigns on every server admit an identical corpus *)
+  List.iter
+    (fun d ->
+      check Alcotest.string ("corpus digest " ^ d.Gate.label)
+        (Corpus.digest (Server.corpus (List.hd drains).Gate.server))
+        (Corpus.digest (Server.corpus d.Gate.server)))
+    drains;
   Alcotest.(check bool) "corpus not empty" true
-    (Corpus.count (Server.corpus s1) > 0)
+    (Corpus.count (Server.corpus (List.hd drains).Gate.server) > 0)
 
 let test_server_replay_from_corpus () =
-  let server, summary = drained_server ~jobs:2 ~specs:[ spec_a; spec_b ] in
-  Alcotest.(check bool) "jobs completed" true (summary.Server.d_completed = 2);
-  let v = Server.verify server in
+  let facts = Lazy.force serve_gate in
+  let live =
+    Server.corpus
+      (List.find (fun d -> d.Gate.label = "jobs=2") facts.Gate.drains)
+        .Gate.server
+  in
   Alcotest.(check bool) "corpus entries checked" true
-    (v.Server.v_corpus_checked >= Corpus.count (Server.corpus server));
-  check Alcotest.int "no corpus replay mismatches" 0
-    v.Server.v_corpus_mismatches;
-  check Alcotest.int "no triage repro mismatches" 0
-    v.Server.v_bucket_mismatches;
-  check Alcotest.int "every bucket has a reproducer" 0
-    v.Server.v_buckets_unreproduced;
-  (* distillation never loses coverage on the real store either *)
-  let cov_before = Corpus.coverage (Server.corpus server) in
-  let before, after = Server.distill server in
+    (facts.Gate.verify.Server.v_corpus_checked >= Corpus.count live);
+  (* distillation never loses coverage on the real store's entries
+     either (on a copy: the other server tests read the live store) *)
+  let store = Corpus.create () in
+  ignore (Corpus.merge_from store live : int);
+  let before, after = Corpus.distill store in
   Alcotest.(check bool) "distillation reduced or kept" true (after <= before);
   check
     Alcotest.(list int)
     "distillation preserved live coverage"
-    (Array.to_list cov_before)
-    (Array.to_list (Corpus.coverage (Server.corpus server)))
+    (Array.to_list (Corpus.coverage live))
+    (Array.to_list (Corpus.coverage store))
 
 let test_wire_pipe_session () =
   let server = Server.create ~jobs:1 ~quantum:24 ~recordings:shared_cache () in

@@ -28,7 +28,7 @@ module W = Iris_guest.Workload
 
 let check = Alcotest.check
 
-let digest v = Digest.to_hex (Digest.string (Marshal.to_string v []))
+let digest = Iris_scenario.Scenario.digest
 
 (* --- Gmem: random write/checkpoint/rewind/commit interleavings ---
 

@@ -134,6 +134,21 @@ let test_json_roundtrip () =
   | Error e -> Alcotest.fail ("reparse failed: " ^ e)
   | Ok j' -> check Alcotest.bool "roundtrip equal" true (j = j')
 
+(* Parsing wire lines and corpus files is a trust boundary: nesting
+   past the cap is an error, not a deeper recursion. *)
+let test_json_depth_cap () =
+  let module J = T.Json in
+  let nested n = String.make n '[' ^ String.make n ']' in
+  check Alcotest.bool "nesting at the cap parses" true
+    (Result.is_ok (J.of_string (nested J.max_depth)));
+  check Alcotest.bool "one past the cap is an error" true
+    (Result.is_error (J.of_string (nested (J.max_depth + 1))));
+  check Alcotest.bool "objects count too" true
+    (Result.is_error
+       (J.of_string
+          (String.concat "" (List.init (J.max_depth + 1) (fun _ -> {|{"k":|}))
+          ^ "1" ^ String.make (J.max_depth + 1) '}')))
+
 (* --- Chrome trace export --- *)
 
 let test_chrome_trace_wellformed () =
@@ -314,6 +329,7 @@ let () =
           Alcotest.test_case "nesting depth" `Quick test_nesting_depth ] );
       ( "export",
         [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "json depth cap" `Quick test_json_depth_cap;
           Alcotest.test_case "chrome trace well-formed" `Quick
             test_chrome_trace_wellformed ] );
       ( "probe",
