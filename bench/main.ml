@@ -1064,8 +1064,7 @@ let scaling () =
       (List.assoc jobs sweep).Orch.fuzz_report.Orch.r_model_wall_cycles
   in
   let header =
-    [ "jobs"; "model wall (s)"; "speedup"; "steals"; "host (s)";
-      "report digest" ]
+    [ "jobs"; "model wall (s)"; "speedup"; "host (s)"; "report digest" ]
   in
   let rows =
     List.map
@@ -1077,10 +1076,6 @@ let scaling () =
         [ string_of_int jobs;
           Printf.sprintf "%.4f" (wall jobs);
           Printf.sprintf "%.2fx" (wall 1 /. wall jobs);
-          string_of_int
-            (Array.fold_left
-               (fun a w -> a + w.Orch.w_steals)
-               0 rep.Orch.r_workers);
           Printf.sprintf "%.2f" rep.Orch.r_host_seconds;
           String.sub (Scenario.digest o.Orch.fuzz_result) 0 12 ])
       sweep

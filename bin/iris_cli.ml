@@ -313,11 +313,7 @@ let fuzz_cmd =
           "note: the guided loop is inherently sequential (each round \
            mutates the corpus\nprevious rounds grew); --jobs applies to \
            plain campaigns, ignoring it here\n";
-      let config =
-        { Iris_fuzzer.Guided.default_config with
-          Iris_fuzzer.Guided.iterations = mutations;
-          prng_seed }
-      in
+      let config = { Iris_fuzzer.Guided.iterations = mutations; prng_seed } in
       match
         Iris_fuzzer.Guided.run ~config ~manager:mgr ~recording ~reason
       with

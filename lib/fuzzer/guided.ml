@@ -8,13 +8,14 @@ module Replayer = Iris_core.Replayer
 
 type config = {
   iterations : int;
-  max_stack : int;
   prng_seed : int;
-  bitmap_size : int;
 }
 
-let default_config =
-  { iterations = 10_000; max_stack = 4; prng_seed = 0x6D17; bitmap_size = 65536 }
+let default_config = { iterations = 10_000; prng_seed = 0x6D17 }
+
+let max_stack = 4
+
+let bitmap_size = 65536
 
 type progress = {
   iteration : int;
@@ -39,7 +40,7 @@ type result = {
 }
 
 (* Stack 1..max_stack random single-bit mutations over both areas. *)
-let mutate prng ~max_stack seed =
+let mutate prng seed =
   let stack = 1 + Prng.int prng max_stack in
   let rec go n s =
     if n = 0 then s
@@ -79,8 +80,8 @@ let run_with ?(snapshot_mode = Campaign.Cow) ~config ~replayer ~trace
         Campaign.anchor ~mode:snapshot_mode ~replayer ~trace
           ~seed_index:target.Seed.index ()
       in
-      let virgin = Bitmap.create ~size:config.bitmap_size () in
-      let scratch = Bitmap.create ~size:config.bitmap_size () in
+      let virgin = Bitmap.create ~size:bitmap_size () in
+      let scratch = Bitmap.create ~size:bitmap_size () in
       let exec_cycles = ref 0L in
       (* Baseline: the unmutated target. *)
       let _, base_span = submit_timed replayer exec_cycles target in
@@ -108,7 +109,7 @@ let run_with ?(snapshot_mode = Campaign.Cow) ~config ~replayer ~trace
           else target
         in
         let mutant =
-          if guided then mutate prng ~max_stack:config.max_stack parent
+          if guided then mutate prng parent
           else begin
             (* The PoC rule: one bit-flip of the original seed. *)
             let area =

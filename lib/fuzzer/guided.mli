@@ -11,10 +11,10 @@
 
 type config = {
   iterations : int;
-  max_stack : int;       (** 1..n bit-flips per mutant *)
   prng_seed : int;
-  bitmap_size : int;
 }
+(** Each mutant stacks 1..4 bit-flips; novelty is judged on a
+    65,536-byte AFL-style bitmap. *)
 
 val default_config : config
 

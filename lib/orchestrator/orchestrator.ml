@@ -1,6 +1,6 @@
 (* Parallel fuzzing orchestrator (paper §VII, scaled out).
 
-   Shards campaign/guided test cases across N worker domains, each
+   Fans campaign/guided test cases out across N worker domains, each
    owning a fully isolated hypervisor + dummy-VM instance: booted
    once (constructed, reverted to the recording snapshot, prefix
    replayed to the valid state S_R), then snapshot/reverted per test
@@ -26,8 +26,12 @@
    cycles (3.6 GHz), so the scaling experiment does too.  A parallel
    campaign's modeled wall time is its critical path — the maximum
    over workers of (setup + executed-case cycles) — which is how wall
-   time composes on real hardware, while host wall seconds on this
-   machine measure only scheduler overhead. *)
+   time composes on real hardware, whatever the host's core count.
+   The run's host wall seconds, read from the monotonic clock, are
+   reported alongside; they depend on the host and never reach a
+   digest.  [fuzz], [guided_sweep] and [diff_sweep] differ only in
+   their pool tasks: the per-worker hubs, cycle counters, host clock
+   and report live once, in [pooled]. *)
 
 module Ctx = Iris_hv.Ctx
 module Cov = Iris_coverage.Cov
@@ -41,13 +45,6 @@ module Hub = Iris_telemetry.Hub
 let cycles_per_second = 3_600_000_000.0
 
 let cycles_to_seconds c = Int64.to_float c /. cycles_per_second
-
-(* --- worker lifecycle: boot → loop → drain → report --- *)
-
-type worker = {
-  wk_replayer : Replayer.t;
-  wk_anchor : Campaign.anchor;
-}
 
 (* A dummy domain at the recording's initial state: constructed, armed
    on the recording snapshot, memory dropped, no probe.  Every worker,
@@ -86,24 +83,14 @@ let boot_universe ?hub ~recording ~seed_index ~name () =
   | None -> ());
   (replayer, anchor, setup)
 
-let boot_worker ~recording ~seed_index ~hub ~setups wid =
-  let replayer, anchor, setup =
-    boot_universe ~hub ~recording ~seed_index
-      ~name:(Printf.sprintf "worker%d-dummy" wid) ()
-  in
-  setups.(wid) <- Int64.add setups.(wid) setup;
-  { wk_replayer = replayer; wk_anchor = anchor }
-
 (* --- reports --- *)
 
 type worker_report = {
   w_id : int;
   w_executed : int;
-  w_steals : int;
   w_respawns : int;
   w_setup_cycles : int64;   (* boot + prefix replay (all respawns) *)
   w_busy_cycles : int64;    (* modeled cycles executing test cases *)
-  w_host_seconds : float;   (* host wall time inside tasks *)
 }
 
 type report = {
@@ -124,13 +111,12 @@ let utilization rep w =
 
 let render_workers rep =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "  worker   cases  steals  respawns  busy(model s)  util\n";
+  Buffer.add_string buf "  worker   cases  respawns  busy(model s)  util\n";
   Array.iter
     (fun w ->
       Buffer.add_string buf
-        (Printf.sprintf "  %6d  %6d  %6d  %8d  %13.3f  %4.0f%%\n" w.w_id
-           w.w_executed w.w_steals w.w_respawns
+        (Printf.sprintf "  %6d  %6d  %8d  %13.3f  %4.0f%%\n" w.w_id
+           w.w_executed w.w_respawns
            (cycles_to_seconds w.w_busy_cycles)
            (100.0 *. utilization rep w)))
     rep.r_workers;
@@ -140,18 +126,54 @@ let render_workers rep =
        (cycles_to_seconds rep.r_model_busy_cycles));
   Buffer.contents buf
 
-let build_report ~jobs ~hubs ~setups ~stats ~busy ~host_seconds =
-  let merged = Hub.create () in
-  Array.iter (fun h -> Hub.merge_into ~into:merged h) hubs;
-  let workers =
+(* --- the drivers' shared skeleton --- *)
+
+(* What a driver's worker accumulates besides its pool state. *)
+type slot = {
+  s_id : int;
+  s_hub : Hub.t;
+  mutable s_setup : int64;  (* boot + prefix replay (all respawns) *)
+  mutable s_busy : int64;   (* modeled cycles executing tasks *)
+}
+
+(* Boot the worker's universe and charge its setup to the slot. *)
+let boot_worker ?hub ~recording ~seed_index s =
+  let replayer, anchor, setup =
+    boot_universe ?hub ~recording ~seed_index
+      ~name:(Printf.sprintf "worker%d-dummy" s.s_id) ()
+  in
+  s.s_setup <- Int64.add s.s_setup setup;
+  (replayer, anchor)
+
+(* [Pool.run] with one slot per worker, timed on the host's monotonic
+   clock, returning the results in index order and the run report. *)
+let pooled ~jobs ~total ~init ~task ~on_crash =
+  let jobs = max 1 jobs in
+  let slots =
     Array.init jobs (fun w ->
-        { w_id = w;
-          w_executed = stats.(w).Pool.executed;
-          w_steals = stats.(w).Pool.steals;
-          w_respawns = stats.(w).Pool.respawns;
-          w_setup_cycles = setups.(w);
-          w_busy_cycles = busy.(w);
-          w_host_seconds = stats.(w).Pool.busy_seconds })
+        { s_id = w; s_hub = Hub.create (); s_setup = 0L; s_busy = 0L })
+  in
+  let t0 = Monotonic_clock.now () in
+  let results, stats =
+    Pool.run ~jobs ~total
+      ~init:(fun w -> (slots.(w), init slots.(w)))
+      ~task:(fun (s, st) i -> task s st i)
+      ~on_crash
+  in
+  let host_seconds =
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+  in
+  let merged = Hub.create () in
+  Array.iter (fun s -> Hub.merge_into ~into:merged s.s_hub) slots;
+  let workers =
+    Array.map2
+      (fun s (st : Pool.stats) ->
+        { w_id = s.s_id;
+          w_executed = st.executed;
+          w_respawns = st.respawns;
+          w_setup_cycles = s.s_setup;
+          w_busy_cycles = s.s_busy })
+      slots stats
   in
   let wall =
     Array.fold_left
@@ -161,12 +183,13 @@ let build_report ~jobs ~hubs ~setups ~stats ~busy ~host_seconds =
   let total_busy =
     Array.fold_left (fun acc w -> Int64.add acc w.w_busy_cycles) 0L workers
   in
-  { r_jobs = jobs;
-    r_workers = workers;
-    r_hub = merged;
-    r_model_wall_cycles = wall;
-    r_model_busy_cycles = total_busy;
-    r_host_seconds = host_seconds }
+  ( results,
+    { r_jobs = jobs;
+      r_workers = workers;
+      r_hub = merged;
+      r_model_wall_cycles = wall;
+      r_model_busy_cycles = total_busy;
+      r_host_seconds = host_seconds } )
 
 (* --- mutant-level sharding: one campaign, cases fanned out --- *)
 
@@ -180,44 +203,31 @@ let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
   match Campaign.plan ~config ~trace ~reason ~area with
   | None -> None
   | Some plan ->
-      let jobs = max 1 jobs in
       let seed_index = plan.Campaign.plan_target.Seed.index in
-      let total = Campaign.case_count plan in
-      let hubs = Array.init jobs (fun _ -> Hub.create ()) in
-      let setups = Array.make jobs 0L in
-      let init wid =
-        boot_worker ~recording ~seed_index ~hub:hubs.(wid) ~setups wid
+      let raws, report =
+        pooled ~jobs ~total:(Campaign.case_count plan)
+          ~init:(fun s -> boot_worker ~hub:s.s_hub ~recording ~seed_index s)
+          ~task:(fun s (replayer, anchor) i ->
+            let raw =
+              Campaign.execute_case ~replayer ~anchor (Campaign.case plan i)
+            in
+            s.s_busy <- Int64.add s.s_busy raw.Campaign.raw_cycles;
+            raw)
+            (* Panic containment: a worker whose hypervisor context dies
+               in a way the replayer could not triage still reports the
+               crash verdict for its case; the pool respawns the
+               worker. *)
+          ~on_crash:(fun exn _i -> Campaign.crash_raw (Printexc.to_string exn))
       in
-      let task wk i =
-        Campaign.execute_case ~replayer:wk.wk_replayer ~anchor:wk.wk_anchor
-          (Campaign.case plan i)
-      in
-      (* Panic containment: a worker whose hypervisor context dies in
-         a way the replayer could not triage still reports the crash
-         verdict for its case; the pool respawns the worker. *)
-      let on_crash exn _i = Campaign.crash_raw (Printexc.to_string exn) in
-      let host_t0 = Unix.gettimeofday () in
-      let raws, stats, who = Pool.run ~jobs ~total ~init ~task ~on_crash in
-      let host_seconds = Unix.gettimeofday () -. host_t0 in
       (* Ordered merge: verdicts, coverage and novelty recomputed in
          case-index order — byte-identical for any [jobs]. *)
       let result = Campaign.finalize ~plan ~raws in
-      let busy = Array.make jobs 0L in
-      Array.iteri
-        (fun i raw ->
-          let w = who.(i) in
-          if w >= 0 && w < jobs then
-            busy.(w) <- Int64.add busy.(w) raw.Campaign.raw_cycles)
-        raws;
-      let report =
-        build_report ~jobs ~hubs ~setups ~stats ~busy ~host_seconds
-      in
       (* Campaign-level aggregates on the merged hub: the same totals
          the sequential runner's probe hub ends up with. *)
       Campaign.note_totals report.r_hub result;
       Some { fuzz_result = result; fuzz_report = report }
 
-(* --- case-level sharding: whole guided/naive runs fanned out --- *)
+(* --- case-level sharding: whole guided runs fanned out --- *)
 
 type sweep_outcome = {
   sweep_results : (Iris_vtx.Exit_reason.t * Guided.result option) array;
@@ -231,34 +241,28 @@ type sweep_outcome = {
    sequential [Guided.run] does, with the probe attached before the
    prefix replay: every run (prefix replay included) executes exactly
    once globally, so merged counters stay partition-independent. *)
-let guided_sweep ?(jobs = 1) ?(guided = true) ~config ~recording ~reasons () =
+let guided_sweep ?(jobs = 1) ~config ~recording ~reasons () =
   let trace = recording.Manager.trace in
-  let jobs = max 1 jobs in
-  let total = Array.length reasons in
-  let hubs = Array.init jobs (fun _ -> Hub.create ()) in
-  let setups = Array.make jobs 0L in
-  let busy = Array.make jobs 0L in
-  let init wid = (wid, hubs.(wid)) in
-  let task (wid, hub) i =
-    let replayer =
-      dummy ~recording ~name:(Printf.sprintf "worker%d-dummy" wid)
-    in
-    ignore
-      (Iris_hv.Observe.attach hub (Replayer.ctx replayer)
-        : Iris_telemetry.Probe.t);
-    let r =
-      Guided.run_with ~config ~replayer ~trace ~reason:reasons.(i) ~guided ()
-    in
-    (match r with
-    | Some g -> busy.(wid) <- Int64.add busy.(wid) g.Guided.total_cycles
-    | None -> ());
-    r
+  let results, report =
+    pooled ~jobs ~total:(Array.length reasons)
+      ~init:ignore
+      ~task:(fun s () i ->
+        let replayer =
+          dummy ~recording ~name:(Printf.sprintf "worker%d-dummy" s.s_id)
+        in
+        ignore
+          (Iris_hv.Observe.attach s.s_hub (Replayer.ctx replayer)
+            : Iris_telemetry.Probe.t);
+        let r =
+          Guided.run_with ~config ~replayer ~trace ~reason:reasons.(i)
+            ~guided:true ()
+        in
+        Option.iter
+          (fun g -> s.s_busy <- Int64.add s.s_busy g.Guided.total_cycles)
+          r;
+        r)
+      ~on_crash:(fun _exn _i -> None)
   in
-  let on_crash _exn _i = None in
-  let host_t0 = Unix.gettimeofday () in
-  let results, stats, _who = Pool.run ~jobs ~total ~init ~task ~on_crash in
-  let host_seconds = Unix.gettimeofday () -. host_t0 in
-  let report = build_report ~jobs ~hubs ~setups ~stats ~busy ~host_seconds in
   { sweep_results = Array.mapi (fun i r -> (reasons.(i), r)) results;
     sweep_report = report }
 
@@ -273,64 +277,48 @@ type diff_outcome = {
   diff_run : report;
 }
 
-(* Shard the differential sweep by contiguous trace segments: every
+(* Split the differential sweep into contiguous trace segments: every
    worker boots an isolated VT-x universe anchored at S_0 plus its
    own SVM machine, and a segment's verdicts are a function of the
    trace prefix alone ([execute_segment] reverts to S_0 and replays
    the prefix before walking), so the index-ordered
    [Diffcampaign.finalize] merge is byte-identical for any [jobs].
 
-   Workers deliberately do NOT attach a telemetry probe: a segment's
-   prefix replay is repeated on steals and respawns, so per-exit
-   counters could not merge partition-independently.  The merged hub
-   instead carries the diff.* aggregates from
-   [Analysis.note_backend_divergence]. *)
+   Workers deliberately do NOT attach a telemetry probe: every segment
+   replays its whole trace prefix and [jobs] sets the segment count,
+   so per-exit counters could not merge partition-independently.  The merged hub instead carries the diff.*
+   aggregates from [Analysis.note_backend_divergence].  The
+   submit/revert cycle accounting lives inside the backends, so
+   model-busy cycles are not attributed per worker here. *)
 let diff_sweep ?(jobs = 1) ?plant ~recording () =
   let trace = recording.Manager.trace in
-  let jobs = max 1 jobs in
   let segs =
     Diffcampaign.segments ~jobs ~total:(Diffcampaign.case_count trace)
   in
-  let total = Array.length segs in
-  let hubs = Array.init jobs (fun _ -> Hub.create ()) in
-  let setups = Array.make jobs 0L in
-  let init wid =
-    let replayer, anchor, setup =
-      boot_universe ~recording ~seed_index:0
-        ~name:(Printf.sprintf "worker%d-dummy" wid) ()
-    in
-    setups.(wid) <- Int64.add setups.(wid) setup;
-    (replayer, anchor)
+  let per_segment, run =
+    pooled ~jobs ~total:(Array.length segs)
+      ~init:(fun s -> boot_worker ~recording ~seed_index:0 s)
+      ~task:(fun _ (replayer, anchor) i ->
+        Diffcampaign.execute_segment ?plant ~replayer ~anchor ~trace segs.(i))
+        (* A worker context dying outside the replayer's triage still
+           yields deterministic crash-on-one verdicts for its
+           segment. *)
+      ~on_crash:(fun exn i ->
+        let a, b = segs.(i) in
+        Array.init (b - a) (fun k ->
+            let seed = Diffcampaign.case trace (a + k) in
+            { Oracle.v_index = seed.Seed.index;
+              v_reason = Iris_vtx.Exit_reason.name seed.Seed.reason;
+              v_class =
+                Oracle.Crash_on_one
+                  { left_crash =
+                      Some ("worker context died: " ^ Printexc.to_string exn);
+                    right_crash = None } }))
   in
-  let task (replayer, anchor) i =
-    Diffcampaign.execute_segment ?plant ~replayer ~anchor ~trace segs.(i)
+  let result =
+    Diffcampaign.finalize ?plant
+      ~verdicts:(Array.concat (Array.to_list per_segment)) ()
   in
-  (* A worker context dying outside the replayer's triage still yields
-     deterministic crash-on-one verdicts for its segment. *)
-  let on_crash exn i =
-    let a, b = segs.(i) in
-    Array.init (b - a) (fun k ->
-        let seed = Diffcampaign.case trace (a + k) in
-        { Oracle.v_index = seed.Seed.index;
-          v_reason = Iris_vtx.Exit_reason.name seed.Seed.reason;
-          v_class =
-            Oracle.Crash_on_one
-              { left_crash =
-                  Some ("worker context died: " ^ Printexc.to_string exn);
-                right_crash = None } })
-  in
-  let host_t0 = Unix.gettimeofday () in
-  let per_segment, stats, _who =
-    Pool.run ~jobs ~total ~init ~task ~on_crash
-  in
-  let host_seconds = Unix.gettimeofday () -. host_t0 in
-  let verdicts = Array.concat (Array.to_list per_segment) in
-  let result = Diffcampaign.finalize ?plant ~verdicts () in
-  (* The submit/revert cycle accounting lives inside the backends, so
-     model-busy attribution is not split per worker here; the run
-     report still carries setup cycles and host-side utilization. *)
-  let busy = Array.make jobs 0L in
-  let run = build_report ~jobs ~hubs ~setups ~stats ~busy ~host_seconds in
   Iris_core.Analysis.note_backend_divergence ~hub:run.r_hub
     ~total:result.Diffcampaign.total
     ~comparable:result.Diffcampaign.comparable

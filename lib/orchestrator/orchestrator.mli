@@ -20,11 +20,9 @@ val cycles_to_seconds : int64 -> float
 type worker_report = {
   w_id : int;
   w_executed : int;
-  w_steals : int;
   w_respawns : int;
   w_setup_cycles : int64;   (** boot + prefix replay (all respawns) *)
   w_busy_cycles : int64;    (** modeled cycles executing test cases *)
-  w_host_seconds : float;   (** host wall time inside tasks *)
 }
 
 type report = {
@@ -36,7 +34,8 @@ type report = {
           time composes on real hardware, independent of this host's
           CPU count *)
   r_model_busy_cycles : int64;  (** sum of executed-case cycles *)
-  r_host_seconds : float;       (** host wall clock of the whole run *)
+  r_host_seconds : float;
+      (** host wall time of the whole run, on the monotonic clock *)
 }
 
 val utilization : report -> worker_report -> float
@@ -91,13 +90,13 @@ val fuzz :
   recording:Iris_core.Manager.recording ->
   reason:Iris_vtx.Exit_reason.t -> area:Iris_fuzzer.Mutation.area ->
   unit -> fuzz_outcome option
-(** Shard one campaign's [1 + mutations] test cases across [jobs]
+(** Fan one campaign's [1 + mutations] test cases out across [jobs]
     worker domains.  [None] if the trace has no seed with [reason].
     A worker whose hypervisor context dies beyond triage reports a
     [Hypervisor_crash] verdict for the offending case and is
     respawned. *)
 
-(** {2 Run-level sharding: whole guided/naive runs fanned out} *)
+(** {2 Run-level sharding: whole guided runs fanned out} *)
 
 type sweep_outcome = {
   sweep_results :
@@ -107,13 +106,12 @@ type sweep_outcome = {
 }
 
 val guided_sweep :
-  ?jobs:int -> ?guided:bool -> config:Iris_fuzzer.Guided.config ->
+  ?jobs:int -> config:Iris_fuzzer.Guided.config ->
   recording:Iris_core.Manager.recording ->
   reasons:Iris_vtx.Exit_reason.t array -> unit -> sweep_outcome
 (** A guided run is inherently sequential (each round mutates the
     corpus previous rounds grew), so the unit of sharding is a whole
-    run: one per exit reason.  [~guided:false] runs the naive
-    baseline at the same budget. *)
+    run: one per exit reason. *)
 
 (** {2 Differential sweeps} *)
 
@@ -129,8 +127,8 @@ val diff_sweep :
   recording:Iris_core.Manager.recording ->
   unit ->
   diff_outcome
-(** Shard the VT-x vs SVM differential oracle across the domain pool
-    by contiguous trace segments: every worker owns an isolated VT-x
+(** Run the VT-x vs SVM differential oracle on the domain pool, one
+    task per contiguous trace segment: every worker owns an isolated VT-x
     universe anchored at S_0 plus its own SVM machine, each segment
     replays its prefix so every seed executes at its true predecessor
     state S_i, each recorded seed is classified exactly once globally,

@@ -84,21 +84,20 @@ let minimize_all ~jobs requests =
   let n = Array.length requests in
   if n = 0 then [||]
   else
-    let results, _stats, _who =
-      Pool.run ~jobs:(min jobs n) ~total:n
-        ~init:(fun _ -> Cov.create ())
-        ~task:(fun cov i ->
-          let (crash : Triage.crash), recording, plan = requests.(i) in
-          let name = Printf.sprintf "svc-%s-triage" crash.Triage.c_spec_key in
-          Bisect.minimize
-            ~make_replayer:(fun () -> Orchestrator.dummy_on ~cov ~recording ~name)
-            ~prefix:
-              (Array.sub recording.Manager.trace.Trace.seeds 0
-                 plan.Campaign.plan_target.Seed.index)
-            ~crasher:(Campaign.case plan crash.Triage.c_case))
-        ~on_crash:(fun _exn _i -> None)
-    in
-    results
+    fst
+      (Pool.run ~jobs:(min jobs n) ~total:n
+         ~init:(fun _ -> Cov.create ())
+         ~task:(fun cov i ->
+           let (crash : Triage.crash), recording, plan = requests.(i) in
+           let name = Printf.sprintf "svc-%s-triage" crash.Triage.c_spec_key in
+           Bisect.minimize
+             ~make_replayer:(fun () ->
+               Orchestrator.dummy_on ~cov ~recording ~name)
+             ~prefix:
+               (Array.sub recording.Manager.trace.Trace.seeds 0
+                  plan.Campaign.plan_target.Seed.index)
+             ~crasher:(Campaign.case plan crash.Triage.c_case))
+         ~on_crash:(fun _exn _i -> None))
 
 let repro_of (b : Bisect.result) =
   { Triage.r_digest = b.Bisect.b_digest;
@@ -131,7 +130,6 @@ type t = {
   mutable order : int list;  (* submission order, reversed *)
   mutable next_id : int;
   pool_jobs : int;
-  max_respawns : int;
   cache : recordings;
   provenance : (string, Provenance.t) Hashtbl.t;  (* recording key -> index *)
   corpus_store : Corpus.t;
@@ -144,14 +142,12 @@ type t = {
   mutable status_seq : int;
 }
 
-let create ?(jobs = 1) ?(quantum = 256) ?(max_respawns = 5) ?recordings:cache
-    ?status_sink () =
+let create ?(jobs = 1) ?(quantum = 256) ?recordings:cache ?status_sink () =
   { queue = Jobqueue.create ~quantum ();
     jobs = Hashtbl.create 16;
     order = [];
     next_id = 0;
     pool_jobs = max 1 jobs;
-    max_respawns;
     cache = (match cache with Some c -> c | None -> Hashtbl.create 8);
     provenance = Hashtbl.create 8;
     corpus_store = Corpus.create ();
@@ -405,6 +401,10 @@ let finish_completed t job =
 
 let backoff_rounds respawns = min 8 (1 lsl min respawns 3)
 
+(* A job's panic budget: the next panic after this many respawns
+   fails it. *)
+let max_respawns = 5
+
 let post_round t work rounds =
   Array.iter2
     (fun (job, _budget) { consumed; panic; timeout } ->
@@ -434,7 +434,7 @@ let post_round t work rounds =
       end
       else
         match panic with
-        | Some msg when job.j_respawns >= t.max_respawns ->
+        | Some msg when job.j_respawns >= max_respawns ->
             job.j_status <- Failed ("respawn budget exhausted: " ^ msg);
             job.j_universe <- None;
             Registry.incr (counter t "service.jobs_failed");
@@ -546,7 +546,7 @@ let step t =
       Array.of_list (List.map (fun (id, budget) -> (job t id, budget)) runnable)
     in
     let n = Array.length work in
-    let rounds, _stats, _who =
+    let rounds, _stats =
       Pool.run ~jobs:(min t.pool_jobs n) ~total:n ~init:ignore
         ~task:(fun () i ->
           let j, budget = work.(i) in

@@ -60,15 +60,14 @@ val recordings : unit -> recordings
 type t
 
 val create :
-  ?jobs:int -> ?quantum:int -> ?max_respawns:int ->
-  ?recordings:recordings -> ?status_sink:(string -> unit) ->
-  unit -> t
+  ?jobs:int -> ?quantum:int -> ?recordings:recordings ->
+  ?status_sink:(string -> unit) -> unit -> t
 (** [jobs] is the most jobs picked per round and the width of the
     {!Iris_orchestrator.Pool} their quanta and the round's crash
     bisections run on (default 1), [quantum]
-    the DRR base budget in cases (default 256), [max_respawns] the
-    per-job panic budget (default 5).  [status_sink] receives one
-    JSONL snapshot per round. *)
+    the DRR base budget in cases (default 256).  A job fails on a
+    universe panic once it has been respawned 5 times.  [status_sink] receives one JSONL
+    snapshot per round. *)
 
 val submit : t -> Jobspec.t -> int
 (** Enqueue; returns the job id (submission order). *)

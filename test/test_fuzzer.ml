@@ -392,9 +392,7 @@ let test_nested_checkpoint_rewind () =
 (* --- Guided fuzzing (§IX extension) --- *)
 
 let guided_config n =
-  { Iris_fuzzer.Guided.default_config with
-    Iris_fuzzer.Guided.iterations = n;
-    prng_seed = 5 }
+  { Iris_fuzzer.Guided.iterations = n; prng_seed = 5 }
 
 let test_guided_beats_naive () =
   let m = mgr () in

@@ -1,10 +1,9 @@
-(* Tests for the parallel fuzzing orchestrator: the sharded
-   work-stealing scheduler, the domain pool (panic containment and
-   respawn), and — above all — the subsystem's determinism contract:
+(* Tests for the parallel fuzzing orchestrator: the domain pool (every
+   index claimed exactly once, panic containment and respawn), and —
+   above all — the subsystem's determinism contract:
    merged campaign reports, telemetry snapshots and corpora must be
    byte-identical for any --jobs N. *)
 
-module Shard = Iris_orchestrator.Shard
 module Pool = Iris_orchestrator.Pool
 module Orch = Iris_orchestrator.Orchestrator
 module Mutation = Iris_fuzzer.Mutation
@@ -23,88 +22,61 @@ let check = Alcotest.check
 
 let digest = Iris_scenario.Scenario.digest
 
-(* --- Shard: the sharded deque scheduler --- *)
-
-let test_shard_every_index_once () =
-  let total = 103 and workers = 4 in
-  let t = Shard.create ~total ~workers in
-  let seen = Array.make total 0 in
-  (* Single-threaded simulation: round-robin takes until all dry. *)
-  let active = Array.make workers true in
-  let live = ref workers in
-  while !live > 0 do
-    for w = 0 to workers - 1 do
-      if active.(w) then
-        match Shard.take t w with
-        | Shard.Own i | Shard.Stolen i -> seen.(i) <- seen.(i) + 1
-        | Shard.Empty ->
-            active.(w) <- false;
-            decr live
-    done
-  done;
-  Array.iteri
-    (fun i n -> check Alcotest.int (Printf.sprintf "index %d once" i) 1 n)
-    seen;
-  check Alcotest.int "nothing left" 0 (Shard.remaining t)
-
-let test_shard_chunked_stealing () =
-  (* Workers 1..3 never show up; worker 0 must drain the whole range,
-     stealing chunks (not single tasks) from the idle shards. *)
-  let t = Shard.create ~total:40 ~workers:4 in
-  let own = ref 0 and stolen = ref 0 in
-  let rec drain () =
-    match Shard.take t 0 with
-    | Shard.Own _ ->
-        incr own;
-        drain ()
-    | Shard.Stolen _ ->
-        incr stolen;
-        drain ()
-    | Shard.Empty -> ()
-  in
-  drain ();
-  check Alcotest.int "all 40 executed" 40 (!own + !stolen);
-  check Alcotest.bool "steals happened" true (!stolen >= 3);
-  check Alcotest.bool "chunked: far fewer steals than tasks" true (!stolen < 20);
-  check Alcotest.int "nothing left" 0 (Shard.remaining t)
-
-let test_shard_single_worker () =
-  let t = Shard.create ~total:5 ~workers:1 in
-  let rec drain acc =
-    match Shard.take t 0 with
-    | Shard.Own i -> drain (i :: acc)
-    | Shard.Stolen _ -> Alcotest.fail "nobody to steal from"
-    | Shard.Empty -> List.rev acc
-  in
-  check Alcotest.(list int) "in order" [ 0; 1; 2; 3; 4 ] (drain [])
-
 (* --- Pool: the worker pool --- *)
 
-let squares jobs =
-  Pool.run ~jobs ~total:50
-    ~init:(fun w -> w)
-    ~task:(fun _ i -> i * i)
-    ~on_crash:(fun _ _ -> -1)
+(* Whatever the worker count and however the workers race for the
+   cursor, every index runs exactly once and its result lands in its
+   own slot. *)
+let prop_pool_every_index_once =
+  QCheck.Test.make ~name:"every index exactly once" ~count:100
+    QCheck.(pair (int_range 1 6) (int_range 0 300))
+    (fun (jobs, total) ->
+      let runs = Array.init total (fun _ -> Atomic.make 0) in
+      let results, stats =
+        Pool.run ~jobs ~total ~init:ignore
+          ~task:(fun () i ->
+            Atomic.incr runs.(i);
+            i)
+          ~on_crash:(fun _ _ -> -1)
+      in
+      Array.for_all (fun c -> Atomic.get c = 1) runs
+      && results = Array.init total Fun.id
+      && Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats = total)
 
 let test_pool_inline_executes_all () =
-  let results, stats, who = squares 1 in
+  let results, stats =
+    Pool.run ~jobs:1 ~total:50 ~init:ignore
+      ~task:(fun () i -> i * i)
+      ~on_crash:(fun _ _ -> -1)
+  in
   check Alcotest.bool "all squares" true
     (results = Array.init 50 (fun i -> i * i));
-  check Alcotest.int "one worker did everything" 50 stats.(0).Pool.executed;
-  check Alcotest.bool "attribution" true (Array.for_all (( = ) 0) who)
+  check Alcotest.int "one worker did everything" 50 stats.(0).Pool.executed
+
+let test_pool_single_worker_in_order () =
+  let order = ref [] in
+  let _, stats =
+    Pool.run ~jobs:1 ~total:5 ~init:ignore
+      ~task:(fun () i -> order := i :: !order)
+      ~on_crash:(fun _ _ -> Alcotest.fail "no task raises")
+  in
+  check Alcotest.(list int) "in order" [ 0; 1; 2; 3; 4 ] (List.rev !order);
+  check Alcotest.int "one worker" 1 (Array.length stats)
 
 let test_pool_parallel_executes_all () =
-  let results, stats, who = squares 4 in
+  let results, stats =
+    Pool.run ~jobs:4 ~total:50 ~init:ignore
+      ~task:(fun () i -> i * i)
+      ~on_crash:(fun _ _ -> -1)
+  in
   check Alcotest.bool "all squares" true
     (results = Array.init 50 (fun i -> i * i));
   check Alcotest.int "work conservation" 50
-    (Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats);
-  check Alcotest.bool "every task attributed" true
-    (Array.for_all (fun w -> w >= 0 && w < 4) who)
+    (Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats)
 
 let test_pool_panic_containment () =
   let boots = Atomic.make 0 in
-  let results, stats, _ =
+  let results, stats =
     Pool.run ~jobs:2 ~total:20
       ~init:(fun _ -> Atomic.incr boots)
       ~task:(fun () i -> if i = 7 then failwith "hypervisor context died" else i)
@@ -123,26 +95,23 @@ let test_pool_panic_containment () =
   check Alcotest.int "worker universe rebuilt" 3 (Atomic.get boots)
 
 let test_pool_empty () =
-  let results, stats, who =
+  let results, stats =
     Pool.run ~jobs:3 ~total:0 ~init:(fun w -> w)
       ~task:(fun _ i -> i) ~on_crash:(fun _ _ -> -1)
   in
   check Alcotest.int "no results" 0 (Array.length results);
-  check Alcotest.int "no attribution" 0 (Array.length who);
   check Alcotest.int "nothing executed" 0
     (Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats)
 
 let test_pool_fewer_tasks_than_workers () =
-  let results, stats, who =
+  let results, stats =
     Pool.run ~jobs:4 ~total:2 ~init:(fun w -> w)
       ~task:(fun _ i -> 10 + i) ~on_crash:(fun _ _ -> -1)
   in
   check Alcotest.(array int) "every slot filled" [| 10; 11 |] results;
   check Alcotest.int "four workers reported" 4 (Array.length stats);
   check Alcotest.int "work conservation" 2
-    (Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats);
-  check Alcotest.bool "who in range" true
-    (Array.for_all (fun w -> w >= 0 && w < 4) who)
+    (Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats)
 
 (* --- domain-safety satellites --- *)
 
@@ -273,7 +242,7 @@ let test_fuzz_absent_reason () =
     = None)
 
 let guided_config n =
-  { Guided.default_config with Guided.iterations = n; prng_seed = 5 }
+  { Guided.iterations = n; prng_seed = 5 }
 
 (* A dummy built on a used, even disabled, coverage store replays the
    recording exactly like one built on a fresh store: same outcomes,
@@ -340,16 +309,12 @@ let test_guided_sweep_byte_identical () =
 
 let () =
   Alcotest.run "iris_orchestrator"
-    [ ( "shard",
-        [ Alcotest.test_case "every index once" `Quick
-            test_shard_every_index_once;
-          Alcotest.test_case "chunked stealing" `Quick
-            test_shard_chunked_stealing;
-          Alcotest.test_case "single worker" `Quick test_shard_single_worker ]
-      );
-      ( "pool",
-        [ Alcotest.test_case "inline jobs=1" `Quick
+    [ ( "pool",
+        [ QCheck_alcotest.to_alcotest prop_pool_every_index_once;
+          Alcotest.test_case "inline jobs=1" `Quick
             test_pool_inline_executes_all;
+          Alcotest.test_case "single worker in order" `Quick
+            test_pool_single_worker_in_order;
           Alcotest.test_case "parallel jobs=4" `Quick
             test_pool_parallel_executes_all;
           Alcotest.test_case "panic containment" `Quick

@@ -332,8 +332,7 @@ let test_guided_modes_byte_identical () =
       Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
     in
     Guided.run_with ~snapshot_mode:mode
-      ~config:
-        { Guided.default_config with Guided.iterations = 150; prng_seed = 5 }
+      ~config:{ Guided.iterations = 150; prng_seed = 5 }
       ~replayer ~trace:recording.Manager.trace ~reason:R.Rdtsc ~guided:true ()
   in
   match (run Campaign.Full_restore, run Campaign.Cow) with
