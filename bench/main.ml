@@ -472,7 +472,7 @@ let pre_pr_ideal_exits_per_sec = 55346.298716273348
    kAFL/Nyx lesson is that per-execution overhead is what decides
    fuzzing throughput; this gate keeps the coverage store, scratch
    event, telemetry and dispatch from regressing back into
-   allocate-per-exit patterns.  The loop measures ~240 words/exit
+   allocate-per-exit patterns.  The loop measures ~230 words/exit
    today — residual Int64 boxing in the VMCS model and the per-entry
    guest-state checks, which a non-flambda compiler cannot erase — so
    the budget sits just above that plateau. *)
@@ -1096,6 +1096,40 @@ let scaling () =
 (* Revert: copy-on-write rewind vs full snapshot restore              *)
 (* ------------------------------------------------------------------ *)
 
+(* Hard budget on minor-heap allocation per COW rewind, in words.  A
+   rewind restores fixed-size device and vCPU state in place and walks
+   only the journals a case dirtied; what it still allocates is the
+   footprint record, the mark-stack walk and Int64 boxing.  That
+   measures 68 words per rewind, so the budget sits just above the
+   plateau.  The major-heap budget is zero: a rewind that copies a
+   growing buffer (the UART transmit log once did) shows up here. *)
+let minor_words_per_rewind_budget = 80.0
+
+(* Average (minor, direct major) words per rewind over one pass of the
+   plan: each case dirties the domain, then only the rewind to S_R sits
+   between the GC counter reads.  Direct major allocation is
+   [major - promoted], so a minor collection that promotes a case's
+   garbage during the rewind does not count against it. *)
+let rewind_words ~replayer ~anchor plan =
+  let module Campaign = Iris_fuzzer.Campaign in
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let minor = ref 0.0 and major = ref 0.0 in
+  let cases = Campaign.case_count plan in
+  for i = 0 to cases - 1 do
+    ignore (Campaign.submit_probed replayer (Campaign.case plan i));
+    let m0 = direct_major () in
+    let w0 = Gc.minor_words () in
+    Campaign.restore ~replayer anchor;
+    let w1 = Gc.minor_words () in
+    let m1 = direct_major () in
+    minor := !minor +. (w1 -. w0);
+    major := !major +. (m1 -. m0)
+  done;
+  (!minor /. float_of_int cases, !major /. float_of_int cases)
+
 let revert_bench () =
   section "Revert: copy-on-write rewind vs full snapshot restore";
   (* The same campaign on the same memory-oracle dummy (guest RAM
@@ -1128,17 +1162,17 @@ let revert_bench () =
         ~keep_memory:true ()
     in
     let anchor = Campaign.anchor ~mode ~replayer ~trace ~seed_index () in
-    let dom = (Replayer.ctx replayer).Iris_hv.Ctx.dom in
     let t0 = Scenario.wall_now () in
     let raws =
       Array.init cases (fun i ->
           Campaign.execute_case ~replayer ~anchor (Campaign.case plan i))
     in
     let host = Scenario.wall_now () -. t0 in
-    (Campaign.finalize ~plan ~raws, host, anchor, dom)
+    (Campaign.finalize ~plan ~raws, host, anchor, replayer)
   in
   let res_full, host_full, anch_full, _ = run Campaign.Full_restore in
-  let res_cow, host_cow, _, dom_cow = run Campaign.Cow in
+  let res_cow, host_cow, anch_cow, repl_cow = run Campaign.Cow in
+  let dom_cow = (Replayer.ctx repl_cow).Iris_hv.Ctx.dom in
   gate
     (Gate.same ~what:"revert campaign report"
        [ ("full restore", Scenario.digest res_full);
@@ -1174,16 +1208,33 @@ let revert_bench () =
      (%.2fx)\n"
     modeled_speedup host_full host_cow host_speedup;
   Printf.printf "reports byte-identical across restore paths: true\n";
+  let minor_per_rewind, major_per_rewind =
+    rewind_words ~replayer:repl_cow ~anchor:anch_cow plan
+  in
+  Printf.printf
+    "allocation per COW rewind: %.1f minor words (budget %.0f), %.2f major \
+     words (budget < 1)\n"
+    minor_per_rewind minor_words_per_rewind_budget major_per_rewind;
   Report.put_f "revert.full_case_seconds" (host_full /. float_of_int cases);
   Report.put_f "revert.cow_case_seconds" (host_cow /. float_of_int cases);
   Report.put_i "revert.full_case_bytes" full_bytes;
   Report.put_i "revert.cow_case_bytes" cow_bytes;
   Report.put_f "revert.modeled_speedup" modeled_speedup;
   Report.put_f "revert.host_speedup" host_speedup;
+  Report.put_f "revert.minor_words_per_rewind" minor_per_rewind;
+  Report.put_f "revert.major_words_per_rewind" major_per_rewind;
   Report.put_i "revert.equivalent" 1;
   require (modeled_speedup >= 5.0)
     (Printf.sprintf "revert: modeled speedup %.2fx below the 5x gate"
-       modeled_speedup)
+       modeled_speedup);
+  require
+    (minor_per_rewind <= minor_words_per_rewind_budget)
+    (Printf.sprintf
+       "revert: %.1f minor words/rewind exceeds the %.0f-word budget"
+       minor_per_rewind minor_words_per_rewind_budget);
+  require (major_per_rewind < 1.0)
+    (Printf.sprintf "revert: %.2f major words/rewind (budget: < 1)"
+       major_per_rewind)
 
 (* ------------------------------------------------------------------ *)
 (* Inspect: checkpoint-search divergence location vs linear re-replay *)

@@ -21,8 +21,6 @@ type t = { mutable address : int32 }
 
 let create () = { address = 0l }
 
-let reset t = t.address <- 0l
-
 let copy t = { address = t.address }
 
 let decode address =

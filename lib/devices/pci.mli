@@ -8,7 +8,6 @@
 type t
 
 val create : unit -> t
-val reset : t -> unit
 val copy : t -> t
 val attach : t -> Port_bus.t -> unit
 

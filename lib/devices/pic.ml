@@ -26,20 +26,6 @@ type t = { master : chip; slave : chip }
 
 let create () = { master = fresh_chip 0x08; slave = fresh_chip 0x70 }
 
-let reset_chip c base =
-  c.state <- Ready;
-  c.needs_icw4 <- false;
-  c.base <- base;
-  c.imr <- 0xFF;
-  c.irr <- 0;
-  c.isr <- 0;
-  c.init_done <- false;
-  c.read_isr <- false
-
-let reset t =
-  reset_chip t.master 0x08;
-  reset_chip t.slave 0x70
-
 let copy t =
   { master = { t.master with state = t.master.state };
     slave = { t.slave with state = t.slave.state } }

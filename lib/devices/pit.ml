@@ -31,10 +31,6 @@ let create () =
   { channels = Array.init 3 (fun _ -> fresh_channel ());
     residual_cycles = 0 }
 
-let reset t =
-  Array.iteri (fun i _ -> t.channels.(i) <- fresh_channel ()) t.channels;
-  t.residual_cycles <- 0
-
 let copy t =
   { channels = Array.map (fun c -> { c with reload = c.reload }) t.channels;
     residual_cycles = t.residual_cycles }

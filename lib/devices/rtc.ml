@@ -26,11 +26,6 @@ let create () =
   ram.(0x18) <- 0xFC;    (* extended memory low/high *)
   { index = 0; ram }
 
-let reset t =
-  let fresh = create () in
-  t.index <- 0;
-  Array.blit fresh.ram 0 t.ram 0 128
-
 let copy t = { index = t.index; ram = Array.copy t.ram }
 
 let attach t bus =

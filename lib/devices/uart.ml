@@ -23,17 +23,6 @@ let create () =
     divisor = 1;
     configured = false }
 
-let reset t =
-  Buffer.clear t.tx;
-  t.rx <- [];
-  t.ier <- 0;
-  t.fcr <- 0;
-  t.lcr <- 0;
-  t.mcr <- 0;
-  t.scratch <- 0;
-  t.divisor <- 1;
-  t.configured <- false
-
 let copy t =
   let c = create () in
   Buffer.add_string c.tx (Buffer.contents t.tx);
@@ -103,6 +92,42 @@ let push_rx t c = t.rx <- t.rx @ [ c ]
 let divisor t = t.divisor
 
 let configured t = t.configured
+
+(* The transmit log only grows within an epoch (see the interface), so
+   its length is all a checkpoint needs of it. *)
+type checkpoint = {
+  c_tx_len : int;
+  c_rx : char list;
+  c_ier : int;
+  c_fcr : int;
+  c_lcr : int;
+  c_mcr : int;
+  c_scratch : int;
+  c_divisor : int;
+  c_configured : bool;
+}
+
+let checkpoint t =
+  { c_tx_len = Buffer.length t.tx;
+    c_rx = t.rx;
+    c_ier = t.ier;
+    c_fcr = t.fcr;
+    c_lcr = t.lcr;
+    c_mcr = t.mcr;
+    c_scratch = t.scratch;
+    c_divisor = t.divisor;
+    c_configured = t.configured }
+
+let rewind t c =
+  Buffer.truncate t.tx c.c_tx_len;
+  t.rx <- c.c_rx;
+  t.ier <- c.c_ier;
+  t.fcr <- c.c_fcr;
+  t.lcr <- c.c_lcr;
+  t.mcr <- c.c_mcr;
+  t.scratch <- c.c_scratch;
+  t.divisor <- c.c_divisor;
+  t.configured <- c.c_configured
 
 let transplant ~into ~from =
   Buffer.clear into.tx;

@@ -8,7 +8,6 @@
 type t
 
 val create : unit -> t
-val reset : t -> unit
 val copy : t -> t
 val attach : t -> Port_bus.t -> unit
 
@@ -27,3 +26,20 @@ val configured : t -> bool
 
 val transplant : into:t -> from:t -> unit
 (** Overwrite [into] from [from], keeping identity. *)
+
+(** {2 Incremental checkpoints}
+
+    A checkpoint records the transmit-log length and the register
+    state; it does not copy the log.  {!rewind} truncates the log back
+    to that length, which is exact because the log only grows between
+    a checkpoint and its rewind: {!transplant} is the one operation
+    that can shrink it, and it belongs to the full-restore path that
+    invalidates checkpoints. *)
+
+type checkpoint
+
+val checkpoint : t -> checkpoint
+
+val rewind : t -> checkpoint -> unit
+(** Restore the state captured at [checkpoint].  Raises
+    [Invalid_argument] if the log is now shorter than it was then. *)

@@ -157,9 +157,12 @@ let revert t s =
 
    Guest memory, the EPT and the VMCS — the bulk of a snapshot — are
    checkpointed through their write journals, so a rewind touches only
-   what the epoch dirtied.  The platform devices and vCPU scalars are
-   a few hundred fixed bytes and are captured eagerly, exactly as the
-   full snapshot does. *)
+   what the epoch dirtied.  The UART's transmit log grows with the
+   guest's console output (over 100 KB for a CPU-bound guest), so it
+   is checkpointed by length and truncated on rewind.  The rest — PIC,
+   PIT, RTC, PCI, vLAPIC, timers, vCPU scalars — is fixed-size and is
+   copied eagerly at checkpoint time; a rewind blits it back without
+   allocating. *)
 
 type checkpoint = {
   k_vcpu : Iris_vtx.Vcpu.checkpoint;
@@ -167,7 +170,7 @@ type checkpoint = {
   k_ept : Ept.checkpoint;
   k_pic : Iris_devices.Pic.t;
   k_pit : Iris_devices.Pit.t;
-  k_uart : Iris_devices.Uart.t;
+  k_uart : Iris_devices.Uart.checkpoint;
   k_rtc : Iris_devices.Rtc.t;
   k_pci : Iris_devices.Pci.t;
   k_vlapic : Vlapic.t;
@@ -185,7 +188,7 @@ let checkpoint t =
     k_ept = Ept.checkpoint t.ept;
     k_pic = Iris_devices.Pic.copy t.pic;
     k_pit = Iris_devices.Pit.copy t.pit;
-    k_uart = Iris_devices.Uart.copy t.uart;
+    k_uart = Iris_devices.Uart.checkpoint t.uart;
     k_rtc = Iris_devices.Rtc.copy t.rtc;
     k_pci = Iris_devices.Pci.copy t.pci;
     k_vlapic = Vlapic.copy t.vlapic;
@@ -207,7 +210,7 @@ let rewind t k =
   let rs_ept_entries = Ept.rewind t.ept k.k_ept in
   Iris_devices.Pic.transplant ~into:t.pic ~from:k.k_pic;
   Iris_devices.Pit.transplant ~into:t.pit ~from:k.k_pit;
-  Iris_devices.Uart.transplant ~into:t.uart ~from:k.k_uart;
+  Iris_devices.Uart.rewind t.uart k.k_uart;
   Iris_devices.Rtc.transplant ~into:t.rtc ~from:k.k_rtc;
   Iris_devices.Pci.transplant ~into:t.pci ~from:k.k_pci;
   Vlapic.restore t.vlapic ~from:k.k_vlapic;

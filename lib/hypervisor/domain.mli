@@ -79,8 +79,9 @@ val snapshot_stats : t -> stats
 
     Guest memory, the EPT and the VMCS — the bulk of a snapshot — are
     checkpointed through their write journals, so {!rewind} restores
-    only what the epoch dirtied.  The platform devices and vCPU
-    scalars are a few hundred fixed bytes and are captured eagerly.
+    only what the epoch dirtied.  The UART transmit log is captured by
+    its length and truncated on rewind; the other devices and the vCPU
+    scalars are fixed-size and are copied eagerly.
     Checkpoints nest (see {!Checkpoint} for the mark-based manager);
     a full {!revert} invalidates any open checkpoints. *)
 

@@ -8,11 +8,14 @@ let source_name = function
   | Pt_lapic -> "lapic-timer"
   | Pt_rtc -> "rtc"
 
+(* Timers are immutable: [process] replaces the ones that fire, so a
+   copy or restore shares the list instead of rebuilding it.  (Probe
+   line numbers are coverage points: keep them where they are.) *)
 type timer = {
   src : source;
   vector : int;
   period : int64;
-  mutable deadline : int64;
+  deadline : int64;
 }
 
 type t = {
@@ -22,12 +25,9 @@ type t = {
 
 let create ~cov = { cov; timers = [] }
 
-let copy t =
-  { t with timers = List.map (fun tm -> { tm with deadline = tm.deadline }) t.timers }
+let copy t = { t with timers = t.timers }
 
-let restore t ~from =
-  t.timers <-
-    List.map (fun tm -> { tm with deadline = tm.deadline }) from.timers
+let restore t ~from = t.timers <- from.timers
 
 let hit t line = Cov.hit t.cov Comp.Vpt_c line
 
@@ -54,24 +54,31 @@ let next_deadline t =
       | Some d -> Some (Int64.min d tm.deadline))
     None t.timers
 
+(* [tm] as [process] at [now] leaves it: a timer that fired moves to
+   its next deadline, any other is returned unchanged. *)
+let tick t ~now tm =
+  if tm.deadline > now then tm
+  else begin
+    hit t __LINE__;
+    (* No-missed-ticks policy: skip whole periods we slept through,
+       deliver one interrupt. *)
+    let missed =
+      Int64.div (Int64.sub now tm.deadline) tm.period
+    in
+    hit t __LINE__;
+    if missed > 0L then hit t __LINE__;
+    { tm with
+      deadline =
+        Int64.add tm.deadline (Int64.mul (Int64.add missed 1L) tm.period) }
+  end
+
 let process t ~now =
-  let fired = ref [] in
-  List.iter
-    (fun tm ->
-      if tm.deadline <= now then begin
-        hit t __LINE__;
-        fired := (tm.src, tm.vector) :: !fired;
-        (* No-missed-ticks policy: skip whole periods we slept
-           through, deliver one interrupt. *)
-        let behind = Int64.sub now tm.deadline in
-        let missed = Int64.div behind tm.period in
-        hit t __LINE__;
-        if missed > 0L then hit t __LINE__;
-        tm.deadline <-
-          Int64.add tm.deadline (Int64.mul (Int64.add missed 1L) tm.period)
-      end)
-    t.timers;
-  List.rev !fired
+  if List.for_all (fun tm -> tm.deadline > now) t.timers then []
+  else begin
+    let fired = List.filter (fun tm -> tm.deadline <= now) t.timers in
+    t.timers <- List.map (tick t ~now) t.timers;
+    List.map (fun tm -> (tm.src, tm.vector)) fired
+  end
 
 let pending_intr t =
   let overdue =

@@ -195,9 +195,7 @@ let restore_scalars t ~from =
   t.cr4 <- from.cr4;
   t.cr8 <- from.cr8;
   t.efer <- from.efer;
-  List.iter
-    (fun i -> Msr.write t.msrs i (Msr.read from.msrs i))
-    Msr.all;
+  Msr.copy_into ~src:from.msrs ~dst:t.msrs;
   Array.blit from.segs 0 t.segs 0 (Array.length t.segs);
   t.gdtr_base <- from.gdtr_base;
   t.gdtr_limit <- from.gdtr_limit;

@@ -120,18 +120,46 @@ let efer_valid v =
       (Int64.logor efer_lma efer_nxe) in
   Int64.logand v (Int64.lognot known) = 0L
 
-type file = (index, int64) Hashtbl.t
+(* Dense storage: one slot per constructor. *)
+let slot = function
+  | Ia32_tsc -> 0
+  | Ia32_apic_base -> 1
+  | Ia32_feature_control -> 2
+  | Ia32_bios_sign_id -> 3
+  | Ia32_mtrr_cap -> 4
+  | Ia32_sysenter_cs -> 5
+  | Ia32_sysenter_esp -> 6
+  | Ia32_sysenter_eip -> 7
+  | Ia32_mcg_cap -> 8
+  | Ia32_mcg_status -> 9
+  | Ia32_misc_enable -> 10
+  | Ia32_mtrr_def_type -> 11
+  | Ia32_pat -> 12
+  | Ia32_x2apic_tpr -> 13
+  | Ia32_x2apic_icr -> 14
+  | Ia32_tsc_deadline -> 15
+  | Ia32_efer -> 16
+  | Ia32_star -> 17
+  | Ia32_lstar -> 18
+  | Ia32_fmask -> 19
+  | Ia32_fs_base -> 20
+  | Ia32_gs_base -> 21
+  | Ia32_kernel_gs_base -> 22
+  | Ia32_tsc_aux -> 23
+
+type file = int64 array
 
 let create_file () =
-  let t = Hashtbl.create 32 in
-  List.iter (fun i -> Hashtbl.replace t i (reset_value i)) all;
-  t
+  let file = Array.make (List.length all) 0L in
+  List.iter (fun i -> file.(slot i) <- reset_value i) all;
+  file
 
-let read file i = match Hashtbl.find_opt file i with Some v -> v | None -> 0L
+let read file i = file.(slot i)
 
-let write file i v = Hashtbl.replace file i v
+let write file i v = file.(slot i) <- v
 
-let copy_file = Hashtbl.copy
+let copy_file = Array.copy
 
-let equal_file a b =
-  List.for_all (fun i -> read a i = read b i) all
+let copy_into ~src ~dst = Array.blit src 0 dst 0 (Array.length dst)
+
+let equal_file (a : file) b = a = b

@@ -58,4 +58,9 @@ val create_file : unit -> file
 val read : file -> index -> int64
 val write : file -> index -> int64 -> unit
 val copy_file : file -> file
+
+val copy_into : src:file -> dst:file -> unit
+(** Overwrite every register of [dst] with [src]'s, without
+    allocating. *)
+
 val equal_file : file -> file -> bool

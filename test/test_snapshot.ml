@@ -4,9 +4,11 @@
    Each layer (Gmem, EPT, VMCS, VMCB) gets a randomized property test
    that interleaves writes with checkpoint pushes, rewinds to
    arbitrary live marks, and commits — checking the live structure
-   against a deep-copy oracle captured at every push.  On top, the
-   domain and campaign levels pin that the COW revert path produces
-   byte-identical raw observations and merged reports. *)
+   against a deep-copy oracle captured at every push.  A whole domain
+   (devices, MSRs, timers, memory, VMCS) gets the same treatment
+   against a snapshot/revert twin.  On top, the campaign level pins
+   that the COW revert path produces byte-identical raw observations
+   and merged reports. *)
 
 module Gmem = Iris_memory.Gmem
 module Ept = Iris_memory.Ept
@@ -25,6 +27,14 @@ module Campaign = Iris_fuzzer.Campaign
 module Guided = Iris_fuzzer.Guided
 module R = Iris_vtx.Exit_reason
 module W = Iris_guest.Workload
+module Vcpu = Iris_vtx.Vcpu
+module Clock = Iris_vtx.Clock
+module Msr = Iris_x86.Msr
+module Gpr = Iris_x86.Gpr
+module Uart = Iris_devices.Uart
+module Port_bus = Iris_devices.Port_bus
+module Vlapic = Iris_hv.Vlapic
+module Vpt = Iris_hv.Vpt
 
 let check = Alcotest.check
 
@@ -249,6 +259,187 @@ let prop_vmcb_cow_equals_copy =
         !stack;
       !ok)
 
+(* --- domain level: every piece of state, COW vs full restore ---
+
+   [dom_state] projects everything a rewind must put back into plain
+   data that compares structurally.  The VMCS VPID is excluded: it
+   encodes the process-global domain id, which differs between two
+   universes by construction.  A UART checkpoint is plain data — the
+   transmit-log length and every register — so next to
+   [Uart.transmitted] it is the UART's whole state. *)
+
+let dom_state (dom : Domain.t) =
+  let v = dom.Domain.vcpu in
+  let vpt = dom.Domain.vpt and lapic = dom.Domain.vlapic in
+  ( ( Gmem.nonzero_pages dom.Domain.mem,
+      Ept.dump dom.Domain.ept,
+      List.filter
+        (fun (f, _) -> f <> F.vpid)
+        (Vmcs.nonzero_fields v.Vcpu.vmcs),
+      Vmcs.state v.Vcpu.vmcs ),
+    ( (v.Vcpu.rip, v.Vcpu.rsp, v.Vcpu.rflags, v.Vcpu.cr0, v.Vcpu.cr3),
+      Clock.now v.Vcpu.clock,
+      Array.map (Gpr.get v.Vcpu.regs) Gpr.all,
+      Array.to_list v.Vcpu.segs,
+      List.map (Msr.read v.Vcpu.msrs) Msr.all ),
+    ( Uart.transmitted dom.Domain.uart,
+      Uart.checkpoint dom.Domain.uart,
+      (dom.Domain.pic, dom.Domain.pit, dom.Domain.rtc, dom.Domain.pci) ),
+    ( Vpt.next_deadline vpt,
+      List.map (Vpt.armed vpt) [ Vpt.Pt_pit; Vpt.Pt_lapic; Vpt.Pt_rtc ],
+      Vpt.pending_intr vpt,
+      (Vlapic.tpr lapic, Vlapic.enabled lapic, Vlapic.highest_pending lapic) ),
+    ( dom.Domain.crashed,
+      dom.Domain.guest_mode,
+      dom.Domain.blocked,
+      Array.to_list dom.Domain.bar_regs ) )
+
+(* Digest without sharing, so two equal states digest equally however
+   their boxed values happen to be shared. *)
+let state_digest dom =
+  Digest.to_hex
+    (Digest.string (Marshal.to_string (dom_state dom) [ Marshal.No_sharing ]))
+
+(* One random step applied identically to both domains. *)
+type op =
+  | Out of int * int * int64  (* port, size, value *)
+  | In of int * int
+  | Rx of char
+  | Msr_write of Msr.index * int64
+  | Arm of Vpt.source * int * int  (* vector, period *)
+  | Disarm of Vpt.source
+  | Tick of int  (* advance the clock, then fire due timers *)
+  | Mem_write of int64 * int * int64
+  | Vmcs_write of F.t * int64
+  | Scalars of int64 * int64 * bool
+
+(* Ports of every device on the bus: PIC pair, PIT, RTC, PCI, COM1
+   (the transmit register weighted up). *)
+let device_ports =
+  [| (0x20, 1); (0x21, 1); (0xA0, 1); (0xA1, 1); (0x40, 1); (0x42, 1);
+     (0x43, 1); (0x70, 1); (0x71, 1); (0xCF8, 4); (0xCFC, 4); (0x3F8, 1);
+     (0x3F8, 1); (0x3F8, 1); (0x3F9, 1); (0x3FA, 1); (0x3FB, 1);
+     (0x3FC, 1); (0x3FF, 1) |]
+
+let writable_fields =
+  Array.of_list
+    (List.filter (fun f -> not (F.readonly f)) (Array.to_list F.all))
+
+let msrs = Array.of_list Msr.all
+
+let random_op prng =
+  let source () = Prng.choose prng [| Vpt.Pt_pit; Vpt.Pt_lapic; Vpt.Pt_rtc |] in
+  match Prng.int prng 10 with
+  | 0 | 1 ->
+      let port, size = Prng.choose prng device_ports in
+      Out (port, size, Int64.of_int (Prng.int prng 256))
+  | 2 ->
+      let port, size = Prng.choose prng device_ports in
+      In (port, size)
+  | 3 -> Rx (Char.chr (Prng.int prng 256))
+  | 4 -> Msr_write (Prng.choose prng msrs, Prng.int64_any prng)
+  | 5 ->
+      Arm (source (), 0x20 + Prng.int prng 32, 1 + Prng.int prng 5_000)
+  | 6 -> if Prng.bool prng then Disarm (source ()) else Tick (Prng.int prng 8_000)
+  | 7 ->
+      Mem_write
+        ( Int64.of_int (Prng.int prng 0xFF000),
+          Prng.choose prng [| 1; 2; 4; 8 |],
+          Prng.int64_any prng )
+  | 8 -> Vmcs_write (Prng.choose prng writable_fields, Prng.int64_any prng)
+  | _ -> Scalars (Prng.int64_any prng, Prng.int64_any prng, Prng.bool prng)
+
+(* Returns what the step observed (port reads), so the two domains'
+   observations can be compared too. *)
+let apply (dom : Domain.t) = function
+  | Out (port, size, v) ->
+      Port_bus.write dom.Domain.bus ~port ~size v;
+      0L
+  | In (port, size) -> Port_bus.read dom.Domain.bus ~port ~size
+  | Rx c ->
+      Uart.push_rx dom.Domain.uart c;
+      0L
+  | Msr_write (i, v) ->
+      Msr.write dom.Domain.vcpu.Vcpu.msrs i v;
+      0L
+  | Arm (source, vector, period_cycles) ->
+      let now = Clock.now dom.Domain.vcpu.Vcpu.clock in
+      Vpt.arm dom.Domain.vpt ~source ~vector ~period_cycles ~now;
+      0L
+  | Disarm source ->
+      Vpt.disarm dom.Domain.vpt ~source;
+      0L
+  | Tick n ->
+      let clock = dom.Domain.vcpu.Vcpu.clock in
+      Clock.advance clock n;
+      Int64.of_int
+        (List.length (Vpt.process dom.Domain.vpt ~now:(Clock.now clock)))
+  | Mem_write (addr, width, v) ->
+      Gmem.write dom.Domain.mem addr ~width v;
+      0L
+  | Vmcs_write (f, v) ->
+      (match Vmcs.write dom.Domain.vcpu.Vcpu.vmcs f v with
+      | Ok () -> ()
+      | Error _ -> assert false);
+      0L
+  | Scalars (rip, rax, blocked) ->
+      dom.Domain.vcpu.Vcpu.rip <- rip;
+      Gpr.set dom.Domain.vcpu.Vcpu.regs Gpr.Rax rax;
+      dom.Domain.blocked <- blocked;
+      dom.Domain.bar_regs.(Int64.to_int (Int64.logand rax 15L)) <- rip;
+      if blocked && Int64.logand rip 0xFL = 0L then
+        Domain.crash dom "model";
+      0L
+
+(* Two domains take the same random steps under nested marks: one
+   through [Checkpoint] push/rewind/pop, the oracle through
+   [Domain.snapshot]/[revert].  After every step — including mid-epoch
+   ones, where the two have done identical work — the states must be
+   equal.  The two restore paths share device and vCPU code, so each
+   mark also keeps the digest taken at push time, and a rewind must
+   land back on it. *)
+let prop_domain_cow_equals_full =
+  QCheck.Test.make ~name:"domain: rewind ≡ snapshot/revert, every piece"
+    ~count:20 QCheck.small_int (fun salt ->
+      let prng = Prng.of_int (0xD0 + salt) in
+      let make id =
+        Domain.create ~cov:(Iris_coverage.Cov.create ()) ~id
+          ~name:(Printf.sprintf "model-%d" id) ~mem_mib:1 ()
+      in
+      let cow = make 1 and oracle = make 2 in
+      let cps = Checkpoint.start cow in
+      let marks = ref [] in
+      let ok = ref true in
+      let agree () =
+        if state_digest cow <> state_digest oracle then ok := false
+      in
+      let rewind (mark, snap, at_push) =
+        ignore (Checkpoint.rewind cps mark : Domain.revert_stats);
+        Domain.revert oracle snap;
+        if state_digest cow <> at_push then ok := false
+      in
+      for _ = 1 to 200 do
+        (match Prng.int prng 14 with
+        | 0 | 1 when List.length !marks < 4 ->
+            let m = Checkpoint.push cps in
+            marks := (m, Domain.snapshot oracle, state_digest cow) :: !marks
+        | 2 | 3 when !marks <> [] ->
+            let l = !marks in
+            let i = Prng.int prng (List.length l) in
+            rewind (List.nth l i);
+            marks := List.filteri (fun j _ -> j >= i) l
+        | 4 when !marks <> [] ->
+            let m, _, _ = List.hd !marks in
+            Checkpoint.pop cps m;
+            marks := List.tl !marks
+        | _ ->
+            let op = random_op prng in
+            if apply cow op <> apply oracle op then ok := false);
+        agree ()
+      done;
+      List.iter (fun m -> rewind m; agree ()) !marks;
+      !ok)
+
 (* --- domain level: COW revert ≡ full restore, case by case --- *)
 
 let mgr () = Manager.create ~boot_scale:0.02 ~prng_seed:21 ()
@@ -278,21 +469,7 @@ let test_per_case_equivalence () =
         in
         (plan, replayer, anchor)
   in
-  (* Canonical projection of the whole domain state.  The VMCS VPID is
-     excluded: it encodes the process-global domain id, which differs
-     between the two universes by construction. *)
-  let canon replayer =
-    let dom = (Replayer.ctx replayer).Ctx.dom in
-    digest
-      ( Gmem.nonzero_pages dom.Domain.mem,
-        Ept.dump dom.Domain.ept,
-        List.filter
-          (fun (f, _) -> f <> F.vpid)
-          (Vmcs.nonzero_fields dom.Domain.vcpu.Iris_vtx.Vcpu.vmcs),
-        dom.Domain.vcpu.Iris_vtx.Vcpu.rip,
-        Iris_vtx.Clock.now dom.Domain.vcpu.Iris_vtx.Vcpu.clock,
-        dom.Domain.crashed, dom.Domain.guest_mode, dom.Domain.blocked )
-  in
+  let canon replayer = state_digest (Replayer.ctx replayer).Ctx.dom in
   let plan_f, repl_f, anch_f = setup Campaign.Full_restore in
   let plan_c, repl_c, anch_c = setup Campaign.Cow in
   check Alcotest.string "same plan" (digest plan_f) (digest plan_c);
@@ -391,11 +568,12 @@ let () =
       ("vmcs", qcheck [ prop_vmcs_cow_equals_copy ]);
       ("vmcb", qcheck [ prop_vmcb_cow_equals_copy ]);
       ( "domain",
-        [ Alcotest.test_case "per-case raw equivalence" `Slow
-            test_per_case_equivalence;
-          Alcotest.test_case "campaign modes identical" `Slow
-            test_campaign_modes_byte_identical;
-          Alcotest.test_case "guided modes identical" `Slow
-            test_guided_modes_byte_identical;
-          Alcotest.test_case "cow stats accounting" `Slow
-            test_cow_stats_accounting ] ) ]
+        qcheck [ prop_domain_cow_equals_full ]
+        @ [ Alcotest.test_case "per-case raw equivalence" `Slow
+              test_per_case_equivalence;
+            Alcotest.test_case "campaign modes identical" `Slow
+              test_campaign_modes_byte_identical;
+            Alcotest.test_case "guided modes identical" `Slow
+              test_guided_modes_byte_identical;
+            Alcotest.test_case "cow stats accounting" `Slow
+              test_cow_stats_accounting ] ) ]

@@ -170,7 +170,15 @@ let test_msr_file () =
   check Alcotest.int64 "write/read" 0xFFL (Msr.read f Msr.Ia32_lstar);
   let g = Msr.copy_file f in
   Msr.write f Msr.Ia32_lstar 0x1L;
-  check Alcotest.int64 "copy is deep" 0xFFL (Msr.read g Msr.Ia32_lstar)
+  check Alcotest.int64 "copy is deep" 0xFFL (Msr.read g Msr.Ia32_lstar);
+  (* Every index owns its own register. *)
+  List.iteri (fun n m -> Msr.write f m (Int64.of_int (100 + n))) Msr.all;
+  List.iteri
+    (fun n m ->
+      check Alcotest.int64 (Msr.name m) (Int64.of_int (100 + n)) (Msr.read f m))
+    Msr.all;
+  Msr.copy_into ~src:f ~dst:g;
+  check Alcotest.bool "copy_into copies all" true (Msr.equal_file f g)
 
 let test_msr_writability () =
   check Alcotest.bool "MTRR cap read-only" false (Msr.writable Msr.Ia32_mtrr_cap);
