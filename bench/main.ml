@@ -1,6 +1,6 @@
 (* The IRIS evaluation harness: regenerates every table and figure of
    the paper's §VI/§VII on the simulated substrate, plus the DESIGN.md
-   ablations and Bechamel micro-benchmarks.
+   ablations and the paper-size behaviour gates.
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig6    # one experiment
@@ -404,28 +404,33 @@ let fig9 () =
 (* §VI-C: replay throughput vs the ideal preemption-timer loop        *)
 (* ------------------------------------------------------------------ *)
 
+(* The ideal loop's step, shared by [throughput] (virtual cycles) and
+   [hotpath] (host time, minor words): one preemption-timer exit of a
+   dummy VM that is submitted nothing — engine exit, full exit-path
+   dispatch, re-entry. *)
+let no_fetch () = None
+
+let timer_exit ctx =
+  (match
+     Iris_vtx.Engine.run_until_exit
+       ctx.Iris_hv.Ctx.dom.Iris_hv.Domain.engine ~fetch:no_fetch
+   with
+  | Iris_vtx.Engine.Exit _ -> ()
+  | Iris_vtx.Engine.Program_done -> failwith "timer not armed");
+  Iris_hv.Exitpath.handle ctx;
+  match Iris_hv.Xen.enter ctx with
+  | Ok () -> ()
+  | Error msg -> failwith msg
+
 let throughput () =
   section "Replay throughput vs ideal (paper §VI-C)";
-  (* Ideal: drive a dummy VM through preemption-timer exits without
-     submitting anything. *)
   let m = mgr () in
   let replayer = Manager.make_dummy m () in
   let ctx = Replayer.ctx replayer in
   let clock = Iris_hv.Ctx.clock ctx in
   let start = Clock.now clock in
   let exits = 5000 in
-  for _ = 1 to exits do
-    (match
-       Iris_vtx.Engine.run_until_exit
-         ctx.Iris_hv.Ctx.dom.Iris_hv.Domain.engine ~fetch:(fun () -> None)
-     with
-    | Iris_vtx.Engine.Exit _ -> ()
-    | Iris_vtx.Engine.Program_done -> failwith "timer not armed");
-    Iris_hv.Exitpath.handle ctx;
-    match Iris_hv.Xen.enter ctx with
-    | Ok () -> ()
-    | Error msg -> failwith msg
-  done;
+  for _ = 1 to exits do timer_exit ctx done;
   let ideal_s = Clock.cycles_to_seconds (Int64.sub (Clock.now clock) start) in
   let ideal_tp = float_of_int exits /. ideal_s in
   Printf.printf
@@ -480,31 +485,18 @@ let minor_words_per_exit_budget = 320.0
 
 let hotpath () =
   section "Hotpath: allocation-free exit loop (host exits/s, words/exit)";
-  let no_fetch () = None in
-  (* The same dummy-VM preemption-timer loop as [throughput]'s ideal
-     case — engine exit, full exit-path dispatch, re-entry — but
-     measured in host time and minor-heap words instead of virtual
-     cycles. *)
+  (* [throughput]'s ideal loop, measured in host time and minor-heap
+     words instead of virtual cycles. *)
   let m = mgr () in
   let replayer = Manager.make_dummy m () in
   let ctx = Replayer.ctx replayer in
-  let engine = ctx.Iris_hv.Ctx.dom.Iris_hv.Domain.engine in
-  let one () =
-    (match Iris_vtx.Engine.run_until_exit engine ~fetch:no_fetch with
-    | Iris_vtx.Engine.Exit _ -> ()
-    | Iris_vtx.Engine.Program_done -> failwith "timer not armed");
-    Iris_hv.Exitpath.handle ctx;
-    match Iris_hv.Xen.enter ctx with
-    | Ok () -> ()
-    | Error msg -> failwith msg
-  in
   (* Warm-up: fault in the lazy structures (coverage store growth,
      handler tables) so the measured window sees steady state. *)
-  for _ = 1 to 2_000 do one () done;
+  for _ = 1 to 2_000 do timer_exit ctx done;
   let exits = 50_000 in
   let t0 = Scenario.wall_now () in
   let w0 = Gc.minor_words () in
-  for _ = 1 to exits do one () done;
+  for _ = 1 to exits do timer_exit ctx done;
   let words_per_exit = (Gc.minor_words () -. w0) /. float_of_int exits in
   let host_s = Scenario.wall_now () -. t0 in
   let host_tp = float_of_int exits /. host_s in
@@ -1156,12 +1148,12 @@ let revert_bench () =
   in
   let seed_index = plan.Campaign.plan_target.Seed.index in
   let cases = Campaign.case_count plan in
-  let run mode =
+  let run pin =
     let replayer =
       Manager.make_dummy m ~revert_to:recording.Manager.snapshot
         ~keep_memory:true ()
     in
-    let anchor = Campaign.anchor ~mode ~replayer ~trace ~seed_index () in
+    let anchor = pin ~replayer in
     let t0 = Scenario.wall_now () in
     let raws =
       Array.init cases (fun i ->
@@ -1170,8 +1162,13 @@ let revert_bench () =
     let host = Scenario.wall_now () -. t0 in
     (Campaign.finalize ~plan ~raws, host, anchor, replayer)
   in
-  let res_full, host_full, anch_full, _ = run Campaign.Full_restore in
-  let res_cow, host_cow, anch_cow, repl_cow = run Campaign.Cow in
+  let res_full, host_full, anch_full, _ =
+    run (fun ~replayer ->
+        Campaign.Anchor_full (Campaign.reach_sr ~replayer ~trace ~seed_index))
+  in
+  let res_cow, host_cow, anch_cow, repl_cow =
+    run (fun ~replayer -> Campaign.anchor ~replayer ~trace ~seed_index ())
+  in
   let dom_cow = (Replayer.ctx repl_cow).Iris_hv.Ctx.dom in
   gate
     (Gate.same ~what:"revert campaign report"
@@ -1356,63 +1353,6 @@ let diff_bench () =
      1/4, all plants detected exactly\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                          *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Bechamel micro-benchmarks (host-machine ns/op)";
-  let open Bechamel in
-  let recording, _ = recorded_run W.Cpu_bound in
-  let sample_seed = recording.Manager.trace.Trace.seeds.(0) in
-  let encoded = Seed.encode sample_seed in
-  let m = mgr () in
-  let replayer =
-    Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-  in
-  let ctx = Replayer.ctx replayer in
-  let prng = Iris_util.Prng.of_int 1 in
-  let tests =
-    [ Test.make ~name:"seed-encode" (Staged.stage (fun () ->
-          ignore (Seed.encode sample_seed)));
-      Test.make ~name:"seed-decode" (Staged.stage (fun () ->
-          ignore (Seed.decode encoded)));
-      Test.make ~name:"vmread-instrumented" (Staged.stage (fun () ->
-          ignore (Iris_hv.Access.vmread ctx Iris_vmcs.Field.guest_cr0)));
-      Test.make ~name:"vmwrite-instrumented" (Staged.stage (fun () ->
-          Iris_hv.Access.vmwrite ctx Iris_vmcs.Field.guest_rip 0x1000L));
-      Test.make ~name:"replay-submit" (Staged.stage (fun () ->
-          ignore (Replayer.submit replayer sample_seed)));
-      Test.make ~name:"mutate-seed" (Staged.stage (fun () ->
-          match
-            Iris_fuzzer.Mutation.random prng Iris_fuzzer.Mutation.Area_vmcs
-              sample_seed
-          with
-          | Some mu -> ignore (Iris_fuzzer.Mutation.apply mu sample_seed)
-          | None -> ())) ]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ())
-          [ Toolkit.Instance.monotonic_clock ]
-          test
-      in
-      let ols =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false
-             ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "  %-30s %12.1f ns/op\n" name est
-          | Some _ | None -> Printf.printf "  %-30s (no estimate)\n" name)
-        ols)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* serve: the campaign service's determinism and distillation gates   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1490,8 +1430,7 @@ let targets : (string * (unit -> unit)) list =
     ("ablation-coverage", ablation_coverage); ("batch", batch);
     ("guided", guided); ("portability", portability); ("scaling", scaling);
     ("revert", revert_bench); ("inspect", inspect_bench);
-    ("diff", diff_bench); ("hotpath", hotpath); ("serve", serve_bench);
-    ("micro", micro) ]
+    ("diff", diff_bench); ("hotpath", hotpath); ("serve", serve_bench) ]
 
 let timed name f =
   let t0 = Scenario.wall_now () in

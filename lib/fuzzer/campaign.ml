@@ -177,14 +177,13 @@ let reach_sr ~replayer ~trace ~seed_index =
   reach_sr_state ~replayer ~trace ~seed_index;
   Iris_hv.Domain.snapshot (Replayer.ctx replayer).Ctx.dom
 
-(* How a worker pins S_R between cases: [Full_restore] deep-copies the
-   whole domain and transplants it back after every case (the original
-   engine, kept as the equivalence oracle); [Cow] opens a journal
-   epoch at S_R and rewinds only what each case dirtied
-   (kAFL/Nyx-style snapshot-reset).  The two are observably
-   identical — [test_snapshot.ml] pins that. *)
-type snapshot_mode = Full_restore | Cow
-
+(* How a worker pins S_R between cases.  Campaigns open a journal
+   epoch at S_R and rewind only what each case dirtied (kAFL/Nyx-style
+   snapshot-reset).  [Anchor_full] deep-copies the whole domain and
+   transplants it back after every case — the original engine, kept as
+   the equivalence oracle that tests and the bench build from
+   [reach_sr]; [test_snapshot.ml] pins that the two are observably
+   identical. *)
 type anchor =
   | Anchor_full of Iris_hv.Domain.snapshot
   | Anchor_cow of
@@ -241,16 +240,12 @@ let cow_slots ctx =
       in
       Some (R.slots_of reg (Array.append fixed (R.vec_counters vec)))
 
-let anchor ?(mode = Cow) ~replayer ~trace ~seed_index () =
+let anchor ~replayer ~trace ~seed_index () =
   reach_sr_state ~replayer ~trace ~seed_index;
   let ctx = Replayer.ctx replayer in
-  let dom = ctx.Ctx.dom in
-  match mode with
-  | Full_restore -> Anchor_full (Iris_hv.Domain.snapshot dom)
-  | Cow ->
-      let cps = Iris_hv.Checkpoint.start dom in
-      let mark = Iris_hv.Checkpoint.push cps in
-      Anchor_cow (cps, mark, cow_slots ctx)
+  let cps = Iris_hv.Checkpoint.start ctx.Ctx.dom in
+  let mark = Iris_hv.Checkpoint.push cps in
+  Anchor_cow (cps, mark, cow_slots ctx)
 
 let no_footprint =
   { Iris_hv.Domain.rs_pages = 0; rs_ept_entries = 0; rs_vmcs_fields = 0 }
@@ -358,15 +353,16 @@ let finalize ~plan:p ~raws =
 
 (* --- sequential driver --- *)
 
-let run_with ?(snapshot_mode = Cow) ~config ~replayer ~trace ~reason ~area
-    () =
+let run ~config ~manager ~recording ~reason ~area () =
+  let trace = recording.Manager.trace in
   match plan ~config ~trace ~reason ~area with
   | None -> None
   | Some p ->
-      let seed_index = p.plan_target.Seed.index in
-      let anch =
-        anchor ~mode:snapshot_mode ~replayer ~trace ~seed_index ()
+      let replayer =
+        Manager.make_dummy manager ~revert_to:recording.Manager.snapshot ()
       in
+      let seed_index = p.plan_target.Seed.index in
+      let anch = anchor ~replayer ~trace ~seed_index () in
       let ctx = Replayer.ctx replayer in
       let probe = Iris_hv.Observe.probe ctx in
       (match probe with
@@ -400,13 +396,3 @@ let run_with ?(snapshot_mode = Cow) ~config ~replayer ~trace ~reason ~area
                 ("hv_crashes", string_of_int result.hv_crashes) ]
             ~ts:now);
       Some result
-
-let run ?(snapshot_mode = Cow) ~config ~manager ~recording ~reason ~area
-    () =
-  let trace = recording.Manager.trace in
-  if Iris_core.Trace.seeds_with_reason trace reason = [] then None
-  else
-    let replayer =
-      Manager.make_dummy manager ~revert_to:recording.Manager.snapshot ()
-    in
-    run_with ~snapshot_mode ~config ~replayer ~trace ~reason ~area ()

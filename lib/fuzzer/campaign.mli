@@ -61,25 +61,16 @@ type config = {
 
 val default_config : config
 
-type snapshot_mode =
-  | Full_restore
-      (** deep-copy S_R once, transplant the whole domain back after
-          every case — the original engine, kept as the equivalence
-          oracle *)
-  | Cow
-      (** open a journal epoch at S_R and rewind only what each case
-          dirtied (kAFL/Nyx-style snapshot-reset); observably
-          identical to [Full_restore], ~the dirtied footprint cheaper *)
-
 val run :
-  ?snapshot_mode:snapshot_mode ->
   config:config -> manager:Iris_core.Manager.t ->
   recording:Iris_core.Manager.recording ->
   reason:Iris_vtx.Exit_reason.t -> area:Mutation.area ->
   unit -> result option
 (** [None] when the recording contains no seed with [reason] (a "-"
     cell in Table I).  [VMseed_R] is drawn uniformly among that
-    reason's seeds.  [snapshot_mode] defaults to [Cow]. *)
+    reason's seeds.  S_R is pinned with a COW {!anchor}; the run opens
+    a [campaign] trace span and adds {!note_totals} when the manager
+    attaches a telemetry probe. *)
 
 (** {2 Sharded execution}
 
@@ -143,7 +134,9 @@ val reach_sr :
   seed_index:int -> Iris_hv.Domain.snapshot
 (** Replay the recorded prefix up to (excluding) [seed_index] and
     snapshot the valid state [S_R].  Raises [Invalid_argument] if the
-    prefix itself crashes. *)
+    prefix itself crashes.  [Anchor_full (reach_sr ...)] is the
+    full-restore equivalence oracle that tests and the bench compare
+    COW campaigns against. *)
 
 type anchor =
   | Anchor_full of Iris_hv.Domain.snapshot
@@ -152,18 +145,19 @@ type anchor =
       * Iris_hv.Checkpoint.mark
       * Iris_telemetry.Registry.slots option
 (** How a worker holds on to S_R between cases — a deep snapshot to
-    transplant back, or a live journal mark to rewind to.  The COW
-    anchor carries the revert-telemetry slot batch, resolved once at
-    anchor time so each revert is counter-lookup-free ([None] when the
-    replayer's context has no probe). *)
+    transplant back (the oracle), or a live journal mark to rewind to
+    (what {!anchor} pins).  The COW anchor carries the revert-telemetry
+    slot batch, resolved once at anchor time so each revert is
+    counter-lookup-free ([None] when the replayer's context has no
+    probe). *)
 
 val anchor :
-  ?mode:snapshot_mode ->
   replayer:Iris_core.Replayer.t -> trace:Iris_core.Trace.t ->
   seed_index:int -> unit -> anchor
 (** Replay the recorded prefix up to (excluding) [seed_index] and pin
-    the valid state [S_R] in [mode] (default [Cow]).  Raises
-    [Invalid_argument] if the prefix itself crashes. *)
+    the valid state [S_R] under a COW journal mark: every restore
+    rewinds only what the case dirtied.  Raises [Invalid_argument] if
+    the prefix itself crashes. *)
 
 val restore : replayer:Iris_core.Replayer.t -> anchor -> unit
 (** Return the replayer's domain to the anchored state (which also
@@ -188,13 +182,3 @@ val finalize : plan:plan -> raws:raw array -> result
     order.  Per-verdict [new_lines] is recomputed here in index order,
     which is what makes the merged report independent of how cases
     were sharded. *)
-
-val run_with :
-  ?snapshot_mode:snapshot_mode ->
-  config:config -> replayer:Iris_core.Replayer.t ->
-  trace:Iris_core.Trace.t ->
-  reason:Iris_vtx.Exit_reason.t -> area:Mutation.area ->
-  unit -> result option
-(** [run] against a caller-owned replayer (the worker-side entry
-    point): plan, pin S_R in [snapshot_mode] (default [Cow]), execute
-    every case sequentially, finalize. *)

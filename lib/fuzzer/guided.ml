@@ -1,10 +1,8 @@
-module Ctx = Iris_hv.Ctx
 module Cov = Iris_coverage.Cov
 module Bitmap = Iris_coverage.Bitmap
 module Prng = Iris_util.Prng
 module Seed = Iris_core.Seed
 module Manager = Iris_core.Manager
-module Replayer = Iris_core.Replayer
 
 type config = {
   iterations : int;
@@ -36,7 +34,6 @@ type result = {
   curve : progress list;
   crashing : (Seed.t * Campaign.failure_class * string) list;
   corpus : Seed.t array;
-  total_cycles : int64;
 }
 
 (* Stack 1..max_stack random single-bit mutations over both areas. *)
@@ -55,36 +52,25 @@ let mutate prng seed =
   in
   go stack seed
 
-(* [Campaign.submit_probed], plus the virtual cycles the submission
-   consumed — measured before the caller reverts (reverting resets the
-   clock). *)
-let submit_timed replayer cycles seed =
-  let ctx = Replayer.ctx replayer in
-  let t0 = Iris_vtx.Clock.now (Ctx.clock ctx) in
-  let r = Campaign.submit_probed replayer seed in
-  cycles :=
-    Int64.add !cycles
-      (Int64.sub (Iris_vtx.Clock.now (Ctx.clock ctx)) t0);
-  r
-
-let run_with ?(snapshot_mode = Campaign.Cow) ~config ~replayer ~trace
-    ~reason ~guided () =
+let run_loop ~config ~manager ~recording ~reason ~guided =
+  let trace = recording.Manager.trace in
   match Iris_core.Trace.seeds_with_reason trace reason with
   | [] -> None
   | candidates ->
+      let replayer =
+        Manager.make_dummy manager ~revert_to:recording.Manager.snapshot ()
+      in
       let prng = Prng.of_int config.prng_seed in
       let target =
         List.nth candidates (Prng.int prng (List.length candidates))
       in
       let anchor =
-        Campaign.anchor ~mode:snapshot_mode ~replayer ~trace
-          ~seed_index:target.Seed.index ()
+        Campaign.anchor ~replayer ~trace ~seed_index:target.Seed.index ()
       in
       let virgin = Bitmap.create ~size:bitmap_size () in
       let scratch = Bitmap.create ~size:bitmap_size () in
-      let exec_cycles = ref 0L in
       (* Baseline: the unmutated target. *)
-      let _, base_span = submit_timed replayer exec_cycles target in
+      let _, base_span = Campaign.submit_probed replayer target in
       Campaign.restore ~replayer anchor;
       Bitmap.record_set scratch base_span;
       ignore (Bitmap.merge_new ~virgin scratch);
@@ -121,7 +107,7 @@ let run_with ?(snapshot_mode = Campaign.Cow) ~config ~replayer ~trace
             | None -> parent
           end
         in
-        let (failure, detail), span = submit_timed replayer exec_cycles mutant in
+        let (failure, detail), span = Campaign.submit_probed replayer mutant in
         union := Cov.Pset.union !union span;
         Bitmap.reset scratch;
         Bitmap.record_set scratch span;
@@ -155,17 +141,7 @@ let run_with ?(snapshot_mode = Campaign.Cow) ~config ~replayer ~trace
           hv_crashes = !hv_crashes;
           curve = List.rev !curve;
           crashing = List.rev !crashing;
-          corpus = !corpus;
-          total_cycles = !exec_cycles }
-
-let run_loop ~config ~manager ~recording ~reason ~guided =
-  let trace = recording.Manager.trace in
-  if Iris_core.Trace.seeds_with_reason trace reason = [] then None
-  else
-    let replayer =
-      Manager.make_dummy manager ~revert_to:recording.Manager.snapshot ()
-    in
-    run_with ~config ~replayer ~trace ~reason ~guided ()
+          corpus = !corpus }
 
 let run ~config ~manager ~recording ~reason =
   run_loop ~config ~manager ~recording ~reason ~guided:true

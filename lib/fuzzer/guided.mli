@@ -39,19 +39,17 @@ type result = {
   crashing : (Iris_core.Seed.t * Campaign.failure_class * string) list;
       (** saved crashing inputs for later analysis *)
   corpus : Iris_core.Seed.t array;
-      (** final corpus, admission order — the determinism suite
-          compares it byte-for-byte across job counts *)
-  total_cycles : int64;
-      (** virtual cycles spent submitting test cases (reverts and
-          prefix replay excluded) — the orchestrator's model-time
-          accounting unit *)
+      (** final corpus, admission order *)
 }
 
 val run :
   config:config -> manager:Iris_core.Manager.t ->
   recording:Iris_core.Manager.recording ->
   reason:Iris_vtx.Exit_reason.t -> result option
-(** [None] if the recording has no seed with [reason]. *)
+(** [None] if the recording has no seed with [reason].  S_R is pinned
+    with a COW {!Campaign.anchor} and rewound after every iteration.
+    The loop is inherently sequential: each round mutates the corpus
+    the previous rounds grew. *)
 
 val naive_baseline :
   config:config -> manager:Iris_core.Manager.t ->
@@ -60,16 +58,3 @@ val naive_baseline :
 (** The PoC's strategy at the same budget: always mutate the original
     seed with a single bit-flip and never grow a corpus — for the
     guided-vs-naive comparison. *)
-
-val run_with :
-  ?snapshot_mode:Campaign.snapshot_mode ->
-  config:config -> replayer:Iris_core.Replayer.t ->
-  trace:Iris_core.Trace.t ->
-  reason:Iris_vtx.Exit_reason.t -> guided:bool -> unit -> result option
-(** [run] / [naive_baseline] against a caller-owned replayer — the
-    orchestrator's worker-side entry point.  [snapshot_mode] (default
-    [Cow]) picks how S_R is restored between iterations; the two modes
-    produce byte-identical results.  The guided loop is inherently
-    sequential (each round mutates the corpus the previous rounds
-    grew), so the orchestrator shards whole guided runs, not
-    iterations. *)

@@ -1,10 +1,11 @@
 (* Parallel fuzzing orchestrator (paper §VII, scaled out).
 
-   Fans campaign/guided test cases out across N worker domains, each
-   owning a fully isolated hypervisor + dummy-VM instance: booted
-   once (constructed, reverted to the recording snapshot, prefix
-   replayed to the valid state S_R), then snapshot/reverted per test
-   case exactly as the sequential fuzzer does.
+   Fans campaign test cases and differential trace segments out
+   across N worker domains, each owning a fully isolated hypervisor +
+   dummy-VM instance: booted once (constructed, reverted to the
+   recording snapshot, prefix replayed to the valid state S_R), then
+   rewound to S_R per test case exactly as the sequential fuzzer
+   does.
 
    Determinism is the subsystem's contract.  It rests on three facts:
 
@@ -29,9 +30,10 @@
    time composes on real hardware, whatever the host's core count.
    The run's host wall seconds, read from the monotonic clock, are
    reported alongside; they depend on the host and never reach a
-   digest.  [fuzz], [guided_sweep] and [diff_sweep] differ only in
-   their pool tasks: the per-worker hubs, cycle counters, host clock
-   and report live once, in [pooled]. *)
+   digest.  [fuzz] and [diff_sweep] differ only in their pool tasks:
+   the per-worker hubs, cycle counters, host clock and report live
+   once, in [pooled].  Guided runs are not sharded: each round mutates
+   the corpus the previous rounds grew. *)
 
 module Ctx = Iris_hv.Ctx
 module Cov = Iris_coverage.Cov
@@ -39,7 +41,6 @@ module Seed = Iris_core.Seed
 module Manager = Iris_core.Manager
 module Replayer = Iris_core.Replayer
 module Campaign = Iris_fuzzer.Campaign
-module Guided = Iris_fuzzer.Guided
 module Hub = Iris_telemetry.Hub
 
 let cycles_per_second = 3_600_000_000.0
@@ -48,7 +49,7 @@ let cycles_to_seconds c = Int64.to_float c /. cycles_per_second
 
 (* A dummy domain at the recording's initial state: constructed, armed
    on the recording snapshot, memory dropped, no probe.  Every worker,
-   sweep task, service universe and bisection attempt starts here. *)
+   service universe and bisection attempt starts here. *)
 let build_dummy ~cov ~recording ~name =
   let hooks = Iris_hv.Hooks.create () in
   let ctx = Iris_hv.Xen.construct ~dummy:true ~cov ~hooks ~name () in
@@ -226,45 +227,6 @@ let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
          the sequential runner's probe hub ends up with. *)
       Campaign.note_totals report.r_hub result;
       Some { fuzz_result = result; fuzz_report = report }
-
-(* --- case-level sharding: whole guided runs fanned out --- *)
-
-type sweep_outcome = {
-  sweep_results : (Iris_vtx.Exit_reason.t * Guided.result option) array;
-      (* one per requested reason, in request order *)
-  sweep_report : report;
-}
-
-(* A guided run is inherently sequential (each round mutates the
-   corpus previous rounds grew), so the unit of sharding is a whole
-   run.  Each task builds a fresh dummy VM exactly like the
-   sequential [Guided.run] does, with the probe attached before the
-   prefix replay: every run (prefix replay included) executes exactly
-   once globally, so merged counters stay partition-independent. *)
-let guided_sweep ?(jobs = 1) ~config ~recording ~reasons () =
-  let trace = recording.Manager.trace in
-  let results, report =
-    pooled ~jobs ~total:(Array.length reasons)
-      ~init:ignore
-      ~task:(fun s () i ->
-        let replayer =
-          dummy ~recording ~name:(Printf.sprintf "worker%d-dummy" s.s_id)
-        in
-        ignore
-          (Iris_hv.Observe.attach s.s_hub (Replayer.ctx replayer)
-            : Iris_telemetry.Probe.t);
-        let r =
-          Guided.run_with ~config ~replayer ~trace ~reason:reasons.(i)
-            ~guided:true ()
-        in
-        Option.iter
-          (fun g -> s.s_busy <- Int64.add s.s_busy g.Guided.total_cycles)
-          r;
-        r)
-      ~on_crash:(fun _exn _i -> None)
-  in
-  { sweep_results = Array.mapi (fun i r -> (reasons.(i), r)) results;
-    sweep_report = report }
 
 (* --- differential sharding: recorded seeds fanned out across the
    VT-x/SVM oracle --- *)

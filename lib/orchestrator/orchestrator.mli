@@ -12,10 +12,9 @@
     telemetry snapshot are byte-identical for any [jobs] — the test
     suite and the [scaling] bench enforce this by digest. *)
 
-val cycles_per_second : float
-(** The substrate's 3.6 GHz virtual TSC. *)
-
 val cycles_to_seconds : int64 -> float
+(** Modeled cycles of the substrate's 3.6 GHz virtual TSC, in
+    seconds. *)
 
 type worker_report = {
   w_id : int;
@@ -47,10 +46,9 @@ val dummy :
 (** A fresh dummy VM at the recording's initial state: constructed as
     [name], armed on the recording snapshot with guest memory dropped
     ({!Iris_core.Manager.arm_dummy}), no telemetry probe attached and
-    no prefix replayed.  The dummy constructor behind every worker,
-    sweep task and service universe (bisection attempts use
-    {!dummy_on}); attach a probe to its context if the caller wants
-    one. *)
+    no prefix replayed.  The dummy constructor behind every worker
+    and service universe (bisection attempts use {!dummy_on}); attach
+    a probe to its context if the caller wants one. *)
 
 val dummy_on :
   cov:Iris_coverage.Cov.t -> recording:Iris_core.Manager.recording ->
@@ -95,23 +93,6 @@ val fuzz :
     A worker whose hypervisor context dies beyond triage reports a
     [Hypervisor_crash] verdict for the offending case and is
     respawned. *)
-
-(** {2 Run-level sharding: whole guided runs fanned out} *)
-
-type sweep_outcome = {
-  sweep_results :
-    (Iris_vtx.Exit_reason.t * Iris_fuzzer.Guided.result option) array;
-      (** one per requested reason, in request order *)
-  sweep_report : report;
-}
-
-val guided_sweep :
-  ?jobs:int -> config:Iris_fuzzer.Guided.config ->
-  recording:Iris_core.Manager.recording ->
-  reasons:Iris_vtx.Exit_reason.t array -> unit -> sweep_outcome
-(** A guided run is inherently sequential (each round mutates the
-    corpus previous rounds grew), so the unit of sharding is a whole
-    run: one per exit reason. *)
 
 (** {2 Differential sweeps} *)
 

@@ -16,9 +16,11 @@ val campaign :
   config:Iris_fuzzer.Campaign.config -> jobs:int list ->
   ((int * Iris_orchestrator.Orchestrator.fuzz_outcome) list, string) result
 (** The standard campaign: [Orchestrator.fuzz] at every jobs count
-    reports byte-identically to the oracle, a sequential
-    [Campaign.run] on [Full_restore], and the merged telemetry is
-    byte-identical across jobs counts.  Returns the runs in order. *)
+    reports byte-identically to the oracle — every case of the plan
+    executed in order on one dummy restored through
+    [Campaign.Anchor_full (Campaign.reach_sr ...)] — and the merged
+    telemetry is byte-identical across jobs counts.  Returns the runs
+    in order. *)
 
 val trace_digest :
   (unit -> Iris_core.Manager.recording) -> (string, string) result

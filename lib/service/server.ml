@@ -415,30 +415,30 @@ let post_round t work rounds =
         | Some p -> Campaign.case_count p
         | None -> max_int
       in
-      if job.j_cancel then begin
-        job.j_status <- Cancelled;
+      (* Every way a job leaves the queue: completed (no [ended]), or
+         ended early with a status and the counter that tallies it. *)
+      let finish ?ended () =
+        (match ended with
+        | None -> finish_completed t job
+        | Some (status, name) ->
+            job.j_status <- status;
+            Registry.incr (counter t name));
         job.j_universe <- None;
-        Registry.incr (counter t "service.jobs_cancelled");
         Jobqueue.complete t.queue ~id ~consumed ~finished:true
-      end
-      else if job.j_done >= total then begin
-        finish_completed t job;
-        job.j_universe <- None;
-        Jobqueue.complete t.queue ~id ~consumed ~finished:true
-      end
-      else if timeout then begin
-        job.j_status <- Timed_out;
-        job.j_universe <- None;
-        Registry.incr (counter t "service.jobs_timed_out");
-        Jobqueue.complete t.queue ~id ~consumed ~finished:true
-      end
+      in
+      if job.j_cancel then
+        finish ~ended:(Cancelled, "service.jobs_cancelled") ()
+      else if job.j_done >= total then finish ()
+      else if timeout then
+        finish ~ended:(Timed_out, "service.jobs_timed_out") ()
       else
         match panic with
         | Some msg when job.j_respawns >= max_respawns ->
-            job.j_status <- Failed ("respawn budget exhausted: " ^ msg);
-            job.j_universe <- None;
-            Registry.incr (counter t "service.jobs_failed");
-            Jobqueue.complete t.queue ~id ~consumed ~finished:true
+            finish
+              ~ended:
+                ( Failed ("respawn budget exhausted: " ^ msg),
+                  "service.jobs_failed" )
+              ()
         | Some _ ->
             job.j_respawns <- job.j_respawns + 1;
             Registry.incr (counter t "service.respawns");
@@ -705,8 +705,9 @@ let verify_ok v =
   && v.v_buckets_unreproduced = 0
 
 let meta_key (m : Corpus.meta) =
-  Printf.sprintf "%s|%d|%d|%.6f|%d" (W.name m.Corpus.m_workload)
-    m.Corpus.m_exits m.Corpus.m_prng_seed m.Corpus.m_boot_scale
+  Printf.sprintf "%s|%d"
+    (recording_key ~workload:m.Corpus.m_workload ~exits:m.Corpus.m_exits
+       ~prng_seed:m.Corpus.m_prng_seed ~boot_scale:m.Corpus.m_boot_scale)
     m.Corpus.m_seed_index
 
 let verify_corpus t =

@@ -36,8 +36,6 @@ type status =
   | Timed_out
   | Failed of string
 
-val status_string : status -> string
-
 type job_info = {
   ji_id : int;
   ji_key : string;
@@ -130,5 +128,6 @@ val verify : t -> verify_summary
 val verify_ok : verify_summary -> bool
 
 val status_json : t -> Iris_telemetry.Json.t
-val emit_status : t -> unit
-(** Push one {!Iris_telemetry.Export.status_line} to the sink. *)
+(** The live status snapshot: round, queue depths, corpus and bucket
+    counts, one entry per job — the [status] wire response and, with
+    the hub snapshot, each round's status line. *)

@@ -323,8 +323,9 @@ let test_campaign_plan_finalize_equals_run () =
           Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
         in
         let anchor =
-          Campaign.anchor ~mode:Campaign.Full_restore ~replayer ~trace
-            ~seed_index:plan.Campaign.plan_target.Iris_core.Seed.index ()
+          Campaign.Anchor_full
+            (Campaign.reach_sr ~replayer ~trace
+               ~seed_index:plan.Campaign.plan_target.Iris_core.Seed.index)
         in
         let raws =
           Array.init (Campaign.case_count plan) (fun i ->

@@ -16,6 +16,8 @@ module Locator = Iris_inspect.Locator
 module Bisect = Iris_inspect.Bisect
 module Synthetic = Iris_inspect.Synthetic
 module Gate = Iris_scenario.Gate
+module Campaign = Iris_fuzzer.Campaign
+module Mutation = Iris_fuzzer.Mutation
 
 let check = Alcotest.check
 
@@ -294,6 +296,43 @@ let test_bisect_rejects_flaky () =
     (Bisect.minimize ~make_replayer:fresh_replayer ~prefix ~crasher:seeds.(10)
     = None)
 
+(* Bisection's first attempt — the whole prefix up to the campaign's
+   target, then the mutant — is the campaign case itself: for every
+   crashing verdict of a campaign it reproduces, with the verdict's
+   crash message ("hv: "-prefixed for a hypervisor crash). *)
+let test_bisect_first_attempt_is_campaign_case () =
+  let m, recording, _ = Lazy.force cache in
+  let trace = recording.Manager.trace in
+  let config = { Campaign.mutations = 40; prng_seed = 77 } in
+  let reason = R.Rdtsc and area = Mutation.Area_vmcs in
+  match
+    ( Campaign.plan ~config ~trace ~reason ~area,
+      Campaign.run ~config ~manager:m ~recording ~reason ~area () )
+  with
+  | Some plan, Some r ->
+      check Alcotest.bool "the campaign crashes" true
+        (r.Campaign.crashing <> []);
+      let prefix = Array.sub trace.Trace.seeds 0 r.Campaign.seed_index in
+      List.iteri
+        (fun k (v : Campaign.verdict) ->
+          let expected =
+            match v.Campaign.failure with
+            | Campaign.Hypervisor_crash -> "hv: " ^ v.Campaign.detail
+            | Campaign.Vm_crash | Campaign.No_failure -> v.Campaign.detail
+          in
+          match
+            Bisect.minimize ~make_replayer:fresh_replayer ~prefix
+              ~crasher:(Campaign.crashing_seed plan v)
+          with
+          | None ->
+              Alcotest.failf "verdict %d (%s) does not reproduce" k expected
+          | Some b ->
+              check Alcotest.string
+                (Printf.sprintf "verdict %d crash message" k)
+                expected b.Bisect.b_crash_msg)
+        r.Campaign.crashing
+  | _ -> Alcotest.fail "rdtsc seeds exist"
+
 let () =
   Alcotest.run "iris-inspect"
     [ ( "replayer-checkpoints",
@@ -315,6 +354,7 @@ let () =
       ( "bisect",
         [ Alcotest.test_case "minimize + determinism" `Slow
             test_bisect_minimizes_and_is_deterministic;
-          Alcotest.test_case "flaky rejected" `Slow test_bisect_rejects_flaky
-        ] )
+          Alcotest.test_case "flaky rejected" `Slow test_bisect_rejects_flaky;
+          Alcotest.test_case "first attempt is the campaign case" `Slow
+            test_bisect_first_attempt_is_campaign_case ] )
     ]

@@ -1,20 +1,18 @@
 (* Tests for the parallel fuzzing orchestrator: the domain pool (every
    index claimed exactly once, panic containment and respawn), and —
    above all — the subsystem's determinism contract:
-   merged campaign reports, telemetry snapshots and corpora must be
+   merged campaign reports and telemetry snapshots must be
    byte-identical for any --jobs N. *)
 
 module Pool = Iris_orchestrator.Pool
 module Orch = Iris_orchestrator.Orchestrator
 module Mutation = Iris_fuzzer.Mutation
 module Campaign = Iris_fuzzer.Campaign
-module Guided = Iris_fuzzer.Guided
 module Manager = Iris_core.Manager
 module F = Iris_vmcs.Field
 module Vmcb = Iris_svm.Vmcb
 module R = Iris_vtx.Exit_reason
 module W = Iris_guest.Workload
-module Hub = Iris_telemetry.Hub
 module Registry = Iris_telemetry.Registry
 module Gate = Iris_scenario.Gate
 
@@ -241,9 +239,6 @@ let test_fuzz_absent_reason () =
        ~area:Mutation.Area_vmcs ()
     = None)
 
-let guided_config n =
-  { Guided.iterations = n; prng_seed = 5 }
-
 (* A dummy built on a used, even disabled, coverage store replays the
    recording exactly like one built on a fresh store: same outcomes,
    same coverage. *)
@@ -277,36 +272,6 @@ let test_dummy_on_reused_store () =
   check Alcotest.bool "coverage recorded" true (snd fresh <> []);
   check Alcotest.string "reused store = fresh store" (digest fresh) (digest reused)
 
-let test_guided_sweep_byte_identical () =
-  let m = mgr () in
-  let recording = Manager.record m W.Cpu_bound ~exits:300 in
-  (* HLT is absent from CPU-bound: its cell must come back None and
-     stay None for every job count. *)
-  let reasons = [| R.Rdtsc; R.Hlt; R.Cpuid |] in
-  let sweep jobs =
-    Orch.guided_sweep ~jobs ~config:(guided_config 120) ~recording ~reasons ()
-  in
-  let s1 = sweep 1 and s3 = sweep 3 in
-  check Alcotest.string "sweep results byte-identical (corpora included)"
-    (digest s1.Orch.sweep_results)
-    (digest s3.Orch.sweep_results);
-  check Alcotest.string "merged telemetry identical"
-    (digest (Hub.snapshot s1.Orch.sweep_report.Orch.r_hub))
-    (digest (Hub.snapshot s3.Orch.sweep_report.Orch.r_hub));
-  (* And equal to the plain sequential runner, reason by reason. *)
-  let seq =
-    Guided.run ~config:(guided_config 120) ~manager:m ~recording
-      ~reason:R.Rdtsc
-  in
-  (match s1.Orch.sweep_results.(0) with
-  | r, res ->
-      check Alcotest.bool "reason preserved" true (r = R.Rdtsc);
-      check Alcotest.string "sequential guided = sweep cell" (digest seq)
-        (digest res));
-  match s1.Orch.sweep_results.(1) with
-  | _, None -> ()
-  | _, Some _ -> Alcotest.fail "HLT must be absent"
-
 let () =
   Alcotest.run "iris_orchestrator"
     [ ( "pool",
@@ -337,6 +302,4 @@ let () =
             test_gate_same_names_first_difference;
           Alcotest.test_case "absent reason" `Slow test_fuzz_absent_reason;
           Alcotest.test_case "dummy on a reused store" `Quick
-            test_dummy_on_reused_store;
-          Alcotest.test_case "guided sweep byte-identical" `Slow
-            test_guided_sweep_byte_identical ] ) ]
+            test_dummy_on_reused_store ] ) ]

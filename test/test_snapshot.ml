@@ -446,32 +446,42 @@ let mgr () = Manager.create ~boot_scale:0.02 ~prng_seed:21 ()
 
 let config n = { Campaign.mutations = n; prng_seed = 77 }
 
+let rdtsc_plan n trace =
+  match
+    Campaign.plan ~config:(config n) ~trace ~reason:R.Rdtsc
+      ~area:Mutation.Area_vmcs
+  with
+  | Some plan -> plan
+  | None -> Alcotest.fail "rdtsc seeds exist"
+
+(* The full-restore oracle: a deep snapshot of S_R, transplanted back
+   after every case. *)
+let full_anchor ~replayer ~trace plan =
+  Campaign.Anchor_full
+    (Campaign.reach_sr ~replayer ~trace
+       ~seed_index:plan.Campaign.plan_target.Seed.index)
+
+let cow_anchor ~replayer ~trace plan =
+  Campaign.anchor ~replayer ~trace
+    ~seed_index:plan.Campaign.plan_target.Seed.index ()
+
 (* Two isolated replayer universes execute the same plan — one
    anchored with a deep snapshot, one with a journal mark — and every
    per-case raw observation must be byte-identical. *)
 let test_per_case_equivalence () =
-  let setup mode =
+  let setup pin =
     let m = mgr () in
     let recording = Manager.record m W.Cpu_bound ~exits:300 in
     let trace = recording.Manager.trace in
-    match
-      Campaign.plan ~config:(config 120) ~trace ~reason:R.Rdtsc
-        ~area:Mutation.Area_vmcs
-    with
-    | None -> Alcotest.fail "rdtsc seeds exist"
-    | Some plan ->
-        let replayer =
-          Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-        in
-        let anchor =
-          Campaign.anchor ~mode ~replayer ~trace
-            ~seed_index:plan.Campaign.plan_target.Seed.index ()
-        in
-        (plan, replayer, anchor)
+    let plan = rdtsc_plan 120 trace in
+    let replayer =
+      Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
+    in
+    (plan, replayer, pin ~replayer ~trace plan)
   in
   let canon replayer = state_digest (Replayer.ctx replayer).Ctx.dom in
-  let plan_f, repl_f, anch_f = setup Campaign.Full_restore in
-  let plan_c, repl_c, anch_c = setup Campaign.Cow in
+  let plan_f, repl_f, anch_f = setup full_anchor in
+  let plan_c, repl_c, anch_c = setup cow_anchor in
   check Alcotest.string "same plan" (digest plan_f) (digest plan_c);
   let sr_f = canon repl_f and sr_c = canon repl_c in
   check Alcotest.string "S_R states agree" sr_f sr_c;
@@ -489,33 +499,54 @@ let test_per_case_equivalence () =
   (* ...so the two universes still agree with each other. *)
   check Alcotest.string "domains agree" (canon repl_f) (canon repl_c)
 
+(* [Campaign.run] (COW) reports exactly what the seams report when S_R
+   is pinned by the full-restore oracle. *)
 let test_campaign_modes_byte_identical () =
-  let run mode =
+  let full =
     let m = mgr () in
     let recording = Manager.record m W.Cpu_bound ~exits:300 in
-    Campaign.run ~snapshot_mode:mode ~config:(config 120) ~manager:m
-      ~recording ~reason:R.Rdtsc ~area:Mutation.Area_vmcs ()
-  in
-  match (run Campaign.Full_restore, run Campaign.Cow) with
-  | Some f, Some c ->
-      check Alcotest.string "campaign report identical" (digest f) (digest c)
-  | _ -> Alcotest.fail "rdtsc seeds exist"
-
-let test_guided_modes_byte_identical () =
-  let run mode =
-    let m = mgr () in
-    let recording = Manager.record m W.Cpu_bound ~exits:300 in
+    let trace = recording.Manager.trace in
+    let plan = rdtsc_plan 120 trace in
     let replayer =
       Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
     in
-    Guided.run_with ~snapshot_mode:mode
-      ~config:{ Guided.iterations = 150; prng_seed = 5 }
-      ~replayer ~trace:recording.Manager.trace ~reason:R.Rdtsc ~guided:true ()
+    let anchor = full_anchor ~replayer ~trace plan in
+    Campaign.finalize ~plan
+      ~raws:
+        (Array.init (Campaign.case_count plan) (fun i ->
+             Campaign.execute_case ~replayer ~anchor (Campaign.case plan i)))
   in
-  match (run Campaign.Full_restore, run Campaign.Cow) with
-  | Some f, Some c ->
-      check Alcotest.string "guided result identical" (digest f) (digest c)
-  | _ -> Alcotest.fail "rdtsc seeds exist"
+  let m = mgr () in
+  let recording = Manager.record m W.Cpu_bound ~exits:300 in
+  match
+    Campaign.run ~config:(config 120) ~manager:m ~recording ~reason:R.Rdtsc
+      ~area:Mutation.Area_vmcs ()
+  with
+  | Some cow ->
+      check Alcotest.string "campaign report identical" (digest full)
+        (digest cow)
+  | None -> Alcotest.fail "rdtsc seeds exist"
+
+(* Golden values of this guided run, taken when the loop could still pin
+   S_R by full restore and both restore paths produced them: the
+   COW-only loop stays bound to the full-restore result. *)
+let test_guided_full_restore_golden () =
+  let m = mgr () in
+  let recording = Manager.record m W.Cpu_bound ~exits:300 in
+  match
+    Guided.run ~config:{ Guided.iterations = 150; prng_seed = 5 } ~manager:m
+      ~recording ~reason:R.Rdtsc
+  with
+  | None -> Alcotest.fail "rdtsc seeds exist"
+  | Some g ->
+      List.iter
+        (fun (what, expected, got) -> check Alcotest.int what expected got)
+        [ ("seed_index", 164, g.Guided.seed_index);
+          ("executed", 150, g.Guided.executed);
+          ("unique_lines", 39, g.Guided.unique_lines);
+          ("corpus_size", 2, g.Guided.corpus_size);
+          ("vm_crashes", 30, g.Guided.vm_crashes);
+          ("hv_crashes", 22, g.Guided.hv_crashes) ]
 
 (* --- stats accounting --- *)
 
@@ -523,36 +554,28 @@ let test_cow_stats_accounting () =
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
   let trace = recording.Manager.trace in
-  match
-    Campaign.plan ~config:(config 40) ~trace ~reason:R.Rdtsc
-      ~area:Mutation.Area_vmcs
-  with
-  | None -> Alcotest.fail "rdtsc seeds exist"
-  | Some plan ->
-      let replayer =
-        Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
-      in
-      let dom = (Replayer.ctx replayer).Ctx.dom in
-      let before = Domain.snapshot_stats dom in
-      let anchor =
-        Campaign.anchor ~replayer ~trace
-          ~seed_index:plan.Campaign.plan_target.Seed.index ()
-      in
-      let n = min 10 (Campaign.case_count plan) in
-      for i = 0 to n - 1 do
-        ignore
-          (Campaign.execute_case ~replayer ~anchor (Campaign.case plan i)
-          : Campaign.raw)
-      done;
-      let st = Domain.snapshot_stats dom in
-      check Alcotest.int "one checkpoint opened" 1
-        (st.Domain.checkpoints - before.Domain.checkpoints);
-      check Alcotest.int "one rewind per case" n
-        (st.Domain.cow_reverts - before.Domain.cow_reverts);
-      check Alcotest.bool "full-restore path unused" true
-        (st.Domain.full_reverts = before.Domain.full_reverts);
-      check Alcotest.bool "journaled work was measured" true
-        (st.Domain.vmcs_fields_restored > before.Domain.vmcs_fields_restored)
+  let plan = rdtsc_plan 40 trace in
+  let replayer =
+    Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
+  in
+  let dom = (Replayer.ctx replayer).Ctx.dom in
+  let before = Domain.snapshot_stats dom in
+  let anchor = cow_anchor ~replayer ~trace plan in
+  let n = min 10 (Campaign.case_count plan) in
+  for i = 0 to n - 1 do
+    ignore
+      (Campaign.execute_case ~replayer ~anchor (Campaign.case plan i)
+        : Campaign.raw)
+  done;
+  let st = Domain.snapshot_stats dom in
+  check Alcotest.int "one checkpoint opened" 1
+    (st.Domain.checkpoints - before.Domain.checkpoints);
+  check Alcotest.int "one rewind per case" n
+    (st.Domain.cow_reverts - before.Domain.cow_reverts);
+  check Alcotest.bool "full-restore path unused" true
+    (st.Domain.full_reverts = before.Domain.full_reverts);
+  check Alcotest.bool "journaled work was measured" true
+    (st.Domain.vmcs_fields_restored > before.Domain.vmcs_fields_restored)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -573,7 +596,7 @@ let () =
               test_per_case_equivalence;
             Alcotest.test_case "campaign modes identical" `Slow
               test_campaign_modes_byte_identical;
-            Alcotest.test_case "guided modes identical" `Slow
-              test_guided_modes_byte_identical;
+            Alcotest.test_case "guided = full-restore golden" `Slow
+              test_guided_full_restore_golden;
             Alcotest.test_case "cow stats accounting" `Slow
               test_cow_stats_accounting ] ) ]
