@@ -6,18 +6,12 @@ module Gpr = Iris_x86.Gpr
 type t = {
   ctx : Ctx.t;
   shim : (F.t, int64 Queue.t) Hashtbl.t;
-  mutable submitted : int;
   mutable shim_enabled : bool;
   mutable entry_checks : bool;
   mutable trigger : [ `Preemption_timer | `Hlt ];
   mutable batched : bool;
       (** seeds were staged by a batch hypercall: skip the per-seed
           fixed submission cost *)
-  mutable every : int;
-      (** auto-checkpoint period in submitted seeds; 0 = off *)
-  mutable cps : Iris_hv.Checkpoint.t option;
-  mutable marks : (int * Iris_hv.Checkpoint.mark) list;
-      (** innermost (highest submission index) first *)
 }
 
 let injection_cycles_base = 58_000
@@ -29,14 +23,10 @@ let create ctx =
   let t =
     { ctx;
       shim = Hashtbl.create 32;
-      submitted = 0;
       shim_enabled = true;
       entry_checks = true;
       trigger = `Preemption_timer;
-      batched = false;
-      every = 0;
-      cps = None;
-      marks = [] }
+      batched = false }
   in
   (* The read filter stays installed for the replayer's lifetime; it
      only rewrites fields with queued seed values. *)
@@ -50,76 +40,11 @@ let create ctx =
 
 let ctx t = t.ctx
 
-let seeds_submitted t = t.submitted
-
 let set_shim_enabled t b = t.shim_enabled <- b
 
 let set_entry_checks t b = t.entry_checks <- b
 
 let set_trigger t trig = t.trigger <- trig
-
-(* --- periodic checkpointing (the inspector's rewind substrate) --- *)
-
-let set_checkpoint_every t k =
-  if k < 0 then invalid_arg "Replayer.set_checkpoint_every: negative period";
-  t.every <- k
-
-let checkpoint_every t = t.every
-
-let mark_indices t = List.rev_map fst t.marks
-
-let outstanding_marks t = List.length t.marks
-
-(* A mark captures the state *before* seed #[submitted] runs.  The
-   guard against a duplicate push matters after [rewind_to]: the
-   target mark stays live, and the next submission at the same index
-   must not stack a second mark on top of it. *)
-let maybe_checkpoint t =
-  if
-    t.every > 0
-    && t.submitted mod t.every = 0
-    && (match t.marks with (i, _) :: _ -> i < t.submitted | [] -> true)
-  then begin
-    let cps =
-      match t.cps with
-      | Some c -> c
-      | None ->
-          let c = Iris_hv.Checkpoint.start t.ctx.Ctx.dom in
-          t.cps <- Some c;
-          c
-    in
-    t.marks <- (t.submitted, Iris_hv.Checkpoint.push cps) :: t.marks
-  end
-
-let rewind_to t i =
-  match t.cps with
-  | None -> invalid_arg "Replayer.rewind_to: no checkpoints taken"
-  | Some cps ->
-      let rec drop = function
-        | (j, _) :: rest when j > i -> drop rest
-        | l -> l
-      in
-      (match drop t.marks with
-      | [] ->
-          invalid_arg
-            (Printf.sprintf "Replayer.rewind_to: no mark at or before seed %d"
-               i)
-      | (j, m) :: _ as marks ->
-          let stats = Iris_hv.Checkpoint.rewind cps m in
-          t.marks <- marks;
-          t.submitted <- j;
-          Hashtbl.reset t.shim;
-          (j, stats))
-
-let release_marks t =
-  (match t.cps with
-  | None -> ()
-  | Some cps ->
-      (* innermost first — [Checkpoint.pop] only accepts the
-         innermost live mark *)
-      List.iter (fun (_, m) -> Iris_hv.Checkpoint.pop cps m) t.marks);
-  t.marks <- [];
-  t.cps <- None
 
 type outcome =
   | Replayed
@@ -191,7 +116,6 @@ let submit_inner t seed =
   let dom = t.ctx.Ctx.dom in
   if Iris_hv.Domain.crashed dom then Vm_crashed (crashed_reason dom)
   else begin
-    maybe_checkpoint t;
     (* Trigger the next preemption-timer exit of the dummy VM. *)
     (match
        Iris_vtx.Engine.run_until_exit dom.Iris_hv.Domain.engine
@@ -212,7 +136,6 @@ let submit_inner t seed =
     (* The dummy vCPU is never allowed to block: replay must keep
        consuming seeds at full rate (§IV-B). *)
     dom.Iris_hv.Domain.blocked <- false;
-    t.submitted <- t.submitted + 1;
     if Iris_hv.Domain.crashed dom then Vm_crashed (crashed_reason dom)
     else if not t.entry_checks then begin
       (* Ablation: stay in root mode between seeds (the alternative
@@ -252,9 +175,7 @@ let submit_all t seeds =
     | r -> r
     | exception e ->
         (* A hypervisor panic mid-replay must not leave the phase span
-           open — nor stale journal marks that would poison the next
-           full revert of this domain. *)
-        release_marks t;
+           open. *)
         (match probe t with
         | None -> ()
         | Some p ->
@@ -264,13 +185,6 @@ let submit_all t seeds =
               ~name:"replay" ~ts:(now t));
         raise e
   in
-  (* A crashed replay must not leak its auto-checkpoint marks: the
-     open journals would make the next [Domain.revert] (arming a fresh
-     run) raise on stale state.  Whole-trace submission is a closed
-     transaction — per-seed [submit] callers (the inspector) manage
-     mark lifetime themselves, precisely so they can rewind *past* the
-     crash afterwards. *)
-  (match result with _, Vm_crashed _ -> release_marks t | _, Replayed -> ());
   (match probe t with
   | None -> ()
   | Some p ->

@@ -48,44 +48,6 @@ val set_trigger : t -> [ `Preemption_timer | `Hlt ] -> unit
 
 val ctx : t -> Iris_hv.Ctx.t
 
-val seeds_submitted : t -> int
-
-(** {2 Periodic checkpointing (the trace inspector's substrate)}
-
-    With a nonzero period, the replayer pushes an {!Iris_hv.Checkpoint}
-    mark before seed [0], [K], [2K], ... — the state *before* that
-    submission — so a later diagnosis pass can rewind to any segment
-    boundary instead of re-replaying the whole prefix (rr-style
-    checkpoint search). *)
-
-val set_checkpoint_every : t -> int -> unit
-(** Period in submitted seeds; [0] (the default) disables new marks
-    without dropping existing ones.  Raises [Invalid_argument] on a
-    negative period. *)
-
-val checkpoint_every : t -> int
-
-val mark_indices : t -> int list
-(** Submission indices of the live marks, oldest (lowest) first. *)
-
-val outstanding_marks : t -> int
-
-val rewind_to : t -> int -> int * Iris_hv.Domain.revert_stats
-(** [rewind_to t i] restores the domain to the newest mark at or
-    before submission index [i] (discarding marks above it, as the
-    journal stack requires), resets the submission counter to the
-    mark's index and returns it with the restore footprint.  Rewinding
-    below a crash un-crashes the domain — the journals restore the
-    [crashed] flag.  Raises [Invalid_argument] when no such mark
-    exists. *)
-
-val release_marks : t -> unit
-(** Pop every live mark (innermost first), folding the journals away
-    so a subsequent full [Domain.revert] is safe.  [submit_all] and
-    [submit_batch] call this automatically when a replay crashes or
-    panics; per-seed [submit] callers must do it themselves when
-    done. *)
-
 type outcome =
   | Replayed
       (** handler ran and the subsequent VM entry succeeded *)
@@ -98,10 +60,7 @@ val submit : t -> Seed.t -> outcome
 
 val submit_all : t -> Seed.t array -> int * outcome
 (** Submit a whole trace in order; returns how many seeds completed
-    and the final outcome.  On a [Vm_crashed] outcome (or a panic) any
-    outstanding auto-checkpoint marks are released before reporting,
-    so a crashed replay cannot poison the next run with stale
-    journals. *)
+    and the final outcome. *)
 
 val submit_batch : t -> Seed.t array -> int * outcome
 (** Batched submission (paper §IX, "Replaying efficiency"): the whole
@@ -109,11 +68,3 @@ val submit_batch : t -> Seed.t array -> int * outcome
     fixed per-seed submission cost is paid once per batch instead of
     once per seed.  Per-record copy costs and the exit/handle/entry
     loop are unchanged. *)
-
-val batch_overhead_cycles : int
-(** Fixed cost of one batched hypercall. *)
-
-val injection_cycles_base : int
-(** Fixed per-seed submission cost (hypercall + copies), in cycles. *)
-
-val injection_cycles_per_record : int

@@ -20,8 +20,6 @@ type t = {
 
 let start dom = { dom; stack = []; next_id = 0 }
 
-let domain t = t.dom
-
 let depth t = List.length t.stack
 
 let push t =

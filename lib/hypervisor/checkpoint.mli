@@ -19,8 +19,6 @@ val start : Domain.t -> t
 (** A manager with an empty mark stack.  Taking a full
     [Domain.revert] on the domain afterwards invalidates all marks. *)
 
-val domain : t -> Domain.t
-
 val push : t -> mark
 (** Open a new innermost mark at the domain's current state. *)
 

@@ -97,7 +97,7 @@ let locate ?(noise_threshold = Diff.noise_threshold) ?(thorough = false)
     match crash with Some (c, _) -> c | None -> Session.length session
   in
   let cmp = min hard_limit ref_len in
-  let checkpoints = Replayer.outstanding_marks rep in
+  let checkpoints = Session.checkpoints session in
   let reverts0 = Session.reverts session in
   let probes = ref 0 in
   let instrumented = ref 0 in

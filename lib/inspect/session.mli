@@ -1,13 +1,13 @@
 (** A time-travel session over one recorded trace.
 
-    Wraps a checkpointing {!Iris_core.Replayer} the way rr wraps a
-    recorded process: an initial pass replays the whole trace
-    uninstrumented, dropping an {!Iris_hv.Checkpoint} mark every
-    [every] seeds; afterwards {!goto} moves the domain to any
+    Drives a {!Iris_core.Replayer} the way rr drives a recorded
+    process: an initial pass replays the whole trace uninstrumented,
+    pushing an {!Iris_hv.Checkpoint} mark on the replayer's domain
+    every [every] seeds; afterwards {!goto} moves the domain to any
     submission index by rewinding to the nearest mark at or below the
     target and replaying forward — never by re-running the whole
-    prefix.  The session owns the marks: {!finish} must run before
-    the underlying domain is fully reverted again.
+    prefix.  The session is the only owner of the marks: {!finish}
+    must run before the underlying domain is fully reverted again.
 
     Positions are *boundaries*: position [i] is the state before seed
     [i] is submitted.  If the trace crashes the dummy VM at seed [c],
@@ -38,7 +38,7 @@ val goto : t -> int -> unit
 (** Move to position [i].  Backward moves rewind to the newest mark
     at or below [i] then replay forward; forward moves just replay.
     Raises [Invalid_argument] for positions outside the reachable
-    range ([length], or the crash index). *)
+    range ([length], or the crash index), and after {!finish}. *)
 
 val vmread : t -> Iris_vmcs.Field.t -> int64
 (** Uninstrumented VMREAD at the current position. *)
@@ -58,6 +58,11 @@ val seeds_forward : t -> int
 val reverts : t -> int
 (** Checkpoint rewinds performed so far. *)
 
+val checkpoints : t -> int
+(** Live marks, never more than [ceil (length / every)]; [0] after
+    {!finish}. *)
+
 val finish : t -> unit
-(** Release every outstanding mark, folding the copy-on-write
-    journals away so the domain can be fully reverted again. *)
+(** Release every live mark (innermost first), folding the
+    copy-on-write journals away so the domain can be fully reverted
+    again.  The session cannot travel afterwards. *)

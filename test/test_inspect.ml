@@ -1,5 +1,5 @@
-(* Tests for the time-travel trace inspector: replayer checkpointing,
-   field provenance, session travel, the divergence locator, and
+(* Tests for the time-travel trace inspector: session travel and its
+   checkpoint marks, field provenance, the divergence locator, and
    crash bisection. *)
 
 module Manager = Iris_core.Manager
@@ -56,62 +56,46 @@ let locate ?planted ?thorough seeds =
   | Ok facts -> facts
   | Error msg -> Alcotest.fail msg
 
-(* --- replayer checkpointing --- *)
+(* --- replayer --- *)
 
-let test_replayer_checkpoint_api () =
-  let _, recording, _ = Lazy.force cache in
-  let seeds = recording.Manager.trace.Trace.seeds in
-  let rep = fresh_replayer () in
-  Alcotest.check_raises "negative period rejected"
-    (Invalid_argument "Replayer.set_checkpoint_every: negative period")
-    (fun () -> Replayer.set_checkpoint_every rep (-1));
-  (try
-     ignore (Replayer.rewind_to rep 0);
-     Alcotest.fail "rewind without checkpoints must raise"
-   with Invalid_argument _ -> ());
-  Replayer.set_checkpoint_every rep 8;
-  check Alcotest.int "period" 8 (Replayer.checkpoint_every rep);
-  for i = 0 to 19 do
-    match Replayer.submit rep seeds.(i) with
-    | Replayer.Replayed -> ()
-    | Replayer.Vm_crashed msg -> Alcotest.fail ("unexpected crash: " ^ msg)
-  done;
-  check (Alcotest.list Alcotest.int) "marks before seeds 0/8/16" [ 0; 8; 16 ]
-    (Replayer.mark_indices rep);
-  let j, _ = Replayer.rewind_to rep 12 in
-  check Alcotest.int "rewound to the newest mark at or below 12" 8 j;
-  check Alcotest.int "submission counter follows" 8
-    (Replayer.seeds_submitted rep);
-  check (Alcotest.list Alcotest.int) "later marks discarded" [ 0; 8 ]
-    (Replayer.mark_indices rep);
-  (* Replay is deterministic after the rewind. *)
-  (match Replayer.submit rep seeds.(8) with
-  | Replayer.Replayed -> ()
-  | Replayer.Vm_crashed msg -> Alcotest.fail ("replay after rewind: " ^ msg));
-  Replayer.release_marks rep;
-  check Alcotest.int "all marks released" 0 (Replayer.outstanding_marks rep)
-
-let test_crash_releases_marks () =
-  (* The mark-leak fix: a crashed [submit_all] must not leave open
-     journals behind, or the next full revert of the domain raises on
-     stale state. *)
+let test_crashed_submit_all_revertable () =
+  (* A crashed [submit_all] must leave the dummy in a state the next
+     full revert (arming a fresh run) accepts. *)
   let _, recording, _ = Lazy.force cache in
   let at, seeds = perturb ~kind:Synthetic.Crash_rip ~at:100 in
   let rep = fresh_replayer () in
-  Replayer.set_checkpoint_every rep 16;
   let i, outcome = Replayer.submit_all rep seeds in
   (match outcome with
   | Replayer.Vm_crashed _ -> ()
   | Replayer.Replayed -> Alcotest.fail "perturbed replay must crash");
   check Alcotest.int "crashed at the planted seed" at i;
-  check Alcotest.int "no outstanding marks after the crash" 0
-    (Replayer.outstanding_marks rep);
-  (* A full revert (arming the next run) must work: stale journals
-     would make it raise. *)
   Iris_hv.Domain.revert
     (Replayer.ctx rep).Iris_hv.Ctx.dom recording.Manager.snapshot;
   check Alcotest.bool "revert cleared the crash" false
     (Iris_hv.Domain.crashed (Replayer.ctx rep).Iris_hv.Ctx.dom)
+
+let test_crash_releases_marks () =
+  (* The mark-leak contract: a detection pass that crashes keeps the
+     marks it pushed before the crash, [finish] releases every one of
+     them, and the next full revert of the domain then works — stale
+     journals would make it raise. *)
+  let _, recording, _ = Lazy.force cache in
+  let at, seeds = perturb ~kind:Synthetic.Crash_rip ~at:100 in
+  let session =
+    Session.start ~every:16 ~replayer:(fresh_replayer ()) ~seeds ()
+  in
+  (match Session.crashed_at session with
+  | Some (i, _) -> check Alcotest.int "crashed at the planted seed" at i
+  | None -> Alcotest.fail "perturbed replay must crash");
+  check Alcotest.bool "marks pushed before the crash" true
+    (Session.checkpoints session > 0);
+  Session.finish session;
+  check Alcotest.int "no outstanding marks after finish" 0
+    (Session.checkpoints session);
+  let dom = (Replayer.ctx (Session.replayer session)).Iris_hv.Ctx.dom in
+  Iris_hv.Domain.revert dom recording.Manager.snapshot;
+  check Alcotest.bool "revert cleared the crash" false
+    (Iris_hv.Domain.crashed dom)
 
 (* --- provenance --- *)
 
@@ -158,6 +142,124 @@ let test_provenance_queries () =
     (Prov.gpa_touches prov ~lo:0xdead_0000L ~hi:0xdead_ffffL = [])
 
 (* --- session time travel --- *)
+
+let prefix n =
+  let _, recording, _ = Lazy.force cache in
+  Array.sub recording.Manager.trace.Trace.seeds 0 n
+
+let test_session_marks () =
+  Alcotest.check_raises "zero period rejected"
+    (Invalid_argument "Session.start: every must be positive") (fun () ->
+      ignore (Session.start ~every:0 ~replayer:(fresh_replayer ())
+                ~seeds:(prefix 20) ()));
+  let session =
+    Session.start ~every:8 ~replayer:(fresh_replayer ()) ~seeds:(prefix 20) ()
+  in
+  check Alcotest.int "marks before seeds 0/8/16" 3 (Session.checkpoints session);
+  let forward0 = Session.seeds_forward session in
+  Session.goto session 12;
+  check Alcotest.int "position" 12 (Session.position session);
+  check Alcotest.int "rewound to the newest mark at or below 12" 4
+    (Session.seeds_forward session - forward0);
+  check Alcotest.int "later marks discarded" 2 (Session.checkpoints session);
+  Session.goto session 8;
+  check Alcotest.int "exact mark: no forward replay" 4
+    (Session.seeds_forward session - forward0);
+  Session.goto session 20;
+  check Alcotest.int "forward replay re-marks seed 16" 3
+    (Session.checkpoints session);
+  Session.finish session;
+  check Alcotest.int "finish releases all marks" 0
+    (Session.checkpoints session)
+
+let test_session_goto_after_finish () =
+  let session =
+    Session.start ~every:16 ~replayer:(fresh_replayer ())
+      ~seeds:(prefix 100) ()
+  in
+  Session.goto session 40;
+  Session.finish session;
+  (try
+     Session.goto session 90;
+     Alcotest.fail "goto after finish must raise"
+   with Invalid_argument _ -> ());
+  check Alcotest.int "no mark re-opened" 0 (Session.checkpoints session)
+
+(* Machine state at a boundary: the VMCS guest-state area plus the
+   GPR file. *)
+let fingerprint rep =
+  let ctx = Replayer.ctx rep in
+  let gprs = ref [] in
+  Iris_x86.Gpr.iter (fun _ v -> gprs := v :: !gprs) (Iris_hv.Ctx.regs ctx);
+  List.map (Iris_hv.Access.vmread_raw ctx) (F.in_area F.Guest) @ !gprs
+
+let travel_seeds = 200
+
+(* Fingerprints of one linear replay at every boundary 0..n. *)
+let linear_fingerprints =
+  lazy
+    (let seeds = prefix travel_seeds in
+     let rep = fresh_replayer () in
+     Array.init (travel_seeds + 1) (fun i ->
+         let fp = fingerprint rep in
+         (if i < travel_seeds then
+            match Replayer.submit rep seeds.(i) with
+            | Replayer.Replayed -> ()
+            | Replayer.Vm_crashed msg -> failwith ("linear replay: " ^ msg));
+         fp))
+
+type step = Goto of int | Reverse_continue
+
+let show_step = function
+  | Goto i -> Printf.sprintf "goto %d" i
+  | Reverse_continue -> "reverse-continue RIP"
+
+let travel_gen =
+  QCheck.Gen.(
+    pair (int_range 1 24)
+      (list_size (int_range 1 12)
+         (frequency
+            [ (5, map (fun i -> Goto i) (int_range 0 travel_seeds));
+              (1, return Reverse_continue) ])))
+
+let travel_arb =
+  QCheck.make travel_gen ~print:(fun (every, steps) ->
+      Printf.sprintf "every %d: %s" every
+        (String.concat "; " (List.map show_step steps)))
+
+let prop_travel (every, steps) =
+  let expected = Lazy.force linear_fingerprints in
+  let _, recording, _ = Lazy.force cache in
+  let prov = Prov.build recording.Manager.trace in
+  let rep = fresh_replayer () in
+  let session =
+    Session.start ~every ~replayer:rep ~seeds:(prefix travel_seeds) ()
+  in
+  let bound = (travel_seeds + every - 1) / every in
+  let check_here () =
+    let p = Session.position session in
+    if fingerprint rep <> expected.(p) then
+      QCheck.Test.fail_reportf "state at position %d differs from linear replay"
+        p;
+    if Session.checkpoints session > bound then
+      QCheck.Test.fail_reportf "%d marks exceed ceil(%d/%d)"
+        (Session.checkpoints session) travel_seeds every
+  in
+  check_here ();
+  List.iter
+    (fun step ->
+      (match step with
+      | Goto i -> Session.goto session i
+      | Reverse_continue ->
+          ignore (Session.reverse_continue_to session prov F.guest_rip));
+      check_here ())
+    steps;
+  Session.finish session;
+  Session.checkpoints session = 0
+
+let test_session_travel_property =
+  QCheck.Test.make ~count:100 ~name:"travel = linear replay, every boundary"
+    travel_arb prop_travel
 
 let test_session_travel () =
   let _, recording, _ = Lazy.force cache in
@@ -213,7 +315,7 @@ let test_session_travel () =
    with Invalid_argument _ -> ());
   Session.finish session;
   check Alcotest.int "finish releases the marks" 0
-    (Replayer.outstanding_marks rep)
+    (Session.checkpoints session)
 
 (* --- locator --- *)
 
@@ -335,15 +437,21 @@ let test_bisect_first_attempt_is_campaign_case () =
 
 let () =
   Alcotest.run "iris-inspect"
-    [ ( "replayer-checkpoints",
-        [ Alcotest.test_case "checkpoint API" `Slow
-            test_replayer_checkpoint_api;
-          Alcotest.test_case "crash releases marks" `Slow
+    [ ( "replayer",
+        [ Alcotest.test_case "crash then full revert" `Slow
+            test_crashed_submit_all_revertable ] );
+      ( "replayer-checkpoints",
+        [ Alcotest.test_case "crash releases marks" `Slow
             test_crash_releases_marks ] );
       ( "provenance",
         [ Alcotest.test_case "queries" `Slow test_provenance_queries ] );
       ( "session",
-        [ Alcotest.test_case "time travel" `Slow test_session_travel ] );
+        [ Alcotest.test_case "time travel" `Slow test_session_travel;
+          Alcotest.test_case "checkpoint marks" `Slow test_session_marks;
+          Alcotest.test_case "goto after finish raises" `Slow
+            test_session_goto_after_finish;
+          QCheck_alcotest.to_alcotest test_session_travel_property
+        ] );
       ( "locator",
         [ Alcotest.test_case "identical traces" `Slow
             test_locator_identical_traces;
