@@ -751,13 +751,15 @@ let bisect_cmd =
     (match (result, plan) with
     | None, _ | _, None ->
         Printf.printf "the trace has no seed with exit reason %s\n"
-          (R.short_name reason)
+          (R.short_name reason);
+        exit 1
     | Some r, Some plan -> (
         match r.Iris_fuzzer.Campaign.crashing with
         | [] ->
             Printf.printf
               "no crashing mutant in %d mutations; try more with -m\n"
-              mutations
+              mutations;
+            exit 1
         | v :: _ ->
             let seed_index = r.Iris_fuzzer.Campaign.seed_index in
             let crasher = Iris_fuzzer.Campaign.crashing_seed plan v in
@@ -809,7 +811,9 @@ let bisect_cmd =
     (Cmd.info "bisect"
        ~doc:
          "Fuzz until a mutant kills the VM, then shrink the crash to the \
-          smallest divergent suffix and emit a deterministic reproducer.")
+          smallest divergent suffix and emit a deterministic reproducer.  \
+          Exits 1 when no mutant crashes, when the crash does not \
+          reproduce, or when the reproducer is not deterministic.")
     Term.(
       const run $ workload $ exits $ prng_seed $ boot_scale $ reason $ area
       $ mutations $ out $ trace_out $ metrics_flag)

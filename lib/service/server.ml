@@ -70,34 +70,91 @@ let ensure_recording (cache : recordings) ~workload ~exits ~prng_seed
       r
 
 (* Minimize each [(crash, recording, plan)] request into a
-   digest-verified reproducer, one pool task per request.  Every
-   bisection attempt builds its own dummy, so tasks share only the
-   read-only recording and plan, and each result is a function of its
-   request alone, whatever [jobs] is.  A worker's attempts run one after
-   another, so they all build on the worker's one coverage store: a
-   fresh store per attempt is ~0.6 MB of arrays, and that churn spread
+   digest-verified reproducer, in two pool phases.  The search phase
+   runs one task per (recording, target index) group, so one
+   [Bisect.search] shares every replayed prefix state among the
+   group's crashers; an exception in a group's search reads as
+   unreproduced for every request of that group.  The verification
+   phase runs one task per request — its two from-scratch replays are
+   the larger share, and most rounds bring a single group — and a
+   verification that raises reads as unreproduced for its request.
+   Tasks share only the read-only recordings and plans, and each
+   result is a function of its request alone, whatever [jobs] is.  A
+   worker's dummies all build on the worker's one coverage store: a
+   fresh store per dummy is ~0.6 MB of arrays, and that churn spread
    over the workers' malloc arenas makes the process's peak resident
-   set vary from run to run.  A minimization that raises reads as
-   unreproduced. *)
+   set vary from run to run. *)
 let minimize_all ~jobs requests =
   let requests = Array.of_list requests in
   let n = Array.length requests in
   if n = 0 then [||]
   else
-    fst
-      (Pool.run ~jobs:(min jobs n) ~total:n
-         ~init:(fun _ -> Cov.create ())
-         ~task:(fun cov i ->
-           let (crash : Triage.crash), recording, plan = requests.(i) in
-           let name = Printf.sprintf "svc-%s-triage" crash.Triage.c_spec_key in
-           Bisect.minimize
-             ~make_replayer:(fun () ->
-               Orchestrator.dummy_on ~cov ~recording ~name)
-             ~prefix:
-               (Array.sub recording.Manager.trace.Trace.seeds 0
-                  plan.Campaign.plan_target.Seed.index)
-             ~crasher:(Campaign.case plan crash.Triage.c_case))
-         ~on_crash:(fun _exn _i -> None))
+    let recording i =
+      let _, (recording : Manager.recording), _ = requests.(i) in
+      recording
+    in
+    let index i =
+      let _, _, plan = requests.(i) in
+      plan.Campaign.plan_target.Seed.index
+    in
+    let make_replayer ~cov i () =
+      let (crash : Triage.crash), _, _ = requests.(i) in
+      Orchestrator.dummy_on ~cov ~recording:(recording i)
+        ~name:(Printf.sprintf "svc-%s-triage" crash.Triage.c_spec_key)
+    in
+    let prefix i =
+      Array.sub (recording i).Manager.trace.Trace.seeds 0 (index i)
+    in
+    let crasher i =
+      let (crash : Triage.crash), _, plan = requests.(i) in
+      Campaign.case plan crash.Triage.c_case
+    in
+    (* A group is named by its first request; a recording is one cache
+       entry, so physical equality tells recordings apart. *)
+    let all = List.init n Fun.id in
+    let leader =
+      Array.init n (fun i ->
+          List.find
+            (fun k -> recording k == recording i && index k = index i)
+            all)
+    in
+    let groups =
+      List.filter_map
+        (fun i ->
+          if leader.(i) = i then
+            Some (List.filter (fun k -> leader.(k) = i) all |> Array.of_list)
+          else None)
+        all
+      |> Array.of_list
+    in
+    let covs = Array.init (min jobs n) (fun _ -> Cov.create ()) in
+    let pooled ~total task ~on_crash =
+      fst
+        (Pool.run ~jobs:(min jobs total) ~total ~init:(fun w -> covs.(w)) ~task
+           ~on_crash)
+    in
+    let found =
+      pooled ~total:(Array.length groups)
+        (fun cov g ->
+          let members = groups.(g) in
+          Bisect.search
+            ~make_replayer:(make_replayer ~cov members.(0))
+            ~prefix:(prefix members.(0))
+            ~crashers:(Array.map crasher members))
+        ~on_crash:(fun _exn g -> Array.map (fun _ -> None) groups.(g))
+    in
+    let searched = Array.make n None in
+    Array.iteri
+      (fun g members ->
+        Array.iteri (fun k i -> searched.(i) <- found.(g).(k)) members)
+      groups;
+    pooled ~total:n
+      (fun cov i ->
+        Option.map
+          (Bisect.verify ~make_replayer:(make_replayer ~cov i) ~prefix:(prefix i)
+             ~crasher:(crasher i))
+          searched.(i))
+      ~on_crash:(fun _exn _i -> None)
 
 let repro_of (b : Bisect.result) =
   { Triage.r_digest = b.Bisect.b_digest;

@@ -7,10 +7,12 @@
     {!Iris_orchestrator.Pool}, one task per job — inline when only one
     job is picked.  Completed campaigns feed the {!Corpus} store and
     crashes feed {!Triage}.  Crashes that create a bucket or take over
-    its representative are minimized through {!Iris_inspect.Bisect} in
-    a pool phase after each round, one task per bucket on the same
-    [jobs] domains, and their repros are filled in before the round's
-    status line.  Per-job telemetry hubs merge commutatively into the
+    its representative are minimized through {!Iris_inspect.Bisect}
+    after each round, in two pool phases on the same [jobs] domains:
+    one search task per (recording, target seed) group, so the
+    group's crashers share every replayed prefix state, then one
+    verification task per bucket.  Their repros are filled in before
+    the round's status line.  Per-job telemetry hubs merge commutatively into the
     server hub, and every round can stream a JSONL status snapshot.
 
     Determinism contract.  A case outcome is a pure function of
@@ -122,7 +124,7 @@ val verify : t -> verify_summary
 (** Re-replay the determinism contract: every corpus entry re-executes
     from a freshly booted universe and must reproduce its admission
     digest byte-identically; every triage bucket's representative is
-    re-minimized, through the same pooled bisection phase as {!step},
+    re-minimized, through the same pooled bisection phases as {!step},
     and must land on the stored reproducer digest. *)
 
 val verify_ok : verify_summary -> bool

@@ -163,7 +163,12 @@ let serve_pipe server ic oc =
 
 (* --- Unix-domain socket daemon --- *)
 
+(* A client that hangs up before reading its response must cost only
+   that response: with SIGPIPE ignored, the write fails with an
+   exception instead of killing the daemon, and the exception is
+   dropped with the client. *)
 let serve_socket server ~path =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   Unix.bind sock (Unix.ADDR_UNIX path);
@@ -179,14 +184,18 @@ let serve_socket server ~path =
       let ic = Unix.in_channel_of_descr client in
       let oc = Unix.out_channel_of_descr client in
       (match input_line ic with
-      | exception End_of_file -> ()
+      | exception (End_of_file | Sys_error _) -> ()
       | line ->
           let resp, s = handle_line server line in
           if not (response_ok resp) then all_ok := false;
-          output_string oc (resp ^ "\n");
-          flush oc;
+          (try
+             output_string oc (resp ^ "\n");
+             flush oc
+           with Sys_error _ | Unix.Unix_error _ -> ());
           stop := s);
-      (try Unix.close client with Unix.Unix_error _ -> ())
+      (* Closing through the channel also discards what a failed write
+         left in its buffer. *)
+      close_out_noerr oc
     end
   done;
   (try Unix.close sock with Unix.Unix_error _ -> ());

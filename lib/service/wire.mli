@@ -52,7 +52,9 @@ val serve_socket : Server.t -> path:string -> bool
 (** Bind a Unix-domain socket at [path] (replacing any stale file)
     and serve one-request connections until [shutdown].  Between
     connections the server [step]s pending work, so jobs progress
-    while the daemon waits.  Returns whether every response was ok. *)
+    while the daemon waits.  The process ignores SIGPIPE from then on,
+    so a client that hangs up before reading its response loses only
+    that response.  Returns whether every response was ok. *)
 
 val call : path:string -> string -> (string, string) result
 (** Client side: connect, send one request line, read the response

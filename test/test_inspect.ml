@@ -398,42 +398,119 @@ let test_bisect_rejects_flaky () =
     (Bisect.minimize ~make_replayer:fresh_replayer ~prefix ~crasher:seeds.(10)
     = None)
 
+(* A small RDTSC/VMCS campaign that crashes: its plan, its result and
+   the prefix up to its target. *)
+let rdtsc_campaign =
+  lazy
+    (let m, recording, _ = Lazy.force cache in
+     let trace = recording.Manager.trace in
+     let config = { Campaign.mutations = 40; prng_seed = 77 } in
+     let reason = R.Rdtsc and area = Mutation.Area_vmcs in
+     match
+       ( Campaign.plan ~config ~trace ~reason ~area,
+         Campaign.run ~config ~manager:m ~recording ~reason ~area () )
+     with
+     | Some plan, Some r ->
+         check Alcotest.bool "the campaign crashes" true
+           (r.Campaign.crashing <> []);
+         (plan, r, Array.sub trace.Trace.seeds 0 r.Campaign.seed_index)
+     | _ -> Alcotest.fail "rdtsc seeds exist")
+
 (* Bisection's first attempt — the whole prefix up to the campaign's
    target, then the mutant — is the campaign case itself: for every
    crashing verdict of a campaign it reproduces, with the verdict's
    crash message ("hv: "-prefixed for a hypervisor crash). *)
 let test_bisect_first_attempt_is_campaign_case () =
-  let m, recording, _ = Lazy.force cache in
-  let trace = recording.Manager.trace in
-  let config = { Campaign.mutations = 40; prng_seed = 77 } in
-  let reason = R.Rdtsc and area = Mutation.Area_vmcs in
-  match
-    ( Campaign.plan ~config ~trace ~reason ~area,
-      Campaign.run ~config ~manager:m ~recording ~reason ~area () )
-  with
-  | Some plan, Some r ->
-      check Alcotest.bool "the campaign crashes" true
-        (r.Campaign.crashing <> []);
-      let prefix = Array.sub trace.Trace.seeds 0 r.Campaign.seed_index in
-      List.iteri
-        (fun k (v : Campaign.verdict) ->
-          let expected =
-            match v.Campaign.failure with
-            | Campaign.Hypervisor_crash -> "hv: " ^ v.Campaign.detail
-            | Campaign.Vm_crash | Campaign.No_failure -> v.Campaign.detail
-          in
-          match
-            Bisect.minimize ~make_replayer:fresh_replayer ~prefix
-              ~crasher:(Campaign.crashing_seed plan v)
-          with
-          | None ->
-              Alcotest.failf "verdict %d (%s) does not reproduce" k expected
-          | Some b ->
-              check Alcotest.string
-                (Printf.sprintf "verdict %d crash message" k)
-                expected b.Bisect.b_crash_msg)
-        r.Campaign.crashing
-  | _ -> Alcotest.fail "rdtsc seeds exist"
+  let plan, r, prefix = Lazy.force rdtsc_campaign in
+  List.iteri
+    (fun k (v : Campaign.verdict) ->
+      let expected =
+        match v.Campaign.failure with
+        | Campaign.Hypervisor_crash -> "hv: " ^ v.Campaign.detail
+        | Campaign.Vm_crash | Campaign.No_failure -> v.Campaign.detail
+      in
+      match
+        Bisect.minimize ~make_replayer:fresh_replayer ~prefix
+          ~crasher:(Campaign.crashing_seed plan v)
+      with
+      | None -> Alcotest.failf "verdict %d (%s) does not reproduce" k expected
+      | Some b ->
+          check Alcotest.string
+            (Printf.sprintf "verdict %d crash message" k)
+            expected b.Bisect.b_crash_msg)
+    r.Campaign.crashing
+
+(* The starts a one-crasher search tries, from its outcome alone: a
+   try at [mid] succeeds exactly when [mid <= start]. *)
+let search_path n = function
+  | None -> [ 0 ]
+  | Some start ->
+      let rec go lo hi acc =
+        if lo >= hi then acc
+        else
+          let mid = (lo + hi + 1) / 2 in
+          if mid <= start then go mid hi (mid :: acc)
+          else go lo (mid - 1) (mid :: acc)
+      in
+      go 0 n [ 0 ]
+
+(* One search over every crasher of the campaign shares the replayed
+   prefix states, and answers each crasher exactly as a search over it
+   alone would: every field but the seed count, which charges a shared
+   start to the first crasher that needed it. *)
+let test_bisect_grouped_search_is_per_crasher () =
+  let plan, r, prefix = Lazy.force rdtsc_campaign in
+  let built = ref 0 in
+  let make_replayer () =
+    incr built;
+    fresh_replayer ()
+  in
+  let crashers =
+    Array.of_list (List.map (Campaign.crashing_seed plan) r.Campaign.crashing)
+  in
+  let singles =
+    Array.map
+      (fun crasher -> Bisect.minimize ~make_replayer ~prefix ~crasher)
+      crashers
+  in
+  let singles_built = !built in
+  built := 0;
+  let searched = Bisect.search ~make_replayer ~prefix ~crashers in
+  let search_built = !built in
+  let grouped =
+    Array.mapi
+      (fun i s ->
+        Option.map
+          (Bisect.verify ~make_replayer ~prefix ~crasher:crashers.(i))
+          s)
+      searched
+  in
+  let visible (b : Bisect.result) = { b with Bisect.b_seeds_replayed = 0 } in
+  Array.iteri
+    (fun i single ->
+      check Alcotest.bool
+        (Printf.sprintf "crasher %d: grouped = alone" i)
+        true
+        (Option.map visible single = Option.map visible grouped.(i)))
+    singles;
+  check Alcotest.bool "some crasher reproduces" true
+    (Array.exists Option.is_some grouped);
+  let n = Array.length prefix in
+  let visited =
+    Array.to_list singles
+    |> List.concat_map (fun b ->
+           search_path n (Option.map (fun b -> b.Bisect.b_suffix_start) b))
+    |> List.sort_uniq compare
+  in
+  check Alcotest.bool
+    (Printf.sprintf "%d search dummies <= %d distinct starts" search_built
+       (List.length visited))
+    true
+    (search_built <= List.length visited);
+  check Alcotest.bool
+    (Printf.sprintf "%d grouped dummies < %d for one crasher at a time"
+       !built singles_built)
+    true (!built < singles_built)
 
 let () =
   Alcotest.run "iris-inspect"
@@ -464,5 +541,7 @@ let () =
             test_bisect_minimizes_and_is_deterministic;
           Alcotest.test_case "flaky rejected" `Slow test_bisect_rejects_flaky;
           Alcotest.test_case "first attempt is the campaign case" `Slow
-            test_bisect_first_attempt_is_campaign_case ] )
+            test_bisect_first_attempt_is_campaign_case;
+          Alcotest.test_case "grouped search = one crasher at a time" `Slow
+            test_bisect_grouped_search_is_per_crasher ] )
     ]

@@ -375,6 +375,47 @@ let test_wire_pipe_session () =
   Alcotest.(check bool) "shutdown ok" true (Wire.response_ok r5);
   Alcotest.(check bool) "shutdown stops" true stop5
 
+(* A client that sends a drain and hangs up before reading the answer
+   costs only that answer: the daemon goes on serving the next
+   clients. *)
+let test_socket_survives_hang_up () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "iris-wire-%d.sock" (Unix.getpid ()))
+  in
+  (try Unix.unlink path with Unix.Unix_error _ -> ());
+  (* A daemon that died mid-test leaves its listening socket open, and
+     a later call would wait forever in its backlog: SIGALRM's default
+     action fails the test instead. *)
+  ignore (Unix.alarm 60 : int);
+  let server = Server.create ~jobs:1 ~quantum:24 ~recordings:shared_cache () in
+  let daemon = Domain.spawn (fun () -> Wire.serve_socket server ~path) in
+  (* the daemon binds the socket on its own domain: retry until then *)
+  let rec call ?(tries = 0) line =
+    match Wire.call ~path line with
+    | Ok resp -> resp
+    | Error _ when tries > 0 ->
+        Unix.sleepf 0.01;
+        call ~tries:(tries - 1) line
+    | Error e -> Alcotest.failf "%s: %s" line e
+  in
+  let submit =
+    J.to_string
+      (J.Obj [ ("cmd", J.String "submit"); ("spec", Jobspec.to_json spec_a) ])
+  in
+  Alcotest.(check bool) "submit ok" true (Wire.response_ok (call ~tries:500 submit));
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_UNIX path);
+  let drain = Bytes.of_string "{\"cmd\":\"drain\"}\n" in
+  ignore (Unix.write sock drain 0 (Bytes.length drain) : int);
+  Unix.close sock;
+  Alcotest.(check bool) "status after the hang-up" true
+    (Wire.response_ok (call {|{"cmd":"status"}|}));
+  Alcotest.(check bool) "shutdown after the hang-up" true
+    (Wire.response_ok (call {|{"cmd":"shutdown"}|}));
+  ignore (Domain.join daemon : bool);
+  ignore (Unix.alarm 0 : int)
+
 (* --- Pooled bisection --- *)
 
 let vmcs_spec ~tenant ~reason ~prng_seed =
@@ -491,6 +532,63 @@ let test_pooled_bisection_deterministic () =
   check Alcotest.int "every bucket re-minimized" (List.length buckets)
     v.Server.v_buckets_checked
 
+(* Two jobs over one recording and one target seed that differ only in
+   their mutation count (and tenant, so jobs = 3 runs them in one
+   round).  The shorter job's first 60 mutations are the longer one's
+   too; its key sorts first, so it keeps the shared crashes while the
+   longer job's extra mutations bring buckets of their own.  Both
+   jobs' crashes then fall into one search group, whose shared prefix
+   states must not change a byte of the triage. *)
+let test_shared_prefix_bisection () =
+  let base = vmcs_spec ~tenant:"frank" ~reason:R.Rdtsc ~prng_seed:21 in
+  let specs =
+    [ base; { base with Jobspec.tenant = "erin"; mutations = 120 } ]
+  in
+  let recording =
+    Manager.record ~store_seeds:true ~store_metrics:false
+      (Manager.create ~boot_scale:0.02 ~prng_seed:21 ())
+      W.Cpu_bound ~exits:300
+  in
+  let target (s : Jobspec.t) =
+    let config =
+      { Campaign.mutations = s.Jobspec.mutations;
+        prng_seed = s.Jobspec.prng_seed }
+    in
+    Option.map
+      (fun p -> p.Campaign.plan_target.Seed.index)
+      (Campaign.plan ~config ~trace:recording.Manager.trace
+         ~reason:s.Jobspec.reason ~area:s.Jobspec.area)
+  in
+  check
+    Alcotest.(list (option int))
+    "one target seed"
+    [ target base; target base ]
+    (List.map target specs);
+  let drain jobs =
+    let server = Server.create ~jobs ~quantum:512 ~recordings:shared_cache () in
+    List.iter (fun s -> ignore (Server.submit server s : int)) specs;
+    ignore (Server.drain server : Server.drain_summary);
+    Server.triage server
+  in
+  let t1 = drain 1 and t3 = drain 3 in
+  check Alcotest.string "triage bytes at jobs 1 and 3"
+    (J.to_string (Triage.to_json t1))
+    (J.to_string (Triage.to_json t3));
+  check
+    Alcotest.(list string)
+    "both jobs own representatives"
+    (List.sort_uniq compare (List.map Jobspec.key specs))
+    (List.sort_uniq compare
+       (List.map
+          (fun b -> b.Triage.b_rep.Triage.c_spec_key)
+          (Triage.buckets t3)));
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        (b.Triage.b_signature ^ " has a reproducer")
+        true (b.Triage.b_repro <> None))
+    (Triage.buckets t3)
+
 (* --- Device provenance --- *)
 
 let test_provenance_devices () =
@@ -569,7 +667,11 @@ let () =
             test_server_replay_from_corpus;
           Alcotest.test_case "wire pipe session" `Slow test_wire_pipe_session;
           Alcotest.test_case "pooled bisection deterministic" `Slow
-            test_pooled_bisection_deterministic
+            test_pooled_bisection_deterministic;
+          Alcotest.test_case "shared-prefix bisection" `Slow
+            test_shared_prefix_bisection;
+          Alcotest.test_case "socket survives a hang-up" `Slow
+            test_socket_survives_hang_up
         ] );
       ( "provenance",
         [ Alcotest.test_case "device touches" `Slow test_provenance_devices ]
