@@ -7,65 +7,45 @@
    between cases — or to a mid-case mark — without replaying the
    recorded prefix. *)
 
-type mark = {
-  m_id : int;
-  m_cp : Domain.checkpoint;
-}
+(* Every push allocates a fresh domain checkpoint, so a mark is
+   identified physically. *)
+type mark = Domain.checkpoint
 
 type t = {
   dom : Domain.t;
   mutable stack : mark list;  (* innermost first *)
-  mutable next_id : int;
+  mutable depth : int;
 }
 
-let start dom = { dom; stack = []; next_id = 0 }
+let start dom = { dom; stack = []; depth = 0 }
 
-let depth t = List.length t.stack
+let depth t = t.depth
 
 let push t =
-  let m = { m_id = t.next_id; m_cp = Domain.checkpoint t.dom } in
-  t.next_id <- t.next_id + 1;
+  let m = Domain.checkpoint t.dom in
   t.stack <- m :: t.stack;
+  t.depth <- t.depth + 1;
   m
 
-let mem t m = List.exists (fun m' -> m'.m_id = m.m_id) t.stack
-
-(* Unwind to [m]: rewind (and discard) every mark opened after it,
-   innermost first, then rewind [m] itself — which stays on the
-   stack.  The inner rewinds are what pops the journal epochs the
-   inner marks opened; their per-epoch stats fold into the final
-   rewind's counters via the domain's accumulators, but the returned
-   [revert_stats] covers the whole unwind. *)
+(* One domain rewind on the target: every journal undoes the epochs
+   the inner marks opened and drops them, so the inner marks only
+   have to leave the stack. *)
 let rewind t m =
-  if not (mem t m) then
-    invalid_arg "Checkpoint.rewind: mark not live";
-  let rec unwind acc = function
-    | [] -> assert false
-    | m' :: rest ->
-        let rs = Domain.rewind t.dom m'.m_cp in
-        let acc =
-          { Domain.rs_pages = acc.Domain.rs_pages + rs.Domain.rs_pages;
-            rs_ept_entries = acc.rs_ept_entries + rs.Domain.rs_ept_entries;
-            rs_vmcs_fields = acc.rs_vmcs_fields + rs.Domain.rs_vmcs_fields }
-        in
-        if m'.m_id = m.m_id then begin
-          t.stack <- m' :: rest;
-          acc
-        end
-        else begin
-          (* inner mark: its epoch has been rewound; release folds the
-             now-empty journals away so the stack depths line up *)
-          Domain.release t.dom m'.m_cp;
-          unwind acc rest
-        end
+  let rec find depth = function
+    | [] -> invalid_arg "Checkpoint.rewind: mark not live"
+    | m' :: rest when m' != m -> find (depth - 1) rest
+    | stack ->
+        let rs = Domain.rewind t.dom m in
+        t.stack <- stack;
+        t.depth <- depth;
+        rs
   in
-  unwind
-    { Domain.rs_pages = 0; rs_ept_entries = 0; rs_vmcs_fields = 0 }
-    t.stack
+  find t.depth t.stack
 
 let pop t m =
   match t.stack with
-  | m' :: rest when m'.m_id = m.m_id ->
-      Domain.release t.dom m'.m_cp;
-      t.stack <- rest
+  | m' :: rest when m' == m ->
+      Domain.release t.dom m;
+      t.stack <- rest;
+      t.depth <- t.depth - 1
   | _ -> invalid_arg "Checkpoint.pop: not the innermost mark"

@@ -155,14 +155,9 @@ let revert t s =
 
 (* --- incremental (copy-on-write) checkpoints ---
 
-   Guest memory, the EPT and the VMCS — the bulk of a snapshot — are
-   checkpointed through their write journals, so a rewind touches only
-   what the epoch dirtied.  The UART's transmit log grows with the
-   guest's console output (over 100 KB for a CPU-bound guest), so it
-   is checkpointed by length and truncated on rewind.  The rest — PIC,
-   PIT, RTC, PCI, vLAPIC, timers, vCPU scalars — is fixed-size and is
-   copied eagerly at checkpoint time; a rewind blits it back without
-   allocating. *)
+   Memory, the EPT and the VMCS rewind through their journals and the
+   UART by its log length (see the interface).  The fixed-size rest is
+   copied eagerly here, so a rewind blits it back without allocating. *)
 
 type checkpoint = {
   k_vcpu : Iris_vtx.Vcpu.checkpoint;
@@ -204,7 +199,12 @@ type revert_stats = {
   rs_vmcs_fields : int;
 }
 
+(* Every journal handle is checked before any state changes, so a stale
+   checkpoint raises with the domain untouched. *)
 let rewind t k =
+  Iris_vtx.Vcpu.validate t.vcpu k.k_vcpu;
+  Gmem.validate t.mem k.k_mem;
+  Ept.validate t.ept k.k_ept;
   let rs_vmcs_fields = Iris_vtx.Vcpu.rewind t.vcpu k.k_vcpu in
   let rs_pages = Gmem.rewind t.mem k.k_mem in
   let rs_ept_entries = Ept.rewind t.ept k.k_ept in

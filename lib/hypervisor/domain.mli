@@ -42,7 +42,9 @@ type t = {
 
 and stats = {
   mutable full_reverts : int;   (** deep-copy [revert] calls *)
-  mutable cow_reverts : int;    (** journal-based [rewind] calls *)
+  mutable cow_reverts : int;
+      (** journal-based [rewind] calls: one per [Checkpoint.rewind],
+          however many marks it unwinds *)
   mutable checkpoints : int;    (** [checkpoint] captures *)
   mutable pages_restored : int; (** guest pages undone across rewinds *)
   mutable ept_restored : int;   (** EPT override entries undone *)
@@ -98,8 +100,10 @@ type revert_stats = {
 val rewind : t -> checkpoint -> revert_stats
 (** Restore the domain to the state captured at [checkpoint], undoing
     only journaled writes.  The checkpoint stays live and can be
-    rewound to again.  Observably identical to [revert] with a full
-    snapshot taken at the same point. *)
+    rewound to again; checkpoints taken after it are discarded.
+    Observably identical to [revert] with a full snapshot taken at the
+    same point.  Raises [Invalid_argument] on a stale checkpoint (e.g.
+    after a {!revert}) before changing any state. *)
 
 val release : t -> checkpoint -> unit
 (** Drop the innermost checkpoint without restoring, folding its

@@ -1,3 +1,5 @@
+module Journal = Iris_util.Journal
+
 type perm = { r : bool; w : bool; x : bool }
 
 let perm_none = { r = false; w = false; x = false }
@@ -15,27 +17,32 @@ let access_name = function Read -> "read" | Write -> "write" | Exec -> "exec"
    O(guest pages) — the fuzzer reverts between every mutation. *)
 type override = Mapped of perm | Hole
 
-(* One copy-on-write epoch: the prior binding of every override the
-   epoch touched ([None] = absent), plus the range list as it stood
-   when the epoch opened (ranges are immutable lists, so saving the
-   head pointer is enough). *)
-type journal = {
-  e_overrides : (int64, override option) Hashtbl.t;
-  e_ranges : (int64 * int64 * perm) list;
-}
+type range = int64 * int64 * perm
 
+(* The copy-on-write journal saves the prior binding of every override
+   an epoch touches ([None] = absent), and each epoch keeps the range
+   list as it stood at push (ranges are immutable lists, so saving the
+   head pointer is enough). *)
 type t = {
-  mutable ranges : (int64 * int64 * perm) list;
+  mutable ranges : range list;
       (** (first_pfn, last_pfn, perm), newest first *)
   overrides : (int64, override) Hashtbl.t;
-  mutable journals : journal list;  (** innermost epoch first *)
+  journal : ((int64, override option) Journal.sparse, range list) Journal.t;
 }
 
 let page_shift = 12
 
 let pfn gpa = Int64.shift_right_logical gpa page_shift
 
-let create () = { ranges = []; overrides = Hashtbl.create 64; journals = [] }
+let restore_override overrides p = function
+  | Some e -> Hashtbl.replace overrides p e
+  | None -> Hashtbl.remove overrides p
+
+let make ranges overrides =
+  let restore = restore_override overrides in
+  { ranges; overrides; journal = Journal.sparse ~name:"Ept" ~restore }
+
+let create () = make [] (Hashtbl.create 64)
 
 (* Ranges bigger than this are kept as ranges; smaller ones become
    per-page overrides. *)
@@ -46,11 +53,8 @@ let span ~gpa ~len =
   (pfn gpa, pfn (Int64.add gpa (Int64.sub len 1L)))
 
 let journal_override t p =
-  match t.journals with
-  | [] -> ()
-  | j :: _ ->
-      if not (Hashtbl.mem j.e_overrides p) then
-        Hashtbl.add j.e_overrides p (Hashtbl.find_opt t.overrides p)
+  if Journal.first_touch t.journal p then
+    Journal.save t.journal p (Hashtbl.find_opt t.overrides p)
 
 let map t ~gpa ~len perm =
   let first, last = span ~gpa ~len in
@@ -124,14 +128,13 @@ let qualification v =
   (* bit 7: guest linear address valid — always set in our model. *)
   Int64.logor 0x80L (Int64.logor acc_bits perm_bits)
 
-let copy t =
-  { ranges = t.ranges; overrides = Hashtbl.copy t.overrides; journals = [] }
+let copy t = make t.ranges (Hashtbl.copy t.overrides)
 
 let transplant ~into ~from =
   into.ranges <- from.ranges;
   Hashtbl.reset into.overrides;
   Hashtbl.iter (fun p e -> Hashtbl.replace into.overrides p e) from.overrides;
-  into.journals <- []
+  Journal.invalidate into.journal
 
 let mapped_pages t =
   let range_pages =
@@ -161,57 +164,15 @@ let dump t =
 
 (* --- incremental (copy-on-write) checkpoints --- *)
 
-type checkpoint = int
+type checkpoint = Journal.handle
 
-let checkpoint t =
-  t.journals <-
-    { e_overrides = Hashtbl.create 8; e_ranges = t.ranges } :: t.journals;
-  List.length t.journals
+let checkpoint t = Journal.push t.journal t.ranges
 
-let checkpoint_depth t = List.length t.journals
-
-let dirty_entries t =
-  match t.journals with [] -> 0 | j :: _ -> Hashtbl.length j.e_overrides
-
-let apply_journal t j =
-  Hashtbl.iter
-    (fun p old ->
-      match old with
-      | Some e -> Hashtbl.replace t.overrides p e
-      | None -> Hashtbl.remove t.overrides p)
-    j.e_overrides;
-  t.ranges <- j.e_ranges;
-  Hashtbl.length j.e_overrides
+let validate t cp = Journal.validate t.journal cp
 
 let rewind t cp =
-  if cp <= 0 || cp > List.length t.journals then
-    invalid_arg "Ept.rewind: stale checkpoint";
-  let restored = ref 0 in
-  let rec undo = function
-    | [] -> assert false
-    | j :: rest as js ->
-        restored := !restored + apply_journal t j;
-        if List.length js = cp then begin
-          Hashtbl.reset j.e_overrides;
-          t.journals <- js
-        end
-        else undo rest
-  in
-  undo t.journals;
-  !restored
+  let restored = Journal.rewind t.journal cp in
+  t.ranges <- Journal.saved t.journal;
+  restored
 
-let commit t cp =
-  if cp = 0 || cp <> List.length t.journals then
-    invalid_arg "Ept.commit: not the innermost checkpoint";
-  match t.journals with
-  | [] -> assert false
-  | j :: rest ->
-      (match rest with
-      | [] -> ()
-      | parent :: _ ->
-          Hashtbl.iter
-            (fun p old ->
-              if not (Hashtbl.mem parent.e_overrides p) then
-                Hashtbl.add parent.e_overrides p old)
-            j.e_overrides);
-      t.journals <- rest
+let commit t cp = Journal.commit t.journal cp

@@ -65,25 +65,16 @@ val dump : t -> (int64 * int64 * perm) list * (int64 * perm option) list
 
 (** {2 Incremental (copy-on-write) checkpoints}
 
-    Mirrors {!Gmem}: a checkpoint journals the prior binding of every
-    override that [map]/[unmap] touch (plus the immutable range-list
-    head), so {!rewind} undoes only what changed.  Checkpoints nest;
-    {!transplant} invalidates them. *)
+    As in {!Gmem}, over the override table: a sparse
+    {!Iris_util.Journal} saves the prior binding of every override
+    [map]/[unmap] touch, and each epoch keeps the immutable range-list
+    head, so {!rewind} undoes only what changed and returns the number
+    of override entries restored.  {!transplant} invalidates every
+    checkpoint. *)
 
 type checkpoint
 
 val checkpoint : t -> checkpoint
-
 val rewind : t -> checkpoint -> int
-(** Restore the state captured at [checkpoint] (which stays live);
-    returns the number of override entries restored.  Raises
-    [Invalid_argument] on a stale checkpoint. *)
-
+val validate : t -> checkpoint -> unit
 val commit : t -> checkpoint -> unit
-(** Drop the innermost checkpoint, folding its journal into the
-    parent. *)
-
-val checkpoint_depth : t -> int
-
-val dirty_entries : t -> int
-(** Override entries dirtied so far in the innermost open epoch. *)

@@ -1,16 +1,15 @@
+module Journal = Iris_util.Journal
+
 let page_size = 4096
 
 exception Bad_address of int64
 
-(* One copy-on-write epoch: the prior contents of every page dirtied
-   since the checkpoint that opened the epoch.  [None] records that
-   the page was unallocated (logically zero) when the epoch began. *)
-type journal = (int64, bytes option) Hashtbl.t
-
+(* The copy-on-write journal saves each dirtied page's prior contents;
+   [None] records that the page was unallocated (logically zero). *)
 type t = {
   size : int64;
   pages : (int64, bytes) Hashtbl.t;
-  mutable journals : journal list;  (** innermost epoch first *)
+  journal : ((int64, bytes option) Journal.sparse, unit) Journal.t;
   mutable hot_pfn : int64;
       (** last pfn journaled in the innermost epoch; caches the
           journal membership test across the byte-wise write loop *)
@@ -18,12 +17,24 @@ type t = {
 
 let no_hot = -1L
 
+let zero_page = Bytes.make page_size '\000'
+
+let is_zero_page p = Bytes.equal p zero_page
+
+(* Saved buffers are installed directly (ownership transfers out of the
+   journal); all-zero pages go back to being absent, matching the
+   canonical form [transplant] produces. *)
+let restore_page pages pfn = function
+  | Some p when not (is_zero_page p) -> Hashtbl.replace pages pfn p
+  | Some _ | None -> Hashtbl.remove pages pfn
+
+let make size pages =
+  let journal = Journal.sparse ~name:"Gmem" ~restore:(restore_page pages) in
+  { size; pages; journal; hot_pfn = no_hot }
+
 let create ~size_mib =
   assert (size_mib > 0);
-  { size = Int64.mul (Int64.of_int size_mib) 0x100000L;
-    pages = Hashtbl.create 256;
-    journals = [];
-    hot_pfn = no_hot }
+  make (Int64.mul (Int64.of_int size_mib) 0x100000L) (Hashtbl.create 256)
 
 let size_bytes t = t.size
 
@@ -53,16 +64,15 @@ let read_u8 t addr =
       Char.code
         (Bytes.get page (Int64.to_int (Int64.rem addr (Int64.of_int page_size))))
 
+(* [hot_pfn] is reset whenever the innermost epoch changes, so a page
+   it names has already been looked at in that epoch. *)
 let journal_page t pfn =
-  match t.journals with
-  | [] -> ()
-  | j :: _ ->
-      if pfn <> t.hot_pfn then begin
-        t.hot_pfn <- pfn;
-        if not (Hashtbl.mem j pfn) then
-          Hashtbl.add j pfn
-            (Option.map Bytes.copy (Hashtbl.find_opt t.pages pfn))
-      end
+  if pfn <> t.hot_pfn then begin
+    t.hot_pfn <- pfn;
+    if Journal.first_touch t.journal pfn then
+      Journal.save t.journal pfn
+        (Option.map Bytes.copy (Hashtbl.find_opt t.pages pfn))
+  end
 
 let write_u8 t addr v =
   check t addr;
@@ -102,10 +112,6 @@ let write_bytes t addr b =
     (fun i c -> write_u8 t (Int64.add addr (Int64.of_int i)) (Char.code c))
     b
 
-let zero_page = Bytes.make page_size '\000'
-
-let is_zero_page p = Bytes.equal p zero_page
-
 (* The single page-clone path shared by [copy] and [transplant]:
    all-zero pages are dropped instead of cloned, since an absent page
    already reads as zeros — cheaper, and it keeps the allocated set
@@ -116,18 +122,18 @@ let clone_page_into pages pfn p =
 let copy t =
   let pages = Hashtbl.create (max 16 (Hashtbl.length t.pages)) in
   Hashtbl.iter (clone_page_into pages) t.pages;
-  { size = t.size; pages; journals = []; hot_pfn = no_hot }
+  make t.size pages
 
 let clear t =
   Hashtbl.reset t.pages;
-  t.journals <- [];
+  Journal.invalidate t.journal;
   t.hot_pfn <- no_hot
 
 let transplant ~into ~from =
   assert (into.size = from.size);
   Hashtbl.reset into.pages;
   Hashtbl.iter (clone_page_into into.pages) from.pages;
-  into.journals <- [];
+  Journal.invalidate into.journal;
   into.hot_pfn <- no_hot
 
 let allocated_pages t = Hashtbl.length t.pages
@@ -147,64 +153,23 @@ let equal a b =
 
 (* --- incremental (copy-on-write) checkpoints --- *)
 
-type checkpoint = int
+type checkpoint = Journal.handle
 
 let checkpoint t =
-  t.journals <- Hashtbl.create 16 :: t.journals;
   t.hot_pfn <- no_hot;
-  List.length t.journals
+  Journal.push t.journal ()
 
-let checkpoint_depth t = List.length t.journals
+let checkpoint_depth t = Journal.depth t.journal
 
-let dirty_pages t =
-  match t.journals with [] -> 0 | j :: _ -> Hashtbl.length j
+let dirty_pages t = Journal.dirty t.journal
 
-(* Restore every page the journal covers.  Saved buffers are installed
-   directly (ownership transfers out of the journal); all-zero pages
-   go back to being absent, matching the canonical form [transplant]
-   produces. *)
-let apply_journal t j =
-  Hashtbl.iter
-    (fun pfn old ->
-      match old with
-      | Some p when not (is_zero_page p) -> Hashtbl.replace t.pages pfn p
-      | Some _ | None -> Hashtbl.remove t.pages pfn)
-    j;
-  Hashtbl.length j
+let validate t cp = Journal.validate t.journal cp
 
 let rewind t cp =
-  if cp <= 0 || cp > List.length t.journals then
-    invalid_arg "Gmem.rewind: stale checkpoint";
-  let restored = ref 0 in
-  let rec undo = function
-    | [] -> assert false
-    | j :: rest as js ->
-        restored := !restored + apply_journal t j;
-        if List.length js = cp then begin
-          Hashtbl.reset j;
-          t.journals <- js
-        end
-        else undo rest
-  in
-  undo t.journals;
+  let restored = Journal.rewind t.journal cp in
   t.hot_pfn <- no_hot;
-  !restored
+  restored
 
 let commit t cp =
-  if cp = 0 || cp <> List.length t.journals then
-    invalid_arg "Gmem.commit: not the innermost checkpoint";
-  match t.journals with
-  | [] -> assert false
-  | j :: rest ->
-      (match rest with
-      | [] -> ()
-      | parent :: _ ->
-          (* A page untouched by the parent epoch had the same contents
-             at both checkpoints, so the child's saved copy is the
-             parent's too. *)
-          Hashtbl.iter
-            (fun pfn old ->
-              if not (Hashtbl.mem parent pfn) then Hashtbl.add parent pfn old)
-            j);
-      t.journals <- rest;
-      t.hot_pfn <- no_hot
+  Journal.commit t.journal cp;
+  t.hot_pfn <- no_hot

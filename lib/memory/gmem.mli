@@ -57,29 +57,20 @@ val equal : t -> t -> bool
 
 (** {2 Incremental (copy-on-write) checkpoints}
 
-    A checkpoint opens a write journal: the first write to each page
-    saves that page's prior contents, so {!rewind} restores exactly the
-    dirtied pages instead of deep-copying the whole memory.
-    Checkpoints nest (LIFO); {!transplant} and {!clear} — the full
-    restore paths — invalidate all of them. *)
+    A sparse {!Iris_util.Journal} over pages: the first write to a page
+    in an epoch saves its prior contents, so {!rewind} restores only
+    the dirtied pages instead of deep-copying the whole memory and
+    returns how many it restored.  Nesting, staleness and the
+    [Gmem.rewind]/[Gmem.commit] errors are the journal's.
+    {!transplant} and {!clear} — the full restore paths — invalidate
+    every checkpoint. *)
 
 type checkpoint
 
 val checkpoint : t -> checkpoint
-(** Open a new epoch on top of the stack. *)
-
 val rewind : t -> checkpoint -> int
-(** Restore the state captured at [checkpoint], discarding any
-    checkpoints nested inside it.  The checkpoint itself stays live,
-    so the caller can rewind to it again.  Returns the number of page
-    restores performed.  Raises [Invalid_argument] on a checkpoint
-    that is no longer on the stack. *)
-
+val validate : t -> checkpoint -> unit
 val commit : t -> checkpoint -> unit
-(** Drop the innermost checkpoint without changing state; its journal
-    folds into the parent epoch so outer rewinds stay exact.  Raises
-    [Invalid_argument] if [checkpoint] is not the innermost. *)
-
 val checkpoint_depth : t -> int
 
 val dirty_pages : t -> int

@@ -114,124 +114,33 @@ let by_offset : (int, field) Hashtbl.t =
 
 let of_offset o = Hashtbl.find_opt by_offset o
 
-(* One copy-on-write epoch: the value each field held before the
-   epoch's first write.  Same dense-journal machinery as
-   [Iris_vmcs.Vmcs]: the per-write probe is a single byte load (no
-   mem-then-add double lookup), rewind/commit walk only the dirty
-   stack, and epochs are pooled so steady-state checkpointing
-   allocates nothing. *)
-type journal = {
-  j_old : int64 array;
-  j_seen : Bytes.t;
-  j_dirty : int array;
-  mutable j_n : int;
-}
-
+(* The copy-on-write journal is dense over the field indices, as in
+   [Iris_vmcs.Vmcs]: the per-write probe is a single byte load. *)
 type t = {
   values : int64 array;
-  mutable journals : journal list;  (* innermost epoch first *)
-  mutable pool : journal list;      (* recycled epochs *)
+  journal : (Iris_util.Journal.dense, unit) Iris_util.Journal.t;
 }
 
-let fresh_journal () =
-  { j_old = Array.make count 0L;
-    j_seen = Bytes.make count '\000';
-    j_dirty = Array.make count 0;
-    j_n = 0 }
+let make values =
+  { values; journal = Iris_util.Journal.dense ~name:"Vmcb" values }
 
-let clear_journal j =
-  for k = 0 to j.j_n - 1 do
-    Bytes.unsafe_set j.j_seen j.j_dirty.(k) '\000'
-  done;
-  j.j_n <- 0
+let create () = make (Array.make count 0L)
 
-let create () = { values = Array.make count 0L; journals = []; pool = [] }
-
-let copy t = { values = Array.copy t.values; journals = []; pool = [] }
+let copy t = make (Array.copy t.values)
 
 let read t f = t.values.(f)
 
 let write t f v =
-  (match t.journals with
-  | [] -> ()
-  | j :: _ ->
-      if Bytes.unsafe_get j.j_seen f = '\000' then begin
-        Bytes.unsafe_set j.j_seen f '\001';
-        j.j_old.(f) <- t.values.(f);
-        j.j_dirty.(j.j_n) <- f;
-        j.j_n <- j.j_n + 1
-      end);
+  Iris_util.Journal.note t.journal t.values f;
   t.values.(f) <- v
 
-type checkpoint = int
+type checkpoint = Iris_util.Journal.handle
 
-let recycle t j =
-  clear_journal j;
-  t.pool <- j :: t.pool
+let checkpoint t = Iris_util.Journal.push t.journal ()
 
-let checkpoint t =
-  let j =
-    match t.pool with
-    | j :: rest ->
-        t.pool <- rest;
-        j
-    | [] -> fresh_journal ()
-  in
-  t.journals <- j :: t.journals;
-  List.length t.journals
+let rewind t cp = Iris_util.Journal.rewind t.journal cp
 
-let checkpoint_depth t = List.length t.journals
-
-let journaled_fields t =
-  match t.journals with [] -> 0 | j :: _ -> j.j_n
-
-let apply_journal t j =
-  for k = 0 to j.j_n - 1 do
-    let f = j.j_dirty.(k) in
-    t.values.(f) <- j.j_old.(f)
-  done;
-  j.j_n
-
-let rewind t cp =
-  if cp <= 0 || cp > List.length t.journals then
-    invalid_arg "Vmcb.rewind: stale checkpoint";
-  let restored = ref 0 in
-  let rec undo = function
-    | [] -> assert false
-    | j :: rest as js ->
-        restored := !restored + apply_journal t j;
-        if List.length js = cp then begin
-          clear_journal j;
-          t.journals <- js
-        end
-        else begin
-          recycle t j;
-          undo rest
-        end
-  in
-  undo t.journals;
-  !restored
-
-let commit t cp =
-  if cp = 0 || cp <> List.length t.journals then
-    invalid_arg "Vmcb.commit: not the innermost checkpoint";
-  match t.journals with
-  | [] -> assert false
-  | j :: rest ->
-      (match rest with
-      | [] -> ()
-      | parent :: _ ->
-          for k = 0 to j.j_n - 1 do
-            let f = j.j_dirty.(k) in
-            if Bytes.unsafe_get parent.j_seen f = '\000' then begin
-              Bytes.unsafe_set parent.j_seen f '\001';
-              parent.j_old.(f) <- j.j_old.(f);
-              parent.j_dirty.(parent.j_n) <- f;
-              parent.j_n <- parent.j_n + 1
-            end
-          done);
-      recycle t j;
-      t.journals <- rest
+let commit t cp = Iris_util.Journal.commit t.journal cp
 
 let nonzero_fields t =
   Array.to_list all

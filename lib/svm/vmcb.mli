@@ -50,27 +50,15 @@ val write : t -> field -> int64 -> unit
 
 (** {2 Incremental (copy-on-write) checkpoints}
 
-    Same write-journal machinery as [Iris_vmcs.Vmcs]: a checkpoint
-    records the prior value of each field the epoch writes, so
-    {!rewind} restores only what changed.  Checkpoints nest. *)
+    A dense {!Iris_util.Journal} over the fields, as in
+    [Iris_vmcs.Vmcs]: {!rewind} restores only the fields written since
+    the checkpoint and returns how many. *)
 
 type checkpoint
 
 val checkpoint : t -> checkpoint
-
 val rewind : t -> checkpoint -> int
-(** Restore the state at [checkpoint] (which stays live); returns the
-    number of fields restored.  Raises [Invalid_argument] on a stale
-    checkpoint. *)
-
 val commit : t -> checkpoint -> unit
-(** Drop the innermost checkpoint, folding its journal into the
-    parent. *)
-
-val checkpoint_depth : t -> int
-
-val journaled_fields : t -> int
-(** Fields dirtied so far in the innermost open epoch. *)
 
 val nonzero_fields : t -> (field * int64) list
 val pp : Format.formatter -> t -> unit

@@ -1,48 +1,22 @@
+module Journal = Iris_util.Journal
+
 type launch_state = Clear | Active_current_clear | Active_current_launched
 
-(* One copy-on-write epoch: the prior value of every field written
-   since the checkpoint that opened the epoch, plus the launch state
-   at that instant.
-
-   The epoch is a dense journal over the compact field space — an
-   old-value slot and a seen byte per field plus a dirty-index stack —
-   so the per-write probe is a single byte load instead of the
-   mem-then-add double Hashtbl lookup it replaced, and rewind/commit
-   walk only the dirty stack.  Journals are pooled on [t] so steady-
-   state checkpointing allocates nothing. *)
-type journal = {
-  j_old : int64 array;   (* old value per touched compact index *)
-  j_seen : Bytes.t;      (* '\001' when the index is journaled *)
-  j_dirty : int array;   (* touched indices, oldest first *)
-  mutable j_n : int;
-  mutable j_launch : launch_state;
-}
-
+(* The copy-on-write journal is dense over the compact field space, so
+   the per-write probe is a single byte load; each epoch also keeps
+   the launch state at its push. *)
 type t = {
   values : int64 array; (* indexed by Field.compact *)
   mutable launch : launch_state;
-  mutable journals : journal list;  (* innermost epoch first *)
-  mutable pool : journal list;      (* recycled epochs *)
+  journal : (Journal.dense, launch_state) Journal.t;
 }
 
-let fresh_journal launch =
-  { j_old = Array.make Field.count 0L;
-    j_seen = Bytes.make Field.count '\000';
-    j_dirty = Array.make Field.count 0;
-    j_n = 0;
-    j_launch = launch }
-
-let clear_journal j =
-  for k = 0 to j.j_n - 1 do
-    Bytes.unsafe_set j.j_seen j.j_dirty.(k) '\000'
-  done;
-  j.j_n <- 0
+let make values launch =
+  { values; launch; journal = Journal.dense ~name:"Vmcs" values }
 
 let revision_id = 0x00DE5E27L
 
-let create () =
-  { values = Array.make Field.count 0L; launch = Clear; journals = [];
-    pool = [] }
+let create () = make (Array.make Field.count 0L) Clear
 
 let state t = t.launch
 
@@ -63,24 +37,11 @@ type access_error =
 
 let read t f = t.values.(Field.compact f)
 
-let journal_write t idx =
-  match t.journals with
-  | [] -> ()
-  | j :: _ ->
-      (* Single probe: one byte load decides; no second lookup on the
-         insert path. *)
-      if Bytes.unsafe_get j.j_seen idx = '\000' then begin
-        Bytes.unsafe_set j.j_seen idx '\001';
-        j.j_old.(idx) <- t.values.(idx);
-        j.j_dirty.(j.j_n) <- idx;
-        j.j_n <- j.j_n + 1
-      end
-
 let write t f v =
   if Field.readonly f then Error (Readonly_field f)
   else begin
     let idx = Field.compact f in
-    journal_write t idx;
+    Journal.note t.journal t.values idx;
     t.values.(idx) <- Field.truncate f v;
     Ok ()
   end
@@ -91,7 +52,7 @@ let write_exit_info t f v =
      injection valid bit); never the host area. *)
   assert (Field.area f <> Field.Host);
   let idx = Field.compact f in
-  journal_write t idx;
+  Journal.note t.journal t.values idx;
   t.values.(idx) <- Field.truncate f v
 
 let read_by_encoding t enc =
@@ -104,94 +65,28 @@ let write_by_encoding t enc v =
   | None -> Error (Unsupported_field enc)
   | Some f -> write t f v
 
-let copy t =
-  { values = Array.copy t.values; launch = t.launch; journals = []; pool = [] }
-
-let recycle t j =
-  clear_journal j;
-  t.pool <- j :: t.pool
+let copy t = make (Array.copy t.values) t.launch
 
 let restore_from t ~src =
   Array.blit src.values 0 t.values 0 Field.count;
   t.launch <- src.launch;
   (* Full restore: any outstanding checkpoints are meaningless now. *)
-  List.iter (recycle t) t.journals;
-  t.journals <- []
+  Journal.invalidate t.journal
 
 (* --- incremental (copy-on-write) checkpoints --- *)
 
-type checkpoint = int
+type checkpoint = Journal.handle
 
-let checkpoint t =
-  let j =
-    match t.pool with
-    | j :: rest ->
-        t.pool <- rest;
-        j.j_launch <- t.launch;
-        j
-    | [] -> fresh_journal t.launch
-  in
-  t.journals <- j :: t.journals;
-  List.length t.journals
+let checkpoint t = Journal.push t.journal t.launch
 
-let checkpoint_depth t = List.length t.journals
-
-let journaled_fields t =
-  match t.journals with [] -> 0 | j :: _ -> j.j_n
-
-let apply_journal t j =
-  for k = 0 to j.j_n - 1 do
-    let idx = j.j_dirty.(k) in
-    t.values.(idx) <- j.j_old.(idx)
-  done;
-  t.launch <- j.j_launch;
-  j.j_n
+let validate t cp = Journal.validate t.journal cp
 
 let rewind t cp =
-  if cp <= 0 || cp > List.length t.journals then
-    invalid_arg "Vmcs.rewind: stale checkpoint";
-  let restored = ref 0 in
-  let rec undo = function
-    | [] -> assert false
-    | j :: rest as js ->
-        restored := !restored + apply_journal t j;
-        if List.length js = cp then begin
-          clear_journal j;
-          t.journals <- js
-        end
-        else begin
-          recycle t j;
-          undo rest
-        end
-  in
-  undo t.journals;
-  !restored
+  let restored = Journal.rewind t.journal cp in
+  t.launch <- Journal.saved t.journal;
+  restored
 
-let commit t cp =
-  if cp = 0 || cp <> List.length t.journals then
-    invalid_arg "Vmcs.commit: not the innermost checkpoint";
-  match t.journals with
-  | [] -> assert false
-  | j :: rest ->
-      (match rest with
-      | [] -> ()
-      | parent :: _ ->
-          for k = 0 to j.j_n - 1 do
-            let idx = j.j_dirty.(k) in
-            if Bytes.unsafe_get parent.j_seen idx = '\000' then begin
-              Bytes.unsafe_set parent.j_seen idx '\001';
-              parent.j_old.(idx) <- j.j_old.(idx);
-              parent.j_dirty.(parent.j_n) <- idx;
-              parent.j_n <- parent.j_n + 1
-            end
-          done);
-      recycle t j;
-      t.journals <- rest
-
-let equal_area a b area =
-  List.for_all
-    (fun f -> read a f = read b f)
-    (Field.in_area area)
+let commit t cp = Journal.commit t.journal cp
 
 let nonzero_fields t =
   Array.to_list Field.all

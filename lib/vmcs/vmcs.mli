@@ -61,34 +61,19 @@ val restore_from : t -> src:t -> unit
 
 (** {2 Incremental (copy-on-write) checkpoints}
 
-    A checkpoint opens a VMWRITE journal: the first write to each
-    field saves its prior value, so {!rewind} undoes only the fields
-    the epoch actually touched — the kAFL/Nyx snapshot-reset trick
-    applied to the VMCS.  Checkpoints nest (LIFO); {!restore_from},
-    the full-restore path, invalidates all of them. *)
+    A dense {!Iris_util.Journal} over the fields, plus the launch state
+    saved at each checkpoint: the first write to each field saves its
+    prior value, so {!rewind} undoes only the fields the epoch touched
+    (the kAFL/Nyx snapshot-reset trick applied to the VMCS) and
+    returns how many it restored.  {!restore_from}, the full-restore
+    path, invalidates every checkpoint. *)
 
 type checkpoint
 
 val checkpoint : t -> checkpoint
-(** Open a new epoch; also captures the launch state. *)
-
 val rewind : t -> checkpoint -> int
-(** Restore the state captured at [checkpoint] (which stays live),
-    discarding checkpoints nested inside it.  Returns the number of
-    field restores performed.  Raises [Invalid_argument] on a stale
-    checkpoint. *)
-
+val validate : t -> checkpoint -> unit
 val commit : t -> checkpoint -> unit
-(** Drop the innermost checkpoint, folding its journal into the
-    parent epoch. *)
-
-val checkpoint_depth : t -> int
-
-val journaled_fields : t -> int
-(** Fields dirtied so far in the innermost open epoch. *)
-
-val equal_area : t -> t -> Field.area -> bool
-(** Field-wise equality over one area. *)
 
 val nonzero_fields : t -> (Field.t * int64) list
 (** For debugging/inspection: all fields with a non-zero value. *)

@@ -238,9 +238,13 @@ let checkpoint t =
         clock = Clock.copy t.clock };
     cp_vmcs = V.checkpoint t.vmcs }
 
+let validate t cp = V.validate t.vmcs cp.cp_vmcs
+
+(* The VMCS first: a stale checkpoint raises before anything changed. *)
 let rewind t cp =
+  let restored = V.rewind t.vmcs cp.cp_vmcs in
   restore_scalars t ~from:cp.cp_scalars;
-  V.rewind t.vmcs cp.cp_vmcs
+  restored
 
 let commit t cp = V.commit t.vmcs cp.cp_vmcs
 

@@ -97,8 +97,11 @@ val checkpoint : t -> checkpoint
 
 val rewind : t -> checkpoint -> int
 (** Restore the state captured at [checkpoint] (which stays live);
-    returns the number of VMCS fields restored.  Raises
-    [Invalid_argument] if the VMCS checkpoint is stale. *)
+    returns the number of VMCS fields restored.  A stale VMCS
+    checkpoint raises [Invalid_argument] before anything changes. *)
+
+val validate : t -> checkpoint -> unit
+(** Raise what {!rewind} would raise on [checkpoint], changing nothing. *)
 
 val commit : t -> checkpoint -> unit
 (** Drop the innermost checkpoint, folding the VMCS journal into the

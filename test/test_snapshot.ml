@@ -107,13 +107,52 @@ let test_gmem_zero_canonical () =
   Gmem.commit m cp;
   check Alcotest.int "stack empty" 0 (Gmem.checkpoint_depth m)
 
-let test_gmem_full_restore_invalidates () =
+(* A full restore invalidates every checkpoint, and the stale handle
+   stays stale after a new checkpoint reaches the same depth (the ABA
+   case).  One test, run on each store: [make] builds a fresh store and
+   returns its checkpoint, full-restore and rewind operations. *)
+type 'cp store = {
+  name : string;
+  checkpoint : unit -> 'cp;
+  full_restore : unit -> unit;
+  rewind : 'cp -> int;
+}
+
+let test_full_restore_invalidates (make : unit -> _ store) () =
+  let s = make () in
+  let cp = s.checkpoint () in
+  s.full_restore ();
+  let stale () =
+    Alcotest.check_raises "stale checkpoint"
+      (Invalid_argument (s.name ^ ".rewind: stale checkpoint")) (fun () ->
+        ignore (s.rewind cp : int))
+  in
+  stale ();
+  ignore (s.checkpoint ());
+  stale ()
+
+let gmem_store () =
   let m = Gmem.create ~size_mib:1 in
-  let cp = Gmem.checkpoint m in
-  Gmem.transplant ~into:m ~from:(Gmem.create ~size_mib:1);
-  Alcotest.check_raises "stale checkpoint"
-    (Invalid_argument "Gmem.rewind: stale checkpoint") (fun () ->
-      ignore (Gmem.rewind m cp : int))
+  Gmem.write m 0x1000L ~width:8 1L;
+  { name = "Gmem";
+    checkpoint = (fun () -> Gmem.checkpoint m);
+    full_restore =
+      (fun () -> Gmem.transplant ~into:m ~from:(Gmem.create ~size_mib:1));
+    rewind = Gmem.rewind m }
+
+let ept_store () =
+  let e = Ept.create () in
+  { name = "Ept";
+    checkpoint = (fun () -> Ept.checkpoint e);
+    full_restore = (fun () -> Ept.transplant ~into:e ~from:(Ept.create ()));
+    rewind = Ept.rewind e }
+
+let vmcs_store () =
+  let v = Vmcs.create () in
+  { name = "Vmcs";
+    checkpoint = (fun () -> Vmcs.checkpoint v);
+    full_restore = (fun () -> Vmcs.restore_from v ~src:(Vmcs.create ()));
+    rewind = Vmcs.rewind v }
 
 (* --- EPT: random map/unmap vs deep-copy oracle --- *)
 
@@ -577,6 +616,26 @@ let test_cow_stats_accounting () =
   check Alcotest.bool "journaled work was measured" true
     (st.Domain.vmcs_fields_restored > before.Domain.vmcs_fields_restored)
 
+(* A rewind that raises must leave the domain as it was: after a full
+   revert the mark's journal handles are stale, and the rewind has to
+   reject them before restoring the vCPU scalars or anything else. *)
+let test_failed_rewind_untouched () =
+  let dom =
+    Domain.create ~cov:(Iris_coverage.Cov.create ()) ~id:3 ~name:"stale"
+      ~mem_mib:1 ()
+  in
+  let snap = Domain.snapshot dom in
+  let cps = Checkpoint.start dom in
+  let mark = Checkpoint.push cps in
+  Domain.revert dom snap;
+  dom.Domain.vcpu.Vcpu.rip <- 0x1234L;
+  Gmem.write dom.Domain.mem 0x2000L ~width:8 7L;
+  let before = state_digest dom in
+  Alcotest.check_raises "stale mark"
+    (Invalid_argument "Vmcs.rewind: stale checkpoint") (fun () ->
+      ignore (Checkpoint.rewind cps mark : Domain.revert_stats));
+  check Alcotest.string "state unchanged" before (state_digest dom)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -586,9 +645,15 @@ let () =
         @ [ Alcotest.test_case "zero pages canonical" `Quick
               test_gmem_zero_canonical;
             Alcotest.test_case "full restore invalidates" `Quick
-              test_gmem_full_restore_invalidates ] );
-      ("ept", qcheck [ prop_ept_cow_equals_copy ]);
-      ("vmcs", qcheck [ prop_vmcs_cow_equals_copy ]);
+              (test_full_restore_invalidates gmem_store) ] );
+      ( "ept",
+        qcheck [ prop_ept_cow_equals_copy ]
+        @ [ Alcotest.test_case "full restore invalidates" `Quick
+              (test_full_restore_invalidates ept_store) ] );
+      ( "vmcs",
+        qcheck [ prop_vmcs_cow_equals_copy ]
+        @ [ Alcotest.test_case "full restore invalidates" `Quick
+              (test_full_restore_invalidates vmcs_store) ] );
       ("vmcb", qcheck [ prop_vmcb_cow_equals_copy ]);
       ( "domain",
         qcheck [ prop_domain_cow_equals_full ]
@@ -599,4 +664,6 @@ let () =
             Alcotest.test_case "guided = full-restore golden" `Slow
               test_guided_full_restore_golden;
             Alcotest.test_case "cow stats accounting" `Slow
-              test_cow_stats_accounting ] ) ]
+              test_cow_stats_accounting;
+            Alcotest.test_case "failed rewind leaves state untouched" `Quick
+              test_failed_rewind_untouched ] ) ]

@@ -1,10 +1,11 @@
 (* Unit and property tests for Iris_util: PRNG, bit manipulation,
-   binary codecs, statistics, text plotting. *)
+   binary codecs, statistics, text plotting, the undo journal. *)
 
 module Prng = Iris_util.Prng
 module Bits = Iris_util.Bits
 module Codec = Iris_util.Codec
 module Stats = Iris_util.Stats
+module Journal = Iris_util.Journal
 
 let check = Alcotest.check
 
@@ -279,6 +280,104 @@ let prop_stats_percentile_bounds =
       let mx = Array.fold_left Float.max neg_infinity arr in
       v >= mn -. 1e-9 && v <= mx +. 1e-9)
 
+(* --- Journal: against a naive model ---
+
+   The model is a stack of full copies of the store, one per live
+   handle, with the value saved at its push.  Random writes, pushes,
+   rewinds to any live handle, commits and invalidations must keep
+   the store equal to the copy a rewind lands on; every handle the
+   model has dropped must be rejected by both [rewind] and [commit],
+   leaving the store as it was. *)
+
+let journal_matches_model ~name j ~write ~contents prng =
+  let stack = ref [] (* (handle, contents at push, tag), innermost first *)
+  and stale = ref []
+  and ok = ref true in
+  let expect b = if not b then ok := false in
+  let raises msg f =
+    match f () with
+    | _ -> false
+    | exception Invalid_argument m -> m = msg
+  in
+  let handles l = List.map (fun (h, _, _) -> h) l in
+  for step = 1 to 200 do
+    (match Prng.int prng 12 with
+    | 0 | 1 when List.length !stack < 5 ->
+        stack := (Journal.push j step, contents (), step) :: !stack
+    | 2 | 3 when !stack <> [] ->
+        let i = Prng.int prng (List.length !stack) in
+        let h, at_push, tag = List.nth !stack i in
+        ignore (Journal.rewind j h : int);
+        stale := handles (List.filteri (fun k _ -> k < i) !stack) @ !stale;
+        stack := List.filteri (fun k _ -> k >= i) !stack;
+        expect (contents () = at_push);
+        expect (Journal.saved j = tag && Journal.dirty j = 0)
+    | 4 when !stack <> [] ->
+        (match !stack with
+        | _ :: (outer, _, _) :: _ ->
+            expect
+              (raises (name ^ ".commit: not the innermost checkpoint")
+                 (fun () -> Journal.commit j outer))
+        | _ -> ());
+        let h, _, _ = List.hd !stack in
+        Journal.commit j h;
+        stale := h :: !stale;
+        stack := List.tl !stack
+    | 5 ->
+        Journal.invalidate j;
+        stale := handles !stack @ !stale;
+        stack := []
+    | 6 when !stale <> [] ->
+        let h = List.nth !stale (Prng.int prng (List.length !stale)) in
+        let before = contents () in
+        expect
+          (raises (name ^ ".rewind: stale checkpoint") (fun () ->
+               Journal.rewind j h));
+        expect
+          (raises (name ^ ".commit: not the innermost checkpoint") (fun () ->
+               Journal.commit j h));
+        expect (contents () = before)
+    | _ -> write prng);
+    expect (Journal.depth j = List.length !stack)
+  done;
+  !ok
+
+let prop_journal_dense =
+  QCheck.Test.make ~name:"dense ≡ stack of copies" ~count:50
+    QCheck.small_int (fun salt ->
+      let values = Array.make 8 0L in
+      let j = Journal.dense ~name:"Dense" values in
+      let write prng =
+        let i = Prng.int prng 8 in
+        Journal.note j values i;
+        values.(i) <- Prng.int64_any prng
+      in
+      journal_matches_model ~name:"Dense" j ~write
+        ~contents:(fun () -> Array.to_list values)
+        (Prng.of_int (0x10 + salt)))
+
+let prop_journal_sparse =
+  QCheck.Test.make ~name:"sparse ≡ stack of copies" ~count:50
+    QCheck.small_int (fun salt ->
+      let store = Hashtbl.create 16 in
+      let restore k = function
+        | Some v -> Hashtbl.replace store k v
+        | None -> Hashtbl.remove store k
+      in
+      let j = Journal.sparse ~name:"Sparse" ~restore in
+      let write prng =
+        let k = Prng.int prng 16 in
+        if Journal.first_touch j k then
+          Journal.save j k (Hashtbl.find_opt store k);
+        (* Removals too, so a pre-image can be "absent". *)
+        if Prng.chance prng 0.2 then Hashtbl.remove store k
+        else Hashtbl.replace store k (Prng.int prng 100)
+      in
+      journal_matches_model ~name:"Sparse" j ~write
+        ~contents:(fun () ->
+          List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) store []))
+        (Prng.of_int (0x20 + salt)))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -325,6 +424,7 @@ let () =
           Alcotest.test_case "pct change" `Quick test_stats_pct_change ] );
       ( "textplot",
         [ Alcotest.test_case "renders" `Quick test_textplot_renders ] );
+      ("journal", qcheck [ prop_journal_dense; prop_journal_sparse ]);
       ( "properties",
         qcheck
           [ prop_prng_int_bounds; prop_bits_flip_involution;
