@@ -72,7 +72,7 @@ let require ok msg = if not ok then failwith msg
 
 let prng_seed = 2023
 
-let trace_exits = 5_000 (* the paper's sample trace length *)
+let paper_trace_len = 5_000 (* the paper's sample trace length *)
 
 let boot_scale = 0.3 (* unrecorded boot used to reach post-boot states *)
 
@@ -90,7 +90,7 @@ let recorded_run workload =
   | Some r -> r
   | None ->
       let m = mgr () in
-      let recording = Manager.record m workload ~exits:trace_exits in
+      let recording = Manager.record m workload ~exits:paper_trace_len in
       let replay = Manager.replay m recording in
       let r = (recording, replay) in
       Hashtbl.replace run_cache workload r;
@@ -181,7 +181,7 @@ let fig5 () =
       (fun w ->
         let recording =
           if List.mem w target_workloads then fst (recorded_run w)
-          else Manager.record m w ~exits:trace_exits
+          else Manager.record m w ~exits:paper_trace_len
         in
         let mix = Trace.exit_mix recording.Manager.trace in
         let count r =
@@ -368,7 +368,7 @@ let fig9 () =
         let reals = Array.make runs 0.0 and replays = Array.make runs 0.0 in
         for i = 0 to runs - 1 do
           let m = Manager.create ~boot_scale ~prng_seed:(prng_seed + i) () in
-          let recording = Manager.record m w ~exits:trace_exits in
+          let recording = Manager.record m w ~exits:paper_trace_len in
           let replay = Manager.replay m recording in
           let eff =
             Analysis.efficiency ~recorded:recording.Manager.trace
@@ -1091,11 +1091,11 @@ let scaling () =
 (* Hard budget on minor-heap allocation per COW rewind, in words.  A
    rewind restores fixed-size device and vCPU state in place and walks
    only the journals a case dirtied; what it still allocates is the
-   footprint record, the mark-stack walk and Int64 boxing.  That
-   measures 68 words per rewind, so the budget sits just above the
-   plateau.  The major-heap budget is zero: a rewind that copies a
-   growing buffer (the UART transmit log once did) shows up here. *)
-let minor_words_per_rewind_budget = 80.0
+   footprint record and Int64 boxing.  That measures 23 words per
+   rewind, so the budget leaves a little headroom above the plateau.
+   The major-heap budget is zero: a rewind that copies a growing
+   buffer (the UART transmit log once did) shows up here. *)
+let minor_words_per_rewind_budget = 32.0
 
 (* Average (minor, direct major) words per rewind over one pass of the
    plan: each case dirties the domain, then only the rewind to S_R sits
@@ -1253,7 +1253,7 @@ let inspect_bench () =
   let planted, seeds =
     gate
       (Scenario.plant
-         ~at:(Scenario.plant_position ~exits:trace_exits)
+         ~at:(Scenario.plant_position ~exits:paper_trace_len)
          recording.Manager.trace.Trace.seeds)
   in
   let report =

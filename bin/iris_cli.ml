@@ -63,6 +63,40 @@ let boot_scale =
           "Scale of the unrecorded boot used to reach a valid post-boot \
            state (1.0 = full ~500K-exit boot).")
 
+(* The campaign target, parsed exactly as the wire protocol parses it
+   ([Jobspec.reason_of_string] and [Jobspec.area_of_string]): a reason
+   is a name such as RDTSC or 'CR ACC.', or its decimal code. *)
+let reason_conv =
+  let parse s =
+    match Iris_service.Jobspec.reason_of_string s with
+    | Some r -> Ok r
+    | None -> Error (`Msg (Printf.sprintf "unknown exit reason %S" s))
+  in
+  Arg.conv (parse, fun fmt r -> Format.pp_print_string fmt (R.short_name r))
+
+let area_conv =
+  let parse s =
+    match Iris_service.Jobspec.area_of_string s with
+    | Some a -> Ok a
+    | None -> Error (`Msg (Printf.sprintf "unknown area %S (try: vmcs, gpr)" s))
+  in
+  Arg.conv
+    ( parse,
+      fun fmt a ->
+        Format.pp_print_string fmt (Iris_service.Jobspec.area_string a) )
+
+let reason ~doc =
+  Arg.(
+    value
+    & opt reason_conv R.Rdtsc
+    & info [ "r"; "reason" ] ~docv:"REASON" ~doc)
+
+let area =
+  Arg.(
+    value
+    & opt area_conv Iris_fuzzer.Mutation.Area_vmcs
+    & info [ "a"; "area" ] ~docv:"AREA" ~doc:"Seed area to mutate: vmcs or gpr.")
+
 (* --- telemetry options (shared by record/replay/fuzz/stats) --- *)
 
 let trace_out =
@@ -222,36 +256,12 @@ let replay_cmd =
 
 (* --- fuzz --- *)
 
-let reason_conv =
-  let parse s =
-    let s' = String.uppercase_ascii s in
-    match
-      List.find_opt
-        (fun r ->
-          String.uppercase_ascii (R.short_name r) = s'
-          || String.uppercase_ascii (R.name r) = s')
-        R.all
-    with
-    | Some r -> Ok r
-    | None -> Error (`Msg (Printf.sprintf "unknown exit reason %S" s))
-  in
-  Arg.conv (parse, fun fmt r -> Format.pp_print_string fmt (R.short_name r))
-
 let fuzz_cmd =
   let reason =
-    Arg.(
-      value
-      & opt reason_conv R.Rdtsc
-      & info [ "r"; "reason" ] ~docv:"REASON"
-          ~doc:"Exit reason of the target seed (e.g. RDTSC, CPUID, 'CR ACC.').")
-  in
-  let area =
-    Arg.(
-      value
-      & opt (enum [ ("vmcs", Iris_fuzzer.Mutation.Area_vmcs);
-                    ("gpr", Iris_fuzzer.Mutation.Area_gpr) ])
-          Iris_fuzzer.Mutation.Area_vmcs
-      & info [ "a"; "area" ] ~docv:"AREA" ~doc:"Seed area to mutate.")
+    reason
+      ~doc:
+        "Exit reason of the target seed: a name (e.g. RDTSC, CPUID, \
+         'CR ACC.') or its decimal code (16 = RDTSC)."
   in
   let mutations =
     Arg.(
@@ -700,21 +710,7 @@ let inspect_cmd =
 (* --- bisect --- *)
 
 let bisect_cmd =
-  let reason =
-    Arg.(
-      value
-      & opt reason_conv R.Rdtsc
-      & info [ "r"; "reason" ] ~docv:"REASON"
-          ~doc:"Exit reason of the fuzzed seed.")
-  in
-  let area =
-    Arg.(
-      value
-      & opt (enum [ ("vmcs", Iris_fuzzer.Mutation.Area_vmcs);
-                    ("gpr", Iris_fuzzer.Mutation.Area_gpr) ])
-          Iris_fuzzer.Mutation.Area_vmcs
-      & info [ "a"; "area" ] ~docv:"AREA" ~doc:"Seed area to mutate.")
-  in
+  let reason = reason ~doc:"Exit reason of the fuzzed seed." in
   let mutations =
     Arg.(
       value
@@ -1105,21 +1101,7 @@ let submit_cmd =
       & info [ "p"; "priority" ] ~docv:"N"
           ~doc:"Scheduling weight (>= 1): deficit accrues N times faster.")
   in
-  let reason =
-    Arg.(
-      value
-      & opt reason_conv R.Rdtsc
-      & info [ "r"; "reason" ] ~docv:"REASON"
-          ~doc:"Exit reason of the target seed.")
-  in
-  let area =
-    Arg.(
-      value
-      & opt (enum [ ("vmcs", Iris_fuzzer.Mutation.Area_vmcs);
-                    ("gpr", Iris_fuzzer.Mutation.Area_gpr) ])
-          Iris_fuzzer.Mutation.Area_vmcs
-      & info [ "a"; "area" ] ~docv:"AREA" ~doc:"Seed area to mutate.")
-  in
+  let reason = reason ~doc:"Exit reason of the target seed." in
   let mutations =
     Arg.(
       value

@@ -177,6 +177,18 @@ let reach_sr ~replayer ~trace ~seed_index =
   reach_sr_state ~replayer ~trace ~seed_index;
   Iris_hv.Domain.snapshot (Replayer.ctx replayer).Ctx.dom
 
+(* COW-effectiveness telemetry (visible in [stats]): how many reverts
+   took the journal path and how little they had to restore, broken
+   down by the exit reason under test. *)
+type cow_counters = {
+  probe : Iris_telemetry.Probe.t;
+  reverts : Iris_telemetry.Registry.counter;
+  pages : Iris_telemetry.Registry.counter;
+  ept : Iris_telemetry.Registry.counter;
+  vmcs_fields : Iris_telemetry.Registry.counter;
+  pages_by_reason : Iris_telemetry.Registry.vec;
+}
+
 (* How a worker pins S_R between cases.  Campaigns open a journal
    epoch at S_R and rewind only what each case dirtied (kAFL/Nyx-style
    snapshot-reset).  [Anchor_full] deep-copies the whole domain and
@@ -187,65 +199,13 @@ let reach_sr ~replayer ~trace ~seed_index =
 type anchor =
   | Anchor_full of Iris_hv.Domain.snapshot
   | Anchor_cow of
-      Iris_hv.Checkpoint.t
-      * Iris_hv.Checkpoint.mark
-      * Iris_telemetry.Registry.slots option
-
-(* Per-exit-reason label array for COW revert telemetry, indexed by
-   the basic exit-reason code (the code space has holes). *)
-let exit_labels =
-  lazy
-    (let n =
-       1
-       + List.fold_left
-           (fun m r -> max m (Iris_vtx.Exit_reason.code r))
-           0 Iris_vtx.Exit_reason.all
-     in
-     let a = Array.make n "unused" in
-     List.iter
-       (fun r ->
-         a.(Iris_vtx.Exit_reason.code r) <- Iris_vtx.Exit_reason.short_name r)
-       Iris_vtx.Exit_reason.all;
-     a)
-
-(* Slot layout for the COW revert batch (see [note_cow]). *)
-let slot_reverts = 0
-let slot_pages = 1
-let slot_ept = 2
-let slot_vmcs_fields = 3
-let slot_by_reason = 4  (* + exit-reason code *)
-
-(* Resolve the COW telemetry counters to one slot batch, once per
-   anchor.  The old path did four string lookups, a counter_vec
-   re-registration and a [Lazy.force] on *every revert*; with the
-   batch, [note_cow] is nothing but int-array stores, and the sums
-   reach the named counters at snapshot/merge (flush) time. *)
-let cow_slots ctx =
-  match Iris_hv.Observe.probe ctx with
-  | None -> None
-  | Some p ->
-      let reg =
-        (Iris_telemetry.Probe.hub p).Iris_telemetry.Hub.registry
-      in
-      let module R = Iris_telemetry.Registry in
-      let fixed =
-        [| R.counter reg "cow.reverts";
-           R.counter reg "cow.pages_restored";
-           R.counter reg "cow.ept_restored";
-           R.counter reg "cow.vmcs_fields_restored" |]
-      in
-      let vec =
-        R.counter_vec reg "cow.pages_by_reason"
-          ~labels:(Lazy.force exit_labels)
-      in
-      Some (R.slots_of reg (Array.append fixed (R.vec_counters vec)))
+      Iris_hv.Checkpoint.t * Iris_hv.Checkpoint.mark * cow_counters option ref
 
 let anchor ~replayer ~trace ~seed_index () =
   reach_sr_state ~replayer ~trace ~seed_index;
-  let ctx = Replayer.ctx replayer in
-  let cps = Iris_hv.Checkpoint.start ctx.Ctx.dom in
+  let cps = Iris_hv.Checkpoint.start (Replayer.ctx replayer).Ctx.dom in
   let mark = Iris_hv.Checkpoint.push cps in
-  Anchor_cow (cps, mark, cow_slots ctx)
+  Anchor_cow (cps, mark, ref None)
 
 let no_footprint =
   { Iris_hv.Domain.rs_pages = 0; rs_ept_entries = 0; rs_vmcs_fields = 0 }
@@ -270,21 +230,42 @@ let release ~replayer anchor =
   | Anchor_full _ -> ()
   | Anchor_cow (cps, mark, _) -> Iris_hv.Checkpoint.pop cps mark
 
-(* COW-effectiveness telemetry (visible in [stats]): how many reverts
-   took the journal path and how little they had to restore, broken
-   down by the exit reason under test.  Only [execute_case] counts, so
-   guided and differential restores stay out of [cow.*]. *)
-let note_cow anchor ~reason rs =
-  match anchor with
-  | Anchor_full _ | Anchor_cow (_, _, None) -> ()
-  | Anchor_cow (_, _, Some sl) ->
+let cow_counters probe =
+  let module R = Iris_telemetry.Registry in
+  let reg = (Iris_telemetry.Probe.hub probe).Iris_telemetry.Hub.registry in
+  { probe;
+    reverts = R.counter reg "cow.reverts";
+    pages = R.counter reg "cow.pages_restored";
+    ept = R.counter reg "cow.ept_restored";
+    vmcs_fields = R.counter reg "cow.vmcs_fields_restored";
+    pages_by_reason =
+      R.counter_vec reg "cow.pages_by_reason"
+        ~labels:Iris_hv.Observe.reason_labels }
+
+(* The counters live in the hub of whichever probe is attached when the
+   case rewinds — workers and service universes attach theirs only
+   after the anchor is pinned — so they are resolved on the first
+   rewind under each probe and kept for the next.  Only [execute_case]
+   counts, so guided and differential restores stay out of [cow.*]. *)
+let note_cow ~replayer anchor ~reason rs =
+  match (anchor, Iris_hv.Observe.probe (Replayer.ctx replayer)) with
+  | Anchor_full _, _ | Anchor_cow _, None -> ()
+  | Anchor_cow (_, _, resolved), Some p ->
+      let c =
+        match !resolved with
+        | Some c when c.probe == p -> c
+        | _ ->
+            let c = cow_counters p in
+            resolved := Some c;
+            c
+      in
       let module R = Iris_telemetry.Registry in
-      R.slot_incr sl slot_reverts;
-      R.slot_add sl slot_pages rs.Iris_hv.Domain.rs_pages;
-      R.slot_add sl slot_ept rs.Iris_hv.Domain.rs_ept_entries;
-      R.slot_add sl slot_vmcs_fields rs.Iris_hv.Domain.rs_vmcs_fields;
-      R.slot_add sl
-        (slot_by_reason + Iris_vtx.Exit_reason.code reason)
+      R.incr c.reverts;
+      R.add c.pages rs.Iris_hv.Domain.rs_pages;
+      R.add c.ept rs.Iris_hv.Domain.rs_ept_entries;
+      R.add c.vmcs_fields rs.Iris_hv.Domain.rs_vmcs_fields;
+      R.vec_add c.pages_by_reason
+        (Iris_vtx.Exit_reason.code reason)
         rs.Iris_hv.Domain.rs_pages
 
 let execute_case ~replayer ~anchor seed =
@@ -293,7 +274,7 @@ let execute_case ~replayer ~anchor seed =
   let (raw_failure, raw_detail), raw_span = submit_probed replayer seed in
   let raw_cycles = Int64.sub (Iris_vtx.Clock.now (Ctx.clock ctx)) t0 in
   (* Every test starts again from the valid state S_R. *)
-  note_cow anchor ~reason:seed.Seed.reason (rewind ~replayer anchor);
+  note_cow ~replayer anchor ~reason:seed.Seed.reason (rewind ~replayer anchor);
   { raw_failure; raw_detail; raw_span; raw_cycles }
 
 (* --- ordered merge (pure) ---

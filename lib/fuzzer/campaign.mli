@@ -138,18 +138,19 @@ val reach_sr :
     full-restore equivalence oracle that tests and the bench compare
     COW campaigns against. *)
 
+type cow_counters
+(** The [cow.*] revert counters, resolved against one probe's hub. *)
+
 type anchor =
   | Anchor_full of Iris_hv.Domain.snapshot
   | Anchor_cow of
-      Iris_hv.Checkpoint.t
-      * Iris_hv.Checkpoint.mark
-      * Iris_telemetry.Registry.slots option
+      Iris_hv.Checkpoint.t * Iris_hv.Checkpoint.mark * cow_counters option ref
 (** How a worker holds on to S_R between cases — a deep snapshot to
     transplant back (the oracle), or a live journal mark to rewind to
-    (what {!anchor} pins).  The COW anchor carries the revert-telemetry
-    slot batch, resolved once at anchor time so each revert is
-    counter-lookup-free ([None] when the replayer's context has no
-    probe). *)
+    (what {!anchor} pins).  The COW anchor also keeps the [cow.*]
+    counters of the probe attached when a case last rewound to it, so
+    {!execute_case} resolves them once per probe, not once per case:
+    a probe attached after the anchor was pinned still counts. *)
 
 val anchor :
   replayer:Iris_core.Replayer.t -> trace:Iris_core.Trace.t ->

@@ -15,13 +15,8 @@ let attach hub ctx =
   let probe = T.Probe.create ~tid ~labels:reason_labels hub in
   ctx.Ctx.hooks.Hooks.probe <- Some probe;
   Iris_vtx.Engine.set_exit_counters ctx.Ctx.dom.Domain.engine
-    (Some
-       (T.Registry.counter_vec hub.T.Hub.registry "engine.exits"
-          ~labels:reason_labels));
+    (T.Registry.counter_vec hub.T.Hub.registry "engine.exits"
+       ~labels:reason_labels);
   probe
-
-let detach ctx =
-  ctx.Ctx.hooks.Hooks.probe <- None;
-  Iris_vtx.Engine.set_exit_counters ctx.Ctx.dom.Domain.engine None
 
 let probe ctx = ctx.Ctx.hooks.Hooks.probe

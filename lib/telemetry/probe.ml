@@ -11,7 +11,6 @@ type t = {
   mutable start : int64;
   mutable in_exit : bool;
   mutable base_depth : int; (* tracer depth outside any exit span *)
-  mutable trace_exits : bool;
 }
 
 let create ?(tid = 1) ~labels hub =
@@ -27,14 +26,11 @@ let create ?(tid = 1) ~labels hub =
     vmwrites = Registry.counter reg "hv.vmwrites";
     start = 0L;
     in_exit = false;
-    base_depth = 0;
-    trace_exits = true }
+    base_depth = 0 }
 
 let hub t = t.hub
 
 let tid t = t.tid
-
-let set_trace_exits t b = t.trace_exits <- b
 
 let unwind t ~now =
   (* A handler that panicked mid-exit never reached [exit_end]; close
@@ -42,21 +38,18 @@ let unwind t ~now =
      without bound.  The aborted exit yields no metrics. *)
   if t.in_exit then begin
     t.in_exit <- false;
-    if t.trace_exits then
-      while Tracer.depth t.hub.Hub.tracer > t.base_depth do
-        Tracer.end_span t.hub.Hub.tracer ~name:"aborted" ~ts:now
-      done
+    while Tracer.depth t.hub.Hub.tracer > t.base_depth do
+      Tracer.end_span t.hub.Hub.tracer ~name:"aborted" ~ts:now
+    done
   end
 
 let exit_begin t ~now =
   unwind t ~now;
   t.start <- now;
   t.in_exit <- true;
-  if t.trace_exits then begin
-    t.base_depth <- Tracer.depth t.hub.Hub.tracer;
-    Tracer.begin_span t.hub.Hub.tracer ~cat:"exit" ~tid:t.tid ~name:"exit"
-      ~ts:now
-  end
+  t.base_depth <- Tracer.depth t.hub.Hub.tracer;
+  Tracer.begin_span t.hub.Hub.tracer ~cat:"exit" ~tid:t.tid ~name:"exit"
+    ~ts:now
 
 let exit_end t ~now ~reason =
   if t.in_exit then begin
@@ -66,21 +59,18 @@ let exit_end t ~now ~reason =
     Registry.vec_add64 t.exit_cycles reason dur;
     Registry.observe t.handler_hist dur;
     Registry.hist_observe t.reason_hist reason dur;
-    if t.trace_exits then
-      let name =
-        if reason >= 0 && reason < Array.length t.labels then t.labels.(reason)
-        else "unknown"
-      in
-      Tracer.end_span t.hub.Hub.tracer ~name ~ts:now
+    let name =
+      if reason >= 0 && reason < Array.length t.labels then t.labels.(reason)
+      else "unknown"
+    in
+    Tracer.end_span t.hub.Hub.tracer ~name ~ts:now
   end
 
 let handler_begin t ~now =
-  if t.trace_exits then
-    Tracer.begin_span t.hub.Hub.tracer ~cat:"handler" ~tid:t.tid
-      ~name:"handler" ~ts:now
+  Tracer.begin_span t.hub.Hub.tracer ~cat:"handler" ~tid:t.tid
+    ~name:"handler" ~ts:now
 
-let handler_end t ~now ~name =
-  if t.trace_exits then Tracer.end_span t.hub.Hub.tracer ~name ~ts:now
+let handler_end t ~now ~name = Tracer.end_span t.hub.Hub.tracer ~name ~ts:now
 
 let on_vmread t = Registry.incr t.vmreads
 

@@ -49,8 +49,3 @@ val on_vmwrite : t -> unit
 
 val instant : t -> name:string -> now:int64 -> unit
 (** Zero-duration event on this probe's track (divergence, crash). *)
-
-val set_trace_exits : t -> bool -> unit
-(** When off, [exit_begin]/[exit_end] still update metrics but emit no
-    spans — for million-exit campaigns where only aggregates matter.
-    On by default. *)

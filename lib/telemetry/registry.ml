@@ -23,11 +23,6 @@ type vec = counter array
 
 type hist_vec = histogram array
 
-(* A batch of slot handles: the hot loop does plain int-array stores
-   into [sl_pending]; the deferred sums reach the named counters in
-   [sl_targets] only at flush (snapshot/merge) time. *)
-type slots = { sl_pending : int array; sl_targets : counter array }
-
 type metric =
   | M_counter of counter
   | M_gauge of gauge
@@ -35,24 +30,21 @@ type metric =
   | M_vec of vec * string array
   | M_hist_vec of hist_vec * string array
 
-type t = {
-  metrics : (string, metric) Hashtbl.t;
-  mutable batches : slots list;
-}
+type t = (string, metric) Hashtbl.t
 
-let create () = { metrics = Hashtbl.create 32; batches = [] }
+let create () : t = Hashtbl.create 32
 
 (* --- registration --- *)
 
 let register t name build extract =
-  match Hashtbl.find_opt t.metrics name with
+  match Hashtbl.find_opt t name with
   | Some m -> (
       match extract m with
       | Some x -> x
       | None -> invalid_arg ("Registry: " ^ name ^ " registered with another type"))
   | None ->
       let m, x = build () in
-      Hashtbl.replace t.metrics name m;
+      Hashtbl.replace t name m;
       x
 
 let counter t name =
@@ -111,31 +103,6 @@ let set g v = g.g <- v
 
 let gauge_value g = g.g
 
-(* --- slot batches --- *)
-
-let slots_of t targets =
-  let sl = { sl_pending = Array.make (Array.length targets) 0;
-             sl_targets = targets } in
-  t.batches <- sl :: t.batches;
-  sl
-
-let slot_add sl i n = sl.sl_pending.(i) <- sl.sl_pending.(i) + n
-
-let slot_incr sl i = sl.sl_pending.(i) <- sl.sl_pending.(i) + 1
-
-let flush_slots sl =
-  for i = 0 to Array.length sl.sl_pending - 1 do
-    let n = sl.sl_pending.(i) in
-    if n <> 0 then begin
-      sl.sl_targets.(i).c <- sl.sl_targets.(i).c + n;
-      sl.sl_pending.(i) <- 0
-    end
-  done
-
-let flush t = List.iter flush_slots t.batches
-
-let vec_counters (v : vec) : counter array = v
-
 (* Index of the highest set bit, by binary search: O(1), no loop over
    64 positions on the hot path. *)
 let log2_bucket x =
@@ -161,6 +128,8 @@ let observe h x =
   if x > h.max then h.max <- x
 
 let vec_incr v code = if code >= 0 && code < Array.length v then incr v.(code)
+
+let vec_add v code n = if code >= 0 && code < Array.length v then add v.(code) n
 
 let vec_add64 v code n =
   if code >= 0 && code < Array.length v then add64 v.(code) n
@@ -229,12 +198,14 @@ let merge_histogram (dst : histogram) (src : histogram) =
    snapshot, which is what makes the merged report partition-
    independent. *)
 let merge_into ~into src =
-  flush src;
-  flush into;
   Hashtbl.iter
     (fun name m ->
       match m with
       | M_counter s -> merge_counter (counter into name) s
+      | M_gauge s when not (Hashtbl.mem into name) ->
+          (* from the input's value, not 0: a merged gauge is the max
+             of its inputs, negative ones too *)
+          Hashtbl.replace into name (M_gauge { g = s.g })
       | M_gauge s -> merge_gauge (gauge into name) s
       | M_histogram s -> merge_histogram (histogram into name) s
       | M_vec (s, labels) ->
@@ -249,7 +220,7 @@ let merge_into ~into src =
           for i = 0 to n - 1 do
             merge_histogram d.(i) s.(i)
           done)
-    src.metrics
+    src
 
 (* --- snapshots --- *)
 
@@ -280,7 +251,6 @@ let hist_sample h =
       buckets = !buckets }
 
 let snapshot t =
-  flush t;
   let entries = ref [] in
   Hashtbl.iter
     (fun name m ->
@@ -303,40 +273,8 @@ let snapshot t =
                 (Printf.sprintf "%s{%s}" name labels.(i), hist_sample h)
                 :: !entries)
             v)
-    t.metrics;
+    t;
   List.sort (fun (a, _) (b, _) -> compare a b) !entries
-
-let diff ~before ~after =
-  let prev = Hashtbl.create 32 in
-  List.iter (fun (name, s) -> Hashtbl.replace prev name s) before;
-  List.map
-    (fun (name, s) ->
-      match (s, Hashtbl.find_opt prev name) with
-      | S_counter a, Some (S_counter b) -> (name, S_counter (Int64.sub a b))
-      | S_gauge _, _ -> (name, s)
-      | ( S_histogram a,
-          Some (S_histogram b) ) ->
-          let bb = Hashtbl.create 8 in
-          List.iter (fun (i, n) -> Hashtbl.replace bb i n) b.buckets;
-          let buckets =
-            List.filter_map
-              (fun (i, n) ->
-                let d =
-                  Int64.sub n
-                    (Option.value ~default:0L (Hashtbl.find_opt bb i))
-                in
-                if d > 0L then Some (i, d) else None)
-              a.buckets
-          in
-          ( name,
-            S_histogram
-              { count = Int64.sub a.count b.count;
-                sum = Int64.sub a.sum b.sum;
-                min = a.min;
-                max = a.max;
-                buckets } )
-      | _, _ -> (name, s))
-    after
 
 (* --- rendering --- *)
 

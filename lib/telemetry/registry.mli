@@ -59,35 +59,9 @@ val observe : histogram -> int64 -> unit
 val vec_incr : vec -> int -> unit
 (** [vec_incr v code]; out-of-range codes are dropped silently. *)
 
+val vec_add : vec -> int -> int -> unit
 val vec_add64 : vec -> int -> int64 -> unit
 val hist_observe : hist_vec -> int -> int64 -> unit
-
-(* --- slot batches (hot path, plain int-array stores) --- *)
-
-type slots
-(** A batch of preallocated slot handles over registered counters.
-    Hot loops resolve their counters to a [slots] value once (at
-    probe/anchor install time) and then do nothing but int-array
-    stores; the deferred sums reach the named counters at flush time.
-    [snapshot] and [merge_into] flush automatically, so exported
-    output is indistinguishable from direct counter updates. *)
-
-val slots_of : t -> counter array -> slots
-(** Build a batch whose slot [i] feeds [targets.(i)].  The batch is
-    tracked by the registry for flush-on-export. *)
-
-val slot_add : slots -> int -> int -> unit
-(** [slot_add sl i n] defers adding [n] to slot [i]'s counter. *)
-
-val slot_incr : slots -> int -> unit
-
-val flush : t -> unit
-(** Fold every batch's pending values into its counters.  Idempotent;
-    called implicitly by [snapshot] and [merge_into]. *)
-
-val vec_counters : vec -> counter array
-(** The underlying per-label counters, e.g. to target vec members
-    from a slot batch. *)
 
 (* --- histogram queries --- *)
 
@@ -117,18 +91,14 @@ type snapshot = (string * sample) list
 
 val merge_into : into:t -> t -> unit
 (** Fold [t]'s metrics into [into], creating any that are missing:
-    counters and histograms add, gauges take the max.  Commutative and
+    counters and histograms add, gauges take the max (a gauge missing
+    from [into] is created at [t]'s value).  Commutative and
     associative, so merging per-worker registries in any order yields
     the same snapshot — the orchestrator's join path relies on this.
     Raises [Invalid_argument] if a name is registered with different
     types in the two registries. *)
 
 val snapshot : t -> snapshot
-
-val diff : before:snapshot -> after:snapshot -> snapshot
-(** Per-metric delta: counters and histogram counts/sums subtract;
-    gauges keep the [after] value.  Metrics only present in [after]
-    pass through; zero-delta counters are kept. *)
 
 val render : snapshot -> string
 (** Human-readable table, one metric per line; histograms show

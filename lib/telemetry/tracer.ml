@@ -22,7 +22,6 @@ type t = {
   mutable count : int; (* closed spans retained *)
   mutable evicted : int;
   mutable stack : open_span list;
-  mutable on : bool;
   mutable next_tid : int;
 }
 
@@ -34,17 +33,12 @@ let create ?(capacity = default_capacity) () =
     count = 0;
     evicted = 0;
     stack = [];
-    on = true;
     next_tid = 1 }
 
 let alloc_tid t =
   let id = t.next_tid in
   t.next_tid <- id + 1;
   id
-
-let enabled t = t.on
-
-let set_enabled t b = t.on <- b
 
 let push t span =
   let cap = Array.length t.ring in
@@ -54,31 +48,27 @@ let push t span =
   t.head <- (t.head + 1) mod cap
 
 let begin_span ?(cat = "") ?(tid = 1) ?(args = []) t ~name ~ts =
-  if t.on then
-    t.stack <-
-      { o_name = name; o_cat = cat; o_ts = ts; o_tid = tid; o_args = args }
-      :: t.stack
+  t.stack <-
+    { o_name = name; o_cat = cat; o_ts = ts; o_tid = tid; o_args = args }
+    :: t.stack
 
 let end_span ?name ?(args = []) t ~ts =
-  if t.on then
-    match t.stack with
-    | [] -> () (* unbalanced end: drop *)
-    | o :: rest ->
-        t.stack <- rest;
-        let dur = Int64.max 0L (Int64.sub ts o.o_ts) in
-        push t
-          { name = (match name with Some n -> n | None -> o.o_name);
-            cat = o.o_cat;
-            ts = o.o_ts;
-            dur;
-            depth = List.length rest;
-            tid = o.o_tid;
-            args = o.o_args @ args }
+  match t.stack with
+  | [] -> () (* unbalanced end: drop *)
+  | o :: rest ->
+      t.stack <- rest;
+      let dur = Int64.max 0L (Int64.sub ts o.o_ts) in
+      push t
+        { name = (match name with Some n -> n | None -> o.o_name);
+          cat = o.o_cat;
+          ts = o.o_ts;
+          dur;
+          depth = List.length rest;
+          tid = o.o_tid;
+          args = o.o_args @ args }
 
 let instant ?(cat = "") ?(tid = 1) ?(args = []) t ~name ~ts =
-  if t.on then
-    push t
-      { name; cat; ts; dur = 0L; depth = List.length t.stack; tid; args }
+  push t { name; cat; ts; dur = 0L; depth = List.length t.stack; tid; args }
 
 let spans t =
   let cap = Array.length t.ring in
@@ -96,10 +86,3 @@ let recorded t = t.count
 let dropped t = t.evicted
 
 let depth t = List.length t.stack
-
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.head <- 0;
-  t.count <- 0;
-  t.evicted <- 0;
-  t.stack <- []

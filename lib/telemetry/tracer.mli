@@ -31,12 +31,6 @@ val alloc_tid : t -> int
     deterministic per tracer — unlike, say, globally-allocated domain
     ids, which depend on how many VMs earlier runs created. *)
 
-val enabled : t -> bool
-(** False once {!set_enabled} turned the tracer off: all record
-    operations become no-ops. *)
-
-val set_enabled : t -> bool -> unit
-
 val begin_span :
   ?cat:string -> ?tid:int -> ?args:(string * string) list -> t ->
   name:string -> ts:int64 -> unit
@@ -61,5 +55,3 @@ val dropped : t -> int
 
 val depth : t -> int
 (** Currently open spans. *)
-
-val clear : t -> unit

@@ -42,7 +42,7 @@ let create ~vcpu ~mem ~ept =
   { vcpu; mem; ept; exit_counters = None; scratch;
     scratch_exit = Exit scratch }
 
-let set_exit_counters t vec = t.exit_counters <- vec
+let set_exit_counters t vec = t.exit_counters <- Some vec
 
 (* Reset the per-vCPU scratch event for a new exit.  All exits flow
    through this one record: the old path allocated a fresh [event]

@@ -53,8 +53,8 @@ type t = {
 val create :
   vcpu:Vcpu.t -> mem:Iris_memory.Gmem.t -> ept:Iris_memory.Ept.t -> t
 
-val set_exit_counters : t -> Iris_telemetry.Registry.vec option -> unit
-(** Install (or remove) the per-reason exit counter family, indexed by
+val set_exit_counters : t -> Iris_telemetry.Registry.vec -> unit
+(** Install the per-reason exit counter family, indexed by
     {!Exit_reason.code}. *)
 
 val run_until_exit : t -> fetch:(unit -> Iris_x86.Insn.t option) -> outcome

@@ -370,7 +370,7 @@ let test_nested_checkpoint_rewind () =
       (* Open a nested mark, run B on top of it twice. *)
       let m2 = Iris_hv.Checkpoint.push cps in
       check Alcotest.int "two marks live" 2 (Iris_hv.Checkpoint.depth cps);
-      let anchor2 = Campaign.Anchor_cow (cps, m2, None) in
+      let anchor2 = Campaign.Anchor_cow (cps, m2, ref None) in
       let raw_b = Campaign.execute_case ~replayer ~anchor:anchor2 case_b in
       let raw_b' = Campaign.execute_case ~replayer ~anchor:anchor2 case_b in
       check Alcotest.string "rerun from nested mark identical"

@@ -213,6 +213,43 @@ let test_fuzz_jobs_byte_identical () =
         (rep.Orch.r_model_wall_cycles
         <= o1.Orch.fuzz_report.Orch.r_model_wall_cycles)
 
+(* [cow.*] counts where a case rewinds: the sequential runner's probe
+   hub and the merged worker hubs, whose probes attach only after S_R,
+   report the same rewind footprints at any jobs count. *)
+let test_cow_counters_match_sequential () =
+  let m = mgr () in
+  let recording = Manager.record m W.Cpu_bound ~exits:300 in
+  let reason = R.Rdtsc and area = Mutation.Area_vmcs in
+  let hub = Iris_telemetry.Hub.create () in
+  Manager.set_hub m (Some hub);
+  ignore
+    (Campaign.run ~config:(config 80) ~manager:m ~recording ~reason ~area ()
+      : Campaign.result option);
+  let cow h =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"cow." name)
+      (Iris_telemetry.Hub.snapshot h)
+  in
+  let sequential = cow hub in
+  let plan =
+    Option.get
+      (Campaign.plan ~config:(config 80) ~trace:recording.Manager.trace
+         ~reason ~area)
+  in
+  check Alcotest.bool "cow.reverts = case count" true
+    (List.assoc_opt "cow.reverts" sequential
+    = Some (Registry.S_counter (Int64.of_int (Campaign.case_count plan))));
+  List.iter
+    (fun jobs ->
+      let o =
+        Option.get (Orch.fuzz ~jobs ~config:(config 80) ~recording ~reason ~area ())
+      in
+      check Alcotest.string
+        (Printf.sprintf "cow.* at jobs=%d = Campaign.run" jobs)
+        (digest sequential)
+        (digest (cow o.Orch.fuzz_report.Orch.r_hub)))
+    [ 1; 4 ]
+
 (* The identity check behind every gate names the first label whose
    digest differs, so a failing gate says which jobs count or
    submission order broke. *)
@@ -294,7 +331,9 @@ let () =
             test_concurrent_domids_unique ] );
       ( "telemetry",
         [ Alcotest.test_case "merge commutes" `Quick
-            test_registry_merge_commutes ] );
+            test_registry_merge_commutes;
+          Alcotest.test_case "cow counters match sequential" `Slow
+            test_cow_counters_match_sequential ] );
       ( "determinism",
         [ Alcotest.test_case "fuzz jobs byte-identical" `Slow
             test_fuzz_jobs_byte_identical;

@@ -356,6 +356,26 @@ let test_server_replay_from_corpus () =
     (Array.to_list (Corpus.coverage live))
     (Array.to_list (Corpus.coverage store))
 
+(* Every case a job's universe runs rewinds once to S_R, and the job's
+   probe, attached after the anchor was pinned, counts each rewind. *)
+let test_server_counts_cow_rewinds () =
+  List.iter
+    (fun d ->
+      let snap = Iris_telemetry.Hub.snapshot (Server.hub d.Gate.server) in
+      let counter name =
+        match List.assoc_opt name snap with
+        | Some (Registry.S_counter n) -> n
+        | _ -> 0L
+      in
+      check Alcotest.int64 ("no respawns " ^ d.Gate.label) 0L
+        (counter "service.respawns");
+      check Alcotest.bool ("cases ran " ^ d.Gate.label) true
+        (counter "service.cases" > 0L);
+      check Alcotest.int64
+        ("cow.reverts = service.cases " ^ d.Gate.label)
+        (counter "service.cases") (counter "cow.reverts"))
+    (Lazy.force serve_gate).Gate.drains
+
 let test_wire_pipe_session () =
   let server = Server.create ~jobs:1 ~quantum:24 ~recordings:shared_cache () in
   let submit =
@@ -671,7 +691,9 @@ let () =
           Alcotest.test_case "shared-prefix bisection" `Slow
             test_shared_prefix_bisection;
           Alcotest.test_case "socket survives a hang-up" `Slow
-            test_socket_survives_hang_up
+            test_socket_survives_hang_up;
+          Alcotest.test_case "counts cow rewinds" `Slow
+            test_server_counts_cow_rewinds
         ] );
       ( "provenance",
         [ Alcotest.test_case "device touches" `Slow test_provenance_devices ]

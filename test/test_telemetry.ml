@@ -60,26 +60,106 @@ let test_vec_labels () =
   check Alcotest.int64 "v{A}" 1L (get "v{A}");
   check Alcotest.int64 "v{B}" 2L (get "v{B}")
 
-let test_snapshot_diff () =
+let test_snapshot_render () =
   let reg = T.Registry.create () in
   let c = T.Registry.counter reg "c" in
   let h = T.Registry.histogram reg "h" in
   T.Registry.add c 10;
   T.Registry.observe h 100L;
-  let before = T.Registry.snapshot reg in
   T.Registry.add c 5;
   T.Registry.observe h 200L;
-  let after = T.Registry.snapshot reg in
-  let d = T.Registry.diff ~before ~after in
-  (match List.assoc_opt "c" d with
-  | Some (T.Registry.S_counter n) -> check Alcotest.int64 "counter delta" 5L n
-  | _ -> Alcotest.fail "c missing from diff");
-  (match List.assoc_opt "h" d with
+  let snap = T.Registry.snapshot reg in
+  (match List.assoc_opt "c" snap with
+  | Some (T.Registry.S_counter n) -> check Alcotest.int64 "counter" 15L n
+  | _ -> Alcotest.fail "c missing from snapshot");
+  (match List.assoc_opt "h" snap with
   | Some (T.Registry.S_histogram { count; sum; _ }) ->
-      check Alcotest.int64 "hist count delta" 1L count;
-      check Alcotest.int64 "hist sum delta" 200L sum
-  | _ -> Alcotest.fail "h missing from diff");
-  check Alcotest.bool "render total" true (String.length (T.Registry.render d) > 0)
+      check Alcotest.int64 "hist count" 2L count;
+      check Alcotest.int64 "hist sum" 300L sum
+  | _ -> Alcotest.fail "h missing from snapshot");
+  let lines =
+    String.split_on_char '\n' (T.Registry.render snap)
+    |> List.filter (fun l -> l <> "")
+  in
+  check Alcotest.int "one line per metric" 2 (List.length lines);
+  check Alcotest.bool "counter line shows its value" true
+    (String.ends_with ~suffix:" 15" (List.hd lines))
+
+(* Registries built from (kind, name, label, value) entries.  A name's
+   kind is fixed by its prefix and a vec's labels by its name, so
+   registries that share a name share its type, as the per-worker hubs
+   of one campaign do. *)
+let vec_labels = [| "A"; "B"; "C" |]
+
+let registry_of entries =
+  let module R = T.Registry in
+  let r = R.create () in
+  List.iter
+    (fun (kind, name, label, v) ->
+      let n = [| "c"; "g"; "h"; "v"; "hv" |].(kind) ^ string_of_int name in
+      match kind with
+      | 0 -> R.add (R.counter r n) v
+      | 1 -> R.set (R.gauge r n) (Int64.of_int v)
+      | 2 -> R.observe (R.histogram r n) (Int64.of_int v)
+      | 3 -> R.vec_add (R.counter_vec r n ~labels:vec_labels) label v
+      | _ ->
+          R.hist_observe
+            (R.histogram_vec r n ~labels:vec_labels)
+            label (Int64.of_int v))
+    entries;
+  r
+
+let merge_orders =
+  let open QCheck.Gen in
+  let entry =
+    quad (int_range 0 4) (int_range 0 2) (int_range 0 2)
+      (frequency [ (3, int_range (-1000) 1000); (1, int_range 0 (1 lsl 40)) ])
+  in
+  list_size (int_range 1 5) (list_size (int_range 0 12) entry) >>= fun regs ->
+  let idx = List.init (List.length regs) Fun.id in
+  map2 (fun a b -> (regs, a, b)) (shuffle_l idx) (shuffle_l idx)
+
+(* The orchestrator's jobs-independence rests on this: merging per-worker
+   registries in any order gives the same snapshot, counters summing
+   and gauges taking the max of their inputs. *)
+let prop_merge_order_independent =
+  QCheck.Test.make ~name:"merge_into is order-independent" ~count:300
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           triple (list (list (quad int int int int))) (list int) (list int))
+       merge_orders)
+    (fun (specs, order_a, order_b) ->
+      let module R = T.Registry in
+      let regs = Array.of_list (List.map registry_of specs) in
+      let merged order =
+        let into = R.create () in
+        List.iter (fun i -> R.merge_into ~into regs.(i)) order;
+        R.snapshot into
+      in
+      let a = merged order_a and b = merged order_b in
+      let inputs = Array.to_list (Array.map R.snapshot regs) in
+      let values name =
+        List.filter_map (fun snap -> List.assoc_opt name snap) inputs
+      in
+      R.to_jsonl a = R.to_jsonl b
+      && List.for_all
+           (fun (name, sample) ->
+             match sample with
+             | R.S_counter v ->
+                 v
+                 = List.fold_left
+                     (fun acc -> function
+                       | R.S_counter x -> Int64.add acc x | _ -> acc)
+                     0L (values name)
+             | R.S_gauge v ->
+                 v
+                 = List.fold_left
+                     (fun acc -> function
+                       | R.S_gauge x -> Int64.max acc x | _ -> acc)
+                     Int64.min_int (values name)
+             | R.S_histogram _ -> true)
+           a)
 
 (* --- tracer --- *)
 
@@ -321,7 +401,8 @@ let () =
           Alcotest.test_case "histogram semantics" `Quick
             test_histogram_semantics;
           Alcotest.test_case "vec labels" `Quick test_vec_labels;
-          Alcotest.test_case "snapshot diff" `Quick test_snapshot_diff ] );
+          Alcotest.test_case "snapshot render" `Quick test_snapshot_render;
+          QCheck_alcotest.to_alcotest prop_merge_order_independent ] );
       ( "tracer",
         [ Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
           Alcotest.test_case "unbalanced end dropped" `Quick
