@@ -856,30 +856,22 @@ let portability () =
       let recording, _ = recorded_run w in
       let trace = recording.Manager.trace in
       let pct = Iris_svm.Port.coverage_pct trace in
-      (* Census of fields that do not translate. *)
-      let dropped = Hashtbl.create 16 in
-      let exitless = ref 0 in
-      Array.iter
-        (fun s ->
-          let t = Iris_svm.Port.translate s in
-          if t.Iris_svm.Port.exitcode = None then incr exitless;
-          List.iter
-            (fun d ->
-              let f = d.Iris_svm.Port.vmcs_field in
-              Hashtbl.replace dropped f
-                (1 + Option.value ~default:0 (Hashtbl.find_opt dropped f)))
-            t.Iris_svm.Port.dropped)
-        trace.Trace.seeds;
+      let exitless =
+        Array.fold_left
+          (fun n s ->
+            if (Iris_svm.Port.translate s).Iris_svm.Port.exitcode = None then
+              n + 1
+            else n)
+          0 trace.Trace.seeds
+      in
       Printf.printf
         "%-10s %.1f%% of VMREAD records map to VMCB fields; %d/%d seeds \
          without an SVM exit code\n"
-        (W.name w) pct !exitless (Trace.length trace);
+        (W.name w) pct exitless (Trace.length trace);
       let rows =
-        Hashtbl.fold
-          (fun f n acc -> (Iris_vmcs.Field.name f, float_of_int n) :: acc)
-          dropped []
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
+        Iris_svm.Port.dropped_fields trace
         |> List.filteri (fun i _ -> i < 5)
+        |> List.map (fun (f, n) -> (Iris_vmcs.Field.name f, float_of_int n))
       in
       if rows <> [] then
         print_string

@@ -97,7 +97,37 @@ let area =
     & opt area_conv Iris_fuzzer.Mutation.Area_vmcs
     & info [ "a"; "area" ] ~docv:"AREA" ~doc:"Seed area to mutate: vmcs or gpr.")
 
-(* --- telemetry options (shared by record/replay/fuzz/stats) --- *)
+(* --- the recording every run command starts from --- *)
+
+type setup = {
+  workload : W.t;
+  exits : int;
+  prng_seed : int;
+  boot_scale : float;
+}
+
+let setup =
+  Term.(
+    const (fun workload exits prng_seed boot_scale ->
+        { workload; exits; prng_seed; boot_scale })
+    $ workload $ exits $ prng_seed $ boot_scale)
+
+(* Create the manager, wire [hub] into it and record [s]'s workload. *)
+let record ~hub ~full_boot s =
+  let mgr =
+    Manager.create ~boot_scale:s.boot_scale ~prng_seed:s.prng_seed ()
+  in
+  Manager.set_hub mgr hub;
+  Printf.printf "recording %d exits of %s (seed %d)...\n%!" s.exits
+    (W.name s.workload) s.prng_seed;
+  ( mgr,
+    Manager.record ~record_full_boot:full_boot mgr s.workload ~exits:s.exits )
+
+let no_seed reason =
+  Printf.printf "the trace has no seed with exit reason %s\n"
+    (R.short_name reason)
+
+(* --- telemetry options --- *)
 
 let trace_out =
   Arg.(
@@ -114,15 +144,17 @@ let metrics_flag =
     & info [ "metrics" ]
         ~doc:"Print the telemetry metrics summary when the command finishes.")
 
+type telemetry = { trace_out : string option; metrics : bool }
+
+let telemetry =
+  Term.(
+    const (fun trace_out metrics -> { trace_out; metrics })
+    $ trace_out $ metrics_flag)
+
 (* Telemetry is opt-in: without either flag no hub exists and the
    hypervisor hot path keeps its single [None] check. *)
-let telemetry_hub ~trace_out ~metrics mgr =
-  if trace_out = None && not metrics then None
-  else begin
-    let hub = T.Hub.create () in
-    Manager.set_hub mgr (Some hub);
-    Some hub
-  end
+let telemetry_hub t =
+  if t.trace_out = None && not t.metrics then None else Some (T.Hub.create ())
 
 (* Allocator-pressure gauges, sampled once at campaign finalize so
    [stats] can attribute GC load per run.  Sampled here in the CLI
@@ -141,19 +173,19 @@ let sample_gc reg =
   R.set (R.gauge reg "gc.major_collections")
     (Int64.of_int g.Gc.major_collections)
 
-let telemetry_report ~trace_out ~metrics hub =
+let telemetry_report t hub =
   match hub with
   | None -> ()
   | Some hub ->
       sample_gc hub.T.Hub.registry;
-      (match trace_out with
+      (match t.trace_out with
       | None -> ()
       | Some path ->
           T.Export.write_file ~path
             (T.Export.chrome_trace_string ~process_name:"iris"
                hub.T.Hub.tracer);
           Printf.printf "chrome trace written to %s (load in Perfetto)\n" path);
-      if metrics then print_string (T.Hub.summary ~title:"telemetry" hub)
+      if t.metrics then print_string (T.Hub.summary ~title:"telemetry" hub)
 
 (* --- record --- *)
 
@@ -170,15 +202,9 @@ let record_cmd =
       & info [ "full-boot" ]
           ~doc:"For os-boot: record the BIOS phase too (Fig. 4 style).")
   in
-  let run workload exits prng_seed boot_scale out full_boot trace_out metrics
-      =
-    let mgr = Manager.create ~boot_scale ~prng_seed () in
-    let hub = telemetry_hub ~trace_out ~metrics mgr in
-    Printf.printf "recording %d exits of %s (seed %d)...\n%!" exits
-      (W.name workload) prng_seed;
-    let recording =
-      Manager.record ~record_full_boot:full_boot mgr workload ~exits
-    in
+  let run s out full_boot tel =
+    let hub = telemetry_hub tel in
+    let _, recording = record ~hub ~full_boot s in
     let trace = recording.Manager.trace in
     Format.printf "%a@." Trace.pp_summary trace;
     Printf.printf "wall time in guest: %.3f s\n"
@@ -189,13 +215,11 @@ let record_cmd =
         Printf.printf "trace written to %s (%d seed bytes)\n" path
           (Trace.total_seed_bytes trace)
     | None -> ());
-    telemetry_report ~trace_out ~metrics hub
+    telemetry_report tel hub
   in
   Cmd.v
     (Cmd.info "record" ~doc:"Record a VM behavior as a trace of VM seeds.")
-    Term.(
-      const run $ workload $ exits $ prng_seed $ boot_scale $ out $ full_boot
-      $ trace_out $ metrics_flag)
+    Term.(const run $ setup $ out $ full_boot $ telemetry)
 
 (* --- replay --- *)
 
@@ -208,11 +232,9 @@ let replay_cmd =
             "Replay onto a never-booted dummy VM (the paper's §VI-B \
              experiment: post-boot seeds crash with 'bad RIP for mode 0').")
   in
-  let run workload exits prng_seed boot_scale fresh trace_out metrics =
-    let mgr = Manager.create ~boot_scale ~prng_seed () in
-    let hub = telemetry_hub ~trace_out ~metrics mgr in
-    Printf.printf "recording %d exits of %s...\n%!" exits (W.name workload);
-    let recording = Manager.record mgr workload ~exits in
+  let run s fresh tel =
+    let hub = telemetry_hub tel in
+    let mgr, recording = record ~hub ~full_boot:false s in
     Printf.printf "replaying through the dummy VM%s...\n%!"
       (if fresh then " (fresh, no snapshot revert)" else "");
     let replay =
@@ -245,14 +267,12 @@ let replay_cmd =
       Printf.printf "coverage fitting %.1f%%   VMWRITE fitting %.1f%%\n"
         acc.Analysis.fitting_pct acc.Analysis.vmwrite_fit_pct
     end;
-    telemetry_report ~trace_out ~metrics hub
+    telemetry_report tel hub
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Record a behavior and replay it through a dummy VM.")
-    Term.(
-      const run $ workload $ exits $ prng_seed $ boot_scale $ fresh
-      $ trace_out $ metrics_flag)
+    Term.(const run $ setup $ fresh $ telemetry)
 
 (* --- fuzz --- *)
 
@@ -305,86 +325,73 @@ let fuzz_cmd =
             v.Iris_fuzzer.Campaign.detail)
       r.Iris_fuzzer.Campaign.crashing
   in
-  let run workload exits prng_seed boot_scale reason area mutations guided
-      jobs trace_out metrics =
-    let mgr = Manager.create ~boot_scale ~prng_seed () in
-    let hub = telemetry_hub ~trace_out ~metrics mgr in
-    Printf.printf "recording %d exits of %s...\n%!" exits (W.name workload);
-    let recording = Manager.record mgr workload ~exits in
+  let print_guided g =
+    Printf.printf
+      "VMseed_R = #%d   baseline %d LOC -> %d LOC, corpus %d entries\n"
+      g.Iris_fuzzer.Guided.seed_index g.Iris_fuzzer.Guided.baseline_lines
+      g.Iris_fuzzer.Guided.unique_lines g.Iris_fuzzer.Guided.corpus_size;
+    Printf.printf "failures: %d VM crashes, %d hypervisor crashes\n"
+      g.Iris_fuzzer.Guided.vm_crashes g.Iris_fuzzer.Guided.hv_crashes;
+    List.iteri
+      (fun i (_, cls, detail) ->
+        if i < 10 then
+          Printf.printf "  [%s] %s\n" (Iris_fuzzer.Campaign.failure_name cls)
+            detail)
+      g.Iris_fuzzer.Guided.crashing
+  in
+  let run s reason area mutations guided jobs tel =
+    let hub = telemetry_hub tel in
+    let mgr, recording = record ~hub ~full_boot:false s in
+    let prng_seed = s.prng_seed in
     Printf.printf "fuzzing: reason=%s area=%s N=%d%s%s...\n%!"
       (R.short_name reason)
       (Iris_fuzzer.Mutation.area_name area)
       mutations
       (if guided then " (coverage-guided)" else "")
       (if jobs > 1 then Printf.sprintf " jobs=%d" jobs else "");
-    if guided then begin
-      if jobs > 1 then
-        Printf.printf
-          "note: the guided loop is inherently sequential (each round \
-           mutates the corpus\nprevious rounds grew); --jobs applies to \
-           plain campaigns, ignoring it here\n";
-      let config = { Iris_fuzzer.Guided.iterations = mutations; prng_seed } in
-      match
-        Iris_fuzzer.Guided.run ~config ~manager:mgr ~recording ~reason
-      with
-      | None ->
-          Printf.printf "the trace has no seed with exit reason %s\n"
-            (R.short_name reason)
-      | Some g ->
+    let config = { Iris_fuzzer.Campaign.mutations; prng_seed } in
+    let found =
+      if guided then begin
+        if jobs > 1 then
           Printf.printf
-            "VMseed_R = #%d   baseline %d LOC -> %d LOC, corpus %d entries\n"
-            g.Iris_fuzzer.Guided.seed_index
-            g.Iris_fuzzer.Guided.baseline_lines
-            g.Iris_fuzzer.Guided.unique_lines
-            g.Iris_fuzzer.Guided.corpus_size;
-          Printf.printf "failures: %d VM crashes, %d hypervisor crashes\n"
-            g.Iris_fuzzer.Guided.vm_crashes g.Iris_fuzzer.Guided.hv_crashes;
-          List.iteri
-            (fun i (_, cls, detail) ->
-              if i < 10 then
-                Printf.printf "  [%s] %s\n"
-                  (Iris_fuzzer.Campaign.failure_name cls)
-                  detail)
-            g.Iris_fuzzer.Guided.crashing
-    end
-    else if jobs > 1 then begin
-      (* Sharded campaign: each worker owns an isolated hypervisor +
-         dummy VM; the ordered merge makes the report identical to a
-         sequential run. *)
-      let config = { Iris_fuzzer.Campaign.mutations; prng_seed } in
-      match Orch.fuzz ~jobs ~config ~recording ~reason ~area () with
-      | None ->
-          Printf.printf "the trace has no seed with exit reason %s\n"
-            (R.short_name reason)
-      | Some o ->
-          print_campaign o.Orch.fuzz_result;
-          print_newline ();
-          print_string (Orch.render_workers o.Orch.fuzz_report);
-          if metrics then begin
-            sample_gc o.Orch.fuzz_report.Orch.r_hub.T.Hub.registry;
-            print_string
-              (T.Hub.summary ~title:"telemetry (merged)"
-                 o.Orch.fuzz_report.Orch.r_hub)
-          end
-    end
-    else begin
-      let config = { Iris_fuzzer.Campaign.mutations; prng_seed } in
-      match
-        Iris_fuzzer.Campaign.run ~config ~manager:mgr ~recording ~reason ~area ()
-      with
-      | None ->
-          Printf.printf "the trace has no seed with exit reason %s\n"
-            (R.short_name reason)
-      | Some r -> print_campaign r
-    end;
-    telemetry_report ~trace_out ~metrics hub
+            "note: the guided loop is inherently sequential (each round \
+             mutates the corpus\nprevious rounds grew); --jobs applies to \
+             plain campaigns, ignoring it here\n";
+        Option.map print_guided
+          (Iris_fuzzer.Guided.run
+             ~config:{ Iris_fuzzer.Guided.iterations = mutations; prng_seed }
+             ~manager:mgr ~recording ~reason)
+      end
+      else if jobs > 1 then
+        (* Sharded campaign: each worker owns an isolated hypervisor +
+           dummy VM; the ordered merge makes the report identical to a
+           sequential run. *)
+        Option.map
+          (fun o ->
+            print_campaign o.Orch.fuzz_result;
+            print_newline ();
+            print_string (Orch.render_workers o.Orch.fuzz_report);
+            if tel.metrics then begin
+              sample_gc o.Orch.fuzz_report.Orch.r_hub.T.Hub.registry;
+              print_string
+                (T.Hub.summary ~title:"telemetry (merged)"
+                   o.Orch.fuzz_report.Orch.r_hub)
+            end)
+          (Orch.fuzz ~jobs ~config ~recording ~reason ~area ())
+      else
+        Option.map print_campaign
+          (Iris_fuzzer.Campaign.run ~config ~manager:mgr ~recording ~reason
+             ~area ())
+    in
+    if found = None then no_seed reason;
+    telemetry_report tel hub
   in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Run one PoC fuzzing test case (replay to S_R, mutate, triage).")
     Term.(
-      const run $ workload $ exits $ prng_seed $ boot_scale $ reason $ area
-      $ mutations $ guided $ jobs $ trace_out $ metrics_flag)
+      const run $ setup $ reason $ area $ mutations $ guided $ jobs
+      $ telemetry)
 
 (* --- stats --- *)
 
@@ -414,22 +421,9 @@ let stats_cmd =
         else None)
       snap
   in
-  let jobs =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Also run a small sharded fuzzing campaign with N worker \
-             domains and print per-worker utilization.")
-  in
-  let run workload exits prng_seed boot_scale trace_out top jobs =
-    let mgr = Manager.create ~boot_scale ~prng_seed () in
+  let run s trace_out top =
     let hub = T.Hub.create () in
-    Manager.set_hub mgr (Some hub);
-    Printf.printf "recording %d exits of %s (seed %d)...\n%!" exits
-      (W.name workload) prng_seed;
-    let recording = Manager.record mgr workload ~exits in
+    let _, recording = record ~hub:(Some hub) ~full_boot:false s in
     let trace = recording.Manager.trace in
     sample_gc hub.T.Hub.registry;
     let snap = T.Hub.snapshot hub in
@@ -481,23 +475,7 @@ let stats_cmd =
         (T.Registry.hist_count h);
     print_newline ();
     print_string (T.Export.summary ~title:"telemetry" snap);
-    (* Worker utilization of a sharded smoke campaign (the orchestrator's
-       scaling view; model time, see the bench for the full sweep). *)
-    if jobs > 0 then begin
-      let config = { Iris_fuzzer.Campaign.mutations = 500; prng_seed } in
-      match
-        Orch.fuzz ~jobs ~config ~recording ~reason:R.Rdtsc
-          ~area:Iris_fuzzer.Mutation.Area_vmcs ()
-      with
-      | None ->
-          Printf.printf "\nno RDTSC seed in this workload; skipping the \
-                         sharded smoke campaign\n"
-      | Some o ->
-          Printf.printf "\nsharded smoke campaign (RDTSC/vmcs, 500 mutations, \
-                         jobs=%d):\n" jobs;
-          print_string (Orch.render_workers o.Orch.fuzz_report)
-    end;
-    telemetry_report ~trace_out ~metrics:false (Some hub)
+    telemetry_report { trace_out; metrics = false } (Some hub)
   in
   Cmd.v
     (Cmd.info "stats"
@@ -505,9 +483,7 @@ let stats_cmd =
          "Record a short run and print its telemetry: per-exit-reason \
           counts and cycle totals, handler-cycle percentiles, and the full \
           metrics table.")
-    Term.(
-      const run $ workload $ exits $ prng_seed $ boot_scale $ trace_out $ top
-      $ jobs)
+    Term.(const run $ setup $ trace_out $ top)
 
 (* --- inspect --- *)
 
@@ -608,13 +584,9 @@ let inspect_cmd =
              first recorded touch, and the reverse-continue target before \
              the divergence.")
   in
-  let run workload exits prng_seed boot_scale perturb every thorough field
-      trace_out metrics =
-    let mgr = Manager.create ~boot_scale ~prng_seed () in
-    let hub = telemetry_hub ~trace_out ~metrics mgr in
-    Printf.printf "recording %d exits of %s (seed %d)...\n%!" exits
-      (W.name workload) prng_seed;
-    let recording = Manager.record mgr workload ~exits in
+  let run s perturb every thorough field tel =
+    let hub = telemetry_hub tel in
+    let mgr, recording = record ~hub ~full_boot:false s in
     let rec_trace = recording.Manager.trace in
     (* The reference: against the recording itself in the ordinary
        diagnosis mode, or — when planting a synthetic fault — against
@@ -658,7 +630,7 @@ let inspect_cmd =
     in
     match verdict with
     | Error msg ->
-        telemetry_report ~trace_out ~metrics hub;
+        telemetry_report tel hub;
         Printf.eprintf "locator disagrees with the linear ground truth: %s\n"
           msg;
         exit 1
@@ -695,7 +667,7 @@ let inspect_cmd =
                | Some d -> d.Analysis.d_index
                | None -> Trace.length rec_trace))
           field;
-        telemetry_report ~trace_out ~metrics hub
+        telemetry_report tel hub
   in
   Cmd.v
     (Cmd.info "inspect"
@@ -704,8 +676,7 @@ let inspect_cmd =
           checkpoint search instead of linear re-replay, and answer \
           field-provenance queries.")
     Term.(
-      const run $ workload $ exits $ prng_seed $ boot_scale $ perturb $ every
-      $ thorough $ field $ trace_out $ metrics_flag)
+      const run $ setup $ perturb $ every $ thorough $ field $ telemetry)
 
 (* --- bisect --- *)
 
@@ -725,15 +696,13 @@ let bisect_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Save the minimized reproducer trace here.")
   in
-  let run workload exits prng_seed boot_scale reason area mutations out
-      trace_out metrics =
-    let mgr = Manager.create ~boot_scale ~prng_seed () in
-    let hub = telemetry_hub ~trace_out ~metrics mgr in
-    Printf.printf "recording %d exits of %s (seed %d)...\n%!" exits
-      (W.name workload) prng_seed;
-    let recording = Manager.record mgr workload ~exits in
+  let run s reason area mutations out tel =
+    let hub = telemetry_hub tel in
+    let mgr, recording = record ~hub ~full_boot:false s in
     let trace = recording.Manager.trace in
-    let config = { Iris_fuzzer.Campaign.mutations; prng_seed } in
+    let config =
+      { Iris_fuzzer.Campaign.mutations; prng_seed = s.prng_seed }
+    in
     Printf.printf "fuzzing %s/%s for a crashing mutant...\n%!"
       (R.short_name reason)
       (Iris_fuzzer.Mutation.area_name area);
@@ -746,8 +715,7 @@ let bisect_cmd =
     in
     (match (result, plan) with
     | None, _ | _, None ->
-        Printf.printf "the trace has no seed with exit reason %s\n"
-          (R.short_name reason);
+        no_seed reason;
         exit 1
     | Some r, Some plan -> (
         match r.Iris_fuzzer.Campaign.crashing with
@@ -801,7 +769,7 @@ let bisect_cmd =
                     Printf.printf "reproducer written to %s\n" path
                 | None -> ());
                 if not b.Insp.Bisect.b_deterministic then exit 1)));
-    telemetry_report ~trace_out ~metrics hub
+    telemetry_report tel hub
   in
   Cmd.v
     (Cmd.info "bisect"
@@ -811,76 +779,54 @@ let bisect_cmd =
           Exits 1 when no mutant crashes, when the crash does not \
           reproduce, or when the reproducer is not deterministic.")
     Term.(
-      const run $ workload $ exits $ prng_seed $ boot_scale $ reason $ area
-      $ mutations $ out $ trace_out $ metrics_flag)
+      const run $ setup $ reason $ area $ mutations $ out $ telemetry)
 
-(* --- info --- *)
+(* --- info / port: commands on a saved trace --- *)
+
+let trace_file =
+  Arg.(
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"TRACE" ~doc:"Trace file written by 'record -o'.")
+
+let load_trace path =
+  match Trace.load ~path with
+  | Ok trace -> trace
+  | Error e ->
+      Printf.eprintf "cannot load %s: %s\n" path e;
+      exit 1
 
 let info_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"TRACE" ~doc:"Trace file written by 'record -o'.")
-  in
   let run path =
-    match Trace.load ~path with
-    | Error e ->
-        Printf.eprintf "cannot load %s: %s\n" path e;
-        exit 1
-    | Ok trace ->
-        Format.printf "%a@." Trace.pp_summary trace;
-        Printf.printf
-          "seed bytes total %d, max rw records per seed %d (worst-case \
-           pre-allocation %d bytes/exit)\n"
-          (Trace.total_seed_bytes trace)
-          (Trace.max_rw_records trace)
-          Iris_core.Seed.preallocated_bytes
+    let trace = load_trace path in
+    Format.printf "%a@." Trace.pp_summary trace;
+    Printf.printf
+      "seed bytes total %d, max rw records per seed %d (worst-case \
+       pre-allocation %d bytes/exit)\n"
+      (Trace.total_seed_bytes trace)
+      (Trace.max_rw_records trace)
+      Iris_core.Seed.preallocated_bytes
   in
   Cmd.v
     (Cmd.info "info" ~doc:"Summarise a recorded trace file.")
-    Term.(const run $ file)
-
-(* --- port --- *)
+    Term.(const run $ trace_file)
 
 let port_cmd =
-  let file =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"TRACE" ~doc:"Trace file written by 'record -o'.")
-  in
   let run path =
-    match Trace.load ~path with
-    | Error e ->
-        Printf.eprintf "cannot load %s: %s\n" path e;
-        exit 1
-    | Ok trace ->
-        Printf.printf
-          "%s: %.1f%% of VMREAD records translate to AMD VMCB fields\n"
-          path
-          (Iris_svm.Port.coverage_pct trace);
-        let dropped = Hashtbl.create 16 in
-        Array.iter
-          (fun s ->
-            let t = Iris_svm.Port.translate s in
-            List.iter
-              (fun d ->
-                let f = d.Iris_svm.Port.vmcs_field in
-                Hashtbl.replace dropped f
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt dropped f)))
-              t.Iris_svm.Port.dropped)
-          trace.Trace.seeds;
-        Hashtbl.fold (fun f n acc -> (f, n) :: acc) dropped []
-        |> List.sort (fun (_, a) (_, b) -> compare b a)
-        |> List.iter (fun (f, n) ->
-               Printf.printf "  VT-x-only: %-28s dropped %d times\n"
-                 (Iris_vmcs.Field.name f) n)
+    let trace = load_trace path in
+    Printf.printf "%s: %.1f%% of VMREAD records translate to AMD VMCB fields\n"
+      path
+      (Iris_svm.Port.coverage_pct trace);
+    List.iter
+      (fun (f, n) ->
+        Printf.printf "  VT-x-only: %-28s dropped %d times\n"
+          (Iris_vmcs.Field.name f) n)
+      (Iris_svm.Port.dropped_fields trace)
   in
   Cmd.v
     (Cmd.info "port"
        ~doc:"Report how much of a recorded trace ports to AMD SVM (§IX).")
-    Term.(const run $ file)
+    Term.(const run $ trace_file)
 
 (* --- diff --- *)
 
@@ -905,57 +851,39 @@ let diff_cmd =
              KIND is next-rip-skew, cpuid-ecx-flip, rflags-cf-flip, \
              reject-asid, or 'all'.")
   in
-  let run workload exits prng_seed boot_scale jobs plant trace_out metrics =
+  let run s jobs plant metrics =
     let plants =
       match plant with
-      | None -> Ok []
-      | Some "all" -> Ok Machine.all_asymmetries
+      | None -> []
+      | Some "all" -> Machine.all_asymmetries
       | Some name -> (
           match Machine.asymmetry_of_name name with
-          | Some k -> Ok [ k ]
+          | Some k -> [ k ]
           | None ->
-              Error
-                (Printf.sprintf "unknown asymmetry %S (try: %s, all)" name
-                   (String.concat ", "
-                      (List.map Machine.asymmetry_name
-                         Machine.all_asymmetries))))
+              Printf.eprintf "unknown asymmetry %S (try: %s, all)\n" name
+                (String.concat ", "
+                   (List.map Machine.asymmetry_name Machine.all_asymmetries));
+              exit 1)
     in
-    match plants with
+    let _, recording = record ~hub:None ~full_boot:false s in
+    match Gate.diff ~recording ~jobs:[ jobs ] ~plants with
     | Error msg ->
-        Printf.eprintf "%s\n" msg;
+        Printf.eprintf "differential gate failed: %s\n" msg;
         exit 1
-    | Ok plants ->
-        let mgr = Manager.create ~boot_scale ~prng_seed () in
-        Printf.printf "recording %d exits of %s (seed %d)...\n%!" exits
-          (W.name workload) prng_seed;
-        let recording = Manager.record mgr workload ~exits in
-        match Gate.diff ~recording ~jobs:[ jobs ] ~plants with
-        | Error msg ->
-            Printf.eprintf "differential gate failed: %s\n" msg;
-            exit 1
-        | Ok facts ->
-            let merged_hub = T.Hub.create () in
-            List.iter
-              (fun o ->
-                T.Hub.merge_into ~into:merged_hub o.Orch.diff_run.Orch.r_hub;
-                Format.printf "%a@." Diffc.pp_report o.Orch.diff_report;
-                if jobs > 1 then
-                  print_string (Orch.render_workers o.Orch.diff_run))
-              (List.map snd facts.Gate.unperturbed
-              @ List.map (fun (_, _, o) -> o) facts.Gate.planted);
-            Printf.printf
-              "backends agree on every comparable case; %d planted \
-               asymmetries detected exactly\n"
-              (List.length facts.Gate.planted);
-            (match trace_out with
-            | None -> ()
-            | Some path ->
-                T.Export.write_file ~path
-                  (T.Export.chrome_trace_string ~process_name:"iris-diff"
-                     merged_hub.T.Hub.tracer);
-                Printf.printf "chrome trace written to %s\n" path);
-            if metrics then
-              print_string (T.Hub.summary ~title:"differential" merged_hub)
+    | Ok facts ->
+        let merged_hub = T.Hub.create () in
+        List.iter
+          (fun o ->
+            T.Hub.merge_into ~into:merged_hub o.Orch.diff_run.Orch.r_hub;
+            Format.printf "%a@." Diffc.pp_report o.Orch.diff_report)
+          (List.map snd facts.Gate.unperturbed
+          @ List.map (fun (_, _, o) -> o) facts.Gate.planted);
+        Printf.printf
+          "backends agree on every comparable case; %d planted asymmetries \
+           detected exactly\n"
+          (List.length facts.Gate.planted);
+        if metrics then
+          print_string (T.Hub.summary ~title:"differential" merged_hub)
   in
   Cmd.v
     (Cmd.info "diff"
@@ -964,9 +892,7 @@ let diff_cmd =
           VT-x and SVM substrates and treat any normalized-verdict \
           disagreement as a finding; with --plant, gate the detector \
           against planted ground truth.")
-    Term.(
-      const run $ workload $ exits $ prng_seed $ boot_scale $ jobs $ plant
-      $ trace_out $ metrics_flag)
+    Term.(const run $ setup $ jobs $ plant $ metrics_flag)
 
 (* --- serve / submit / status / corpus: the campaign service --- *)
 
@@ -1117,20 +1043,19 @@ let submit_cmd =
             "Modeled-cycle budget; the job truncates at the same case \
              regardless of scheduling.")
   in
-  let run socket tenant priority workload exits reason area mutations
-      prng_seed boot_scale timeout =
+  let run socket tenant priority s reason area mutations timeout =
     let spec =
-      Svc.Jobspec.make ~tenant ~priority ~boot_scale
-        ?timeout_cycles:timeout ~workload ~exits ~reason ~area ~mutations
-        ~prng_seed ()
+      Svc.Jobspec.make ~tenant ~priority ~boot_scale:s.boot_scale
+        ?timeout_cycles:timeout ~workload:s.workload ~exits:s.exits ~reason
+        ~area ~mutations ~prng_seed:s.prng_seed ()
     in
     client_call ~socket (Svc.Wire.request_to_line (Svc.Wire.Submit spec))
   in
   Cmd.v
     (Cmd.info "submit" ~doc:"Submit a campaign job to a running daemon.")
     Term.(
-      const run $ socket_path $ tenant $ priority $ workload $ exits $ reason
-      $ area $ mutations $ prng_seed $ boot_scale $ timeout)
+      const run $ socket_path $ tenant $ priority $ setup $ reason $ area
+      $ mutations $ timeout)
 
 let status_cmd =
   let drain =

@@ -270,25 +270,12 @@ let ideal_throughput_exits_per_sec =
   Iris_vtx.Clock.hz /. float_of_int cycles_per_loop
 
 (* Cross-backend differential findings (the lib/differential oracle)
-   exported through telemetry.  Plain data in the signature — the
-   oracle lives above this library, so the report arrives
-   pre-flattened. *)
+   exported through telemetry.  Plain counts in the signature — the
+   oracle lives above this library. *)
 let note_backend_divergence ~hub ~total ~comparable ~lossy ~findings =
   let module T = Iris_telemetry in
   let reg = hub.T.Hub.registry in
   T.Registry.add (T.Registry.counter reg "diff.cases_total") total;
   T.Registry.add (T.Registry.counter reg "diff.comparable") comparable;
   T.Registry.add (T.Registry.counter reg "diff.lossy") lossy;
-  T.Registry.add
-    (T.Registry.counter reg "diff.findings")
-    (List.length findings);
-  let tracer = hub.T.Hub.tracer in
-  List.iter
-    (fun (index, reason, kind) ->
-      T.Tracer.instant tracer ~cat:"differential" ~name:"backend-divergence"
-        ~args:
-          [ ("index", string_of_int index);
-            ("reason", reason);
-            ("kind", kind) ]
-        ~ts:(Int64.of_int index))
-    findings
+  T.Registry.add (T.Registry.counter reg "diff.findings") findings

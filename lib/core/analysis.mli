@@ -112,12 +112,8 @@ val ideal_throughput_exits_per_sec : float
 
 val note_backend_divergence :
   hub:Iris_telemetry.Hub.t ->
-  total:int ->
-  comparable:int ->
-  lossy:int ->
-  findings:(int * string * string) list ->
-  unit
-(** Export a cross-backend differential report ([lib/differential])
-    through telemetry: [diff.cases_total]/[comparable]/[lossy]/
-    [findings] counters plus a ["backend-divergence"] trace instant
-    per finding ([(seed index, exit-reason name, finding kind)]). *)
+  total:int -> comparable:int -> lossy:int -> findings:int -> unit
+(** Export a cross-backend differential report's counts
+    ([lib/differential]) as the [diff.cases_total]/[comparable]/
+    [lossy]/[findings] counters.  No trace events: the report carries
+    seed indices, not virtual cycles. *)

@@ -285,11 +285,5 @@ let diff_sweep ?(jobs = 1) ?plant ~recording () =
     ~total:result.Diffcampaign.total
     ~comparable:result.Diffcampaign.comparable
     ~lossy:result.Diffcampaign.lossy
-    ~findings:
-      (List.map
-         (fun f ->
-           ( f.Diffcampaign.f_index,
-             f.Diffcampaign.f_reason,
-             f.Diffcampaign.f_kind ))
-         result.Diffcampaign.findings);
+    ~findings:(List.length result.Diffcampaign.findings);
   { diff_report = result; diff_run = run }

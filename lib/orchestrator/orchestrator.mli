@@ -99,7 +99,7 @@ val fuzz :
 type diff_outcome = {
   diff_report : Iris_differential.Diffcampaign.report;
       (** index-ordered merged divergence report *)
-  diff_run : report;  (** worker/utilization accounting *)
+  diff_run : report;  (** its hub carries the [diff.*] counters *)
 }
 
 val diff_sweep :

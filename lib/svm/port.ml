@@ -123,6 +123,19 @@ let translate (seed : Seed.t) =
     exitcode = Exitcode.of_vtx seed.Seed.reason;
     dropped = List.rev !dropped }
 
+let dropped_fields trace =
+  let dropped = Hashtbl.create 16 in
+  Array.iter
+    (fun s ->
+      List.iter
+        (fun { vmcs_field = f; _ } ->
+          Hashtbl.replace dropped f
+            (1 + Option.value ~default:0 (Hashtbl.find_opt dropped f)))
+        (translate s).dropped)
+    trace.Iris_core.Trace.seeds;
+  Hashtbl.fold (fun f n acc -> (f, n) :: acc) dropped []
+  |> List.sort (fun (_, a) (_, b) -> compare b a)
+
 let coverage_pct trace =
   let total = ref 0 and ok = ref 0 in
   Array.iter

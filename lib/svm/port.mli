@@ -43,6 +43,10 @@ val map_field : Iris_vmcs.Field.t -> Vmcb.field option
 
 val translate : Iris_core.Seed.t -> translated
 
+val dropped_fields : Iris_core.Trace.t -> (Iris_vmcs.Field.t * int) list
+(** How often {!translate} drops each VT-x-only field across a whole
+    trace, most-dropped first. *)
+
 val coverage_pct : Iris_core.Trace.t -> float
 (** Share of VMCS read records across a whole trace that translate to
     VMCB fields — the portability headline number. *)

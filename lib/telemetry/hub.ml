@@ -3,9 +3,7 @@ type t = {
   tracer : Tracer.t;
 }
 
-let create ?trace_capacity () =
-  { registry = Registry.create ();
-    tracer = Tracer.create ?capacity:trace_capacity () }
+let create () = { registry = Registry.create (); tracer = Tracer.create () }
 
 let merge_into ~into t = Registry.merge_into ~into:into.registry t.registry
 

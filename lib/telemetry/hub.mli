@@ -12,7 +12,7 @@ type t = {
   tracer : Tracer.t;
 }
 
-val create : ?trace_capacity:int -> unit -> t
+val create : unit -> t
 
 val merge_into : into:t -> t -> unit
 (** Merge this hub's registry into [into]'s (see

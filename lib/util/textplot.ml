@@ -1,4 +1,5 @@
-let bar_chart ?(width = 50) ~title rows =
+let bar_chart ~title rows =
+  let width = 50 in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "%s\n" title);
   let maxv = List.fold_left (fun acc (_, v) -> Float.max acc v) 0.0 rows in
@@ -36,7 +37,8 @@ let stacked_rows ~title ~header rows =
     rows;
   Buffer.contents buf
 
-let series ?(height = 16) ?(width = 72) ~title ~x_label ~y_label all =
+let series ~title ~x_label ~y_label all =
+  let height = 16 and width = 72 in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Printf.sprintf "%s\n" title);
   let pts = List.concat_map snd all in
@@ -89,7 +91,8 @@ let series ?(height = 16) ?(width = 72) ~title ~x_label ~y_label all =
     Buffer.contents buf
   end
 
-let boxplots ?(width = 60) ~title rows =
+let boxplots ~title rows =
+  let width = 60 in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "%s\n" title);
   let lo =

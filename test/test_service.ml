@@ -323,6 +323,62 @@ let serve_gate =
     | Ok facts -> facts
     | Error msg -> Alcotest.fail msg)
 
+(* --- Decoders on corrupted input --- *)
+
+(* Two real encodings: a [Submit] wire line and the corpus document
+   that [serve_gate]'s first drain admitted. *)
+let real_encodings =
+  lazy
+    (let drain = List.hd (Lazy.force serve_gate).Gate.drains in
+     [| Wire.request_to_line (Wire.Submit spec_a);
+        J.to_string (Corpus.to_json (Server.corpus drain.Gate.server)) |])
+
+(* Bit flips, a truncation, or the prefix of one encoding spliced onto
+   the suffix of the other. *)
+let corrupted =
+  let open QCheck.Gen in
+  let pick = map (fun i -> (Lazy.force real_encodings).(i)) (int_bound 1) in
+  let flips s =
+    let* flips =
+      list_size (1 -- 8) (pair (int_bound (String.length s - 1)) (int_bound 7))
+    in
+    let b = Bytes.of_string s in
+    List.iter
+      (fun (i, bit) ->
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit))))
+      flips;
+    return (Bytes.to_string b)
+  in
+  let truncate s = map (String.sub s 0) (int_bound (String.length s)) in
+  let splice a b =
+    map2
+      (fun i j -> String.sub a 0 i ^ String.sub b j (String.length b - j))
+      (int_bound (String.length a))
+      (int_bound (String.length b))
+  in
+  QCheck.make ~print:String.escaped
+    (frequency
+       [ (3, pick >>= flips);
+         (1, pick >>= truncate);
+         (1, pick >>= fun a -> pick >>= splice a) ])
+
+(* Each decoder answers [Ok] or [Error]; an exception fails the test. *)
+let decodes_totally s =
+  let total = function Ok _ | Error _ -> true in
+  total (Wire.request_of_line s)
+  &&
+  match J.of_string s with
+  | Error _ -> true
+  | Ok j ->
+      total (Corpus.of_json j)
+      && total (Jobspec.of_json j)
+      && Option.fold ~none:true ~some:(fun spec -> total (Jobspec.of_json spec))
+           (J.member "spec" j)
+
+let prop_decoders_total =
+  QCheck.Test.make ~name:"decoders never raise" ~count:500 corrupted
+    decodes_totally
+
 let test_server_report_schedule_independent () =
   let drains = (Lazy.force serve_gate).Gate.drains in
   (* identical campaigns on every server admit an identical corpus *)
@@ -679,7 +735,8 @@ let () =
           Alcotest.test_case "spec keys content-derived" `Quick
             test_jobspec_key_content_derived;
           Alcotest.test_case "status line shape" `Quick test_status_line_shape
-        ] );
+        ]
+        @ qcheck [ prop_decoders_total ] );
       ( "server",
         [ Alcotest.test_case "report schedule-independent" `Slow
             test_server_report_schedule_independent;

@@ -190,13 +190,37 @@ let test_apply_writes_vmcb () =
   check Alcotest.int64 "exitcode is the SVM CR-write code" 0x10L
     (Vmcb.read vmcb Vmcb.exitcode)
 
+let cpu_bound_trace =
+  lazy
+    (let mgr = Iris_core.Manager.create ~boot_scale:0.02 ~prng_seed:8 () in
+     (Iris_core.Manager.record mgr W.Cpu_bound ~exits:600)
+       .Iris_core.Manager.trace)
+
 let test_trace_portability_headline () =
-  let mgr = Iris_core.Manager.create ~boot_scale:0.02 ~prng_seed:8 () in
-  let recording = Iris_core.Manager.record mgr W.Cpu_bound ~exits:600 in
-  let pct = Port.coverage_pct recording.Iris_core.Manager.trace in
+  let pct = Port.coverage_pct (Lazy.force cpu_bound_trace) in
   check Alcotest.bool
     (Printf.sprintf "most records translate (%.1f%%)" pct)
     true (pct > 80.0)
+
+(* The census counts every record [translate] drops, once per field,
+   most-dropped first. *)
+let test_dropped_field_census () =
+  let trace = Lazy.force cpu_bound_trace in
+  let census = Port.dropped_fields trace in
+  let dropped =
+    Array.fold_left
+      (fun n s -> n + List.length (Port.translate s).Port.dropped)
+      0 trace.Iris_core.Trace.seeds
+  in
+  check Alcotest.bool "the trace drops records" true (dropped > 0);
+  check Alcotest.int "counts sum to the dropped records" dropped
+    (List.fold_left (fun n (_, c) -> n + c) 0 census);
+  let counts = List.map snd census in
+  check Alcotest.(list int) "most-dropped first"
+    (List.sort (fun a b -> compare b a) counts)
+    counts;
+  check Alcotest.int "one row per field" (List.length census)
+    (List.length (List.sort_uniq compare (List.map fst census)))
 
 (* --- Machine --- *)
 
@@ -438,7 +462,9 @@ let () =
             test_translate_field_mapping;
           Alcotest.test_case "apply" `Quick test_apply_writes_vmcb;
           Alcotest.test_case "trace portability" `Slow
-            test_trace_portability_headline ] );
+            test_trace_portability_headline;
+          Alcotest.test_case "dropped-field census" `Slow
+            test_dropped_field_census ] );
       ( "machine",
         [ Alcotest.test_case "boot valid" `Quick test_machine_boot_valid;
           Alcotest.test_case "cpuid advances rip" `Quick
