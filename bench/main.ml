@@ -1317,8 +1317,8 @@ let diff_bench () =
   List.iter
     (fun (w, key, plants) ->
       let recording = Manager.record (mgr ()) w ~exits:1_200 in
-      let facts = gate (Gate.diff ~recording ~jobs:[ 1; 4 ] ~plants) in
-      let base = (List.assoc 1 facts.Gate.unperturbed).Orch.diff_report in
+      let facts = gate (Gate.diff ~recording ~plants) in
+      let base = facts.Gate.unperturbed in
       Printf.printf
         "%-10s %d seeds: %d comparable (%d agree), %d lossy, %d findings\n"
         (W.name w) base.Dc.total base.Dc.comparable base.Dc.agreements
@@ -1338,11 +1338,8 @@ let diff_bench () =
         facts.Gate.planted)
     [ (W.Cpu_bound, "cpu_bound", Iris_svm.Machine.all_asymmetries);
       (W.Os_boot, "os_boot", []) ];
-  Report.put_i "diff.deterministic" 1;
   Report.put_i "diff.plants_exact" 1;
-  Printf.printf
-    "\nzero unperturbed findings, merged reports byte-identical across jobs \
-     1/4, all plants detected exactly\n"
+  Printf.printf "\nzero unperturbed findings, all plants detected exactly\n"
 
 (* ------------------------------------------------------------------ *)
 (* serve: the campaign service's determinism and distillation gates   *)

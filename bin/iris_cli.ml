@@ -833,13 +833,6 @@ let port_cmd =
 let diff_cmd =
   let module Diffc = Iris_differential.Diffcampaign in
   let module Machine = Iris_svm.Machine in
-  let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:"Worker domains to shard the differential sweep across.")
-  in
   let plant =
     Arg.(
       value
@@ -851,7 +844,7 @@ let diff_cmd =
              KIND is next-rip-skew, cpuid-ecx-flip, rflags-cf-flip, \
              reject-asid, or 'all'.")
   in
-  let run s jobs plant metrics =
+  let run s plant metrics =
     let plants =
       match plant with
       | None -> []
@@ -866,24 +859,26 @@ let diff_cmd =
               exit 1)
     in
     let _, recording = record ~hub:None ~full_boot:false s in
-    match Gate.diff ~recording ~jobs:[ jobs ] ~plants with
+    match Gate.diff ~recording ~plants with
     | Error msg ->
         Printf.eprintf "differential gate failed: %s\n" msg;
         exit 1
     | Ok facts ->
-        let merged_hub = T.Hub.create () in
+        let hub = T.Hub.create () in
         List.iter
-          (fun o ->
-            T.Hub.merge_into ~into:merged_hub o.Orch.diff_run.Orch.r_hub;
-            Format.printf "%a@." Diffc.pp_report o.Orch.diff_report)
-          (List.map snd facts.Gate.unperturbed
-          @ List.map (fun (_, _, o) -> o) facts.Gate.planted);
+          (fun (r : Diffc.report) ->
+            Iris_core.Analysis.note_backend_divergence ~hub ~total:r.total
+              ~comparable:r.comparable ~lossy:r.lossy
+              ~findings:(List.length r.findings);
+            Format.printf "%a@." Diffc.pp_report r)
+          (facts.Gate.unperturbed
+          :: List.map (fun (_, _, r) -> r) facts.Gate.planted);
         Printf.printf
           "backends agree on every comparable case; %d planted asymmetries \
            detected exactly\n"
           (List.length facts.Gate.planted);
         if metrics then
-          print_string (T.Hub.summary ~title:"differential" merged_hub)
+          print_string (T.Hub.summary ~title:"differential" hub)
   in
   Cmd.v
     (Cmd.info "diff"
@@ -892,7 +887,7 @@ let diff_cmd =
           VT-x and SVM substrates and treat any normalized-verdict \
           disagreement as a finding; with --plant, gate the detector \
           against planted ground truth.")
-    Term.(const run $ setup $ jobs $ plant $ metrics_flag)
+    Term.(const run $ setup $ plant $ metrics_flag)
 
 (* --- serve / submit / status / corpus: the campaign service --- *)
 

@@ -1,23 +1,19 @@
-(* Differential sweep over a recorded trace, in the Campaign mold:
-   pure plan (contiguous trace segments) → per-segment execute (the
-   only hypervisor-touching part) → pure index-ordered finalize.  The
-   orchestrator shards [execute_segment] across the domain pool; the
-   merged report is byte-identical for any job count because a seed's
-   verdict is a function of (seed, S_i) and S_i is the deterministic
-   result of replaying seeds 0..i-1 — independent of which worker
-   runs the segment.
+(* Differential sweep over a recorded trace: one walk in trace order
+   → pure index-ordered finalize.
 
-   Why segments and not independent cases: the seed carries every
-   input its *handler* consumes, but the VM-entry checks that follow
-   the handler consult guest state beyond the seed (operating mode vs
-   RIP consistency, segment descriptors).  Submitting a post-boot
-   seed from the pre-boot S_0 fails those checks — the paper's §VI-B
+   Why a walk and not independent cases: the seed carries every input
+   its *handler* consumes, but the VM-entry checks that follow the
+   handler consult guest state beyond the seed (operating mode vs RIP
+   consistency, segment descriptors).  Submitting a post-boot seed
+   from the pre-boot S_0 fails those checks — the paper's §VI-B
    "invalid guest state" phenomenon — and SVM's VMRUN checks are
    deliberately weaker, so anchoring everything at S_0 manufactures
    crash-on-one false positives on mode-changing workloads.  Walking
-   each segment from its true predecessor state keeps the VT-x side
-   exactly on the recorded path, where sequential replay is already
-   proven clean. *)
+   the trace from S_0 keeps the VT-x side exactly on the recorded
+   path, where sequential replay is already proven clean, so a seed's
+   verdict is a function of (seed, S_i).  For the same reason the walk
+   cannot be sharded: every shard would first replay its whole
+   prefix. *)
 
 module Seed = Iris_core.Seed
 module Trace = Iris_core.Trace
@@ -26,7 +22,6 @@ module Ctx = Iris_hv.Ctx
 module Domain = Iris_hv.Domain
 module Gmem = Iris_memory.Gmem
 module Machine = Iris_svm.Machine
-module Campaign = Iris_fuzzer.Campaign
 
 type finding = {
   f_index : int;
@@ -44,49 +39,6 @@ type report = {
   lossy_reasons : (string * int) list;  (* reason -> count, sorted *)
   plant : string option;
 }
-
-let case_count (trace : Trace.t) = Array.length trace.Trace.seeds
-
-let case (trace : Trace.t) i = trace.Trace.seeds.(i)
-
-let mem_pages_of ctx =
-  Int64.div (Gmem.size_bytes ctx.Ctx.dom.Domain.mem) 4096L
-
-(* Contiguous [a, b) shards, one per job slot; empty trace degrades
-   to a single empty segment so the pool still has one task. *)
-let segments ~jobs ~total =
-  let jobs = max 1 (min jobs (max 1 total)) in
-  Array.init jobs (fun w -> (w * total / jobs, (w + 1) * total / jobs))
-
-(* Run one [a, b) segment: revert the worker's domain to S_0, replay
-   the prefix 0..a-1 to reach S_a, then walk the segment — every seed
-   (lossy ones included) is submitted on the VT-x side to advance the
-   trace, and comparable ones are additionally observed and mirrored
-   on a fresh SVM machine sized to the same guest RAM. *)
-let execute_segment ?plant ~replayer ~anchor ~(trace : Trace.t) (a, b) =
-  Campaign.restore ~replayer anchor;
-  let left = Backend.vtx ~replayer in
-  let right =
-    Backend.svm ?plant ~mem_pages:(mem_pages_of (Replayer.ctx replayer)) ()
-  in
-  for i = 0 to a - 1 do
-    ignore (Replayer.submit replayer trace.Trace.seeds.(i) : Replayer.outcome)
-  done;
-  Array.init (b - a) (fun k ->
-      let seed = trace.Trace.seeds.(a + k) in
-      let reason = Iris_vtx.Exit_reason.name seed.Seed.reason in
-      match Normalize.classify seed with
-      | Normalize.Untranslatable why ->
-          ignore (Replayer.submit replayer seed : Replayer.outcome);
-          { Oracle.v_index = seed.Seed.index;
-            v_reason = reason;
-            v_class = Oracle.Lossy why }
-      | Normalize.Comparable (tr, probe) ->
-          let va = Backend.run_case left seed tr probe in
-          let vb = Backend.run_case right seed tr probe in
-          { Oracle.v_index = seed.Seed.index;
-            v_reason = reason;
-            v_class = Oracle.classify_pair va vb })
 
 let detail_of = function
   | Oracle.Lossy why -> why
@@ -137,6 +89,41 @@ let finalize ?plant ~(verdicts : Oracle.verdict array) () =
         (Hashtbl.fold (fun k v acc -> (k, v) :: acc) lossy_tbl []);
     plant = Option.map Machine.asymmetry_name plant;
   }
+
+(* Walk the trace on the VT-x replayer: comparable seeds run on both
+   backends (the SVM machine sized to the same guest RAM), lossy ones
+   are still submitted on the VT-x side so the walk stays on the
+   recorded path.  A VT-x context dying beyond the replayer's triage
+   voids the whole walk: every seed becomes a crash-on-one verdict. *)
+let run ?plant ~replayer ~(trace : Trace.t) () =
+  let verdicts =
+    try
+      let mem = (Replayer.ctx replayer).Ctx.dom.Domain.mem in
+      let left = Backend.vtx ~replayer in
+      let right =
+        Backend.svm ?plant ~mem_pages:(Int64.div (Gmem.size_bytes mem) 4096L) ()
+      in
+      Array.map
+        (fun seed ->
+          let v = Oracle.run_case ~left ~right seed in
+          (match v.Oracle.v_class with
+          | Oracle.Lossy _ ->
+              ignore (Replayer.submit replayer seed : Replayer.outcome)
+          | _ -> ());
+          v)
+        trace.Trace.seeds
+    with exn ->
+      let died = "worker context died: " ^ Printexc.to_string exn in
+      Array.map
+        (fun (seed : Seed.t) ->
+          { Oracle.v_index = seed.Seed.index;
+            v_reason = Iris_vtx.Exit_reason.name seed.Seed.reason;
+            v_class =
+              Oracle.Crash_on_one
+                { left_crash = Some died; right_crash = None } })
+        trace.Trace.seeds
+  in
+  finalize ?plant ~verdicts ()
 
 let finding_indices report = List.map (fun f -> f.f_index) report.findings
 

@@ -1,13 +1,10 @@
-(** Differential sweep over a recorded trace, in the [Campaign] mold:
-    pure plan (contiguous trace segments) → per-segment execute (the
-    only hypervisor-touching part) → pure index-ordered finalize, so
-    the orchestrator can shard segments across the domain pool and the
-    merged divergence report is byte-identical for any job count.
+(** Differential sweep over a recorded trace: one walk in trace
+    order, then a pure index-ordered finalize.
 
-    Segments — not independent cases — because the VM-entry checks
-    after each handler consult guest state beyond the seed (mode/RIP
-    consistency); each segment replays its prefix so every seed runs
-    at its true predecessor state S_i (the §VI-B lesson). *)
+    A walk — not independent cases — because the VM-entry checks after
+    each handler consult guest state beyond the seed (mode/RIP
+    consistency): every seed must run at its true predecessor state
+    S_i (the §VI-B lesson), so the sweep is not sharded. *)
 
 type finding = {
   f_index : int;
@@ -26,31 +23,19 @@ type report = {
   plant : string option;
 }
 
-val case_count : Iris_core.Trace.t -> int
-val case : Iris_core.Trace.t -> int -> Iris_core.Seed.t
-
-val segments : jobs:int -> total:int -> (int * int) array
-(** Contiguous [[a, b)] shards covering [0, total), one per job slot
-    (at least one, even when the trace is empty). *)
-
-val execute_segment :
+val run :
   ?plant:Iris_svm.Machine.asymmetry ->
   replayer:Iris_core.Replayer.t ->
-  anchor:Iris_fuzzer.Campaign.anchor ->
   trace:Iris_core.Trace.t ->
-  int * int ->
-  Oracle.verdict array
-(** Run one segment: revert to the S_0 anchor, replay the prefix to
-    reach the segment start, then walk it — verdicts are a function of
-    (seed, trace prefix) only, so any worker may run any segment and
-    the merge is deterministic. *)
-
-val finalize :
-  ?plant:Iris_svm.Machine.asymmetry ->
-  verdicts:Oracle.verdict array ->
   unit ->
   report
-(** Pure ordered merge; [verdicts] holds one entry per trace seed. *)
+(** Walk [trace] on [replayer], a dummy at the recording's snapshot
+    with no prefix replayed: every seed is classified by
+    {!Oracle.run_case} (VT-x against SVM, [plant] introducing an
+    intentional SVM-side asymmetry) and lossy seeds are submitted on
+    the VT-x side alone, so the walk stays on the recorded path.  If
+    the VT-x context dies beyond the replayer's triage, every seed's
+    verdict is a crash-on-one naming the exception. *)
 
 val finding_indices : report -> int list
 

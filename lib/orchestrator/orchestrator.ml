@@ -1,11 +1,10 @@
 (* Parallel fuzzing orchestrator (paper §VII, scaled out).
 
-   Fans campaign test cases and differential trace segments out
-   across N worker domains, each owning a fully isolated hypervisor +
-   dummy-VM instance: booted once (constructed, reverted to the
-   recording snapshot, prefix replayed to the valid state S_R), then
-   rewound to S_R per test case exactly as the sequential fuzzer
-   does.
+   Fans campaign test cases out across N worker domains, each owning
+   a fully isolated hypervisor + dummy-VM instance: booted once
+   (constructed, reverted to the recording snapshot, prefix replayed
+   to the valid state S_R), then rewound to S_R per test case exactly
+   as the sequential fuzzer does.
 
    Determinism is the subsystem's contract.  It rests on three facts:
 
@@ -30,10 +29,9 @@
    time composes on real hardware, whatever the host's core count.
    The run's host wall seconds, read from the monotonic clock, are
    reported alongside; they depend on the host and never reach a
-   digest.  [fuzz] and [diff_sweep] differ only in their pool tasks:
-   the per-worker hubs, cycle counters, host clock and report live
-   once, in [pooled].  Guided runs are not sharded: each round mutates
-   the corpus the previous rounds grew. *)
+   digest.  Guided runs are not sharded: each round mutates the corpus
+   the previous rounds grew, and neither is the VT-x vs SVM oracle,
+   whose VT-x side must walk the trace in order. *)
 
 module Ctx = Iris_hv.Ctx
 module Cov = Iris_coverage.Cov
@@ -49,7 +47,8 @@ let cycles_to_seconds c = Int64.to_float c /. cycles_per_second
 
 (* A dummy domain at the recording's initial state: constructed, armed
    on the recording snapshot, memory dropped, no probe.  Every worker,
-   service universe and bisection attempt starts here. *)
+   service universe, bisection attempt and differential walk starts
+   here. *)
 let build_dummy ~cov ~recording ~name =
   let hooks = Iris_hv.Hooks.create () in
   let ctx = Iris_hv.Xen.construct ~dummy:true ~cov ~hooks ~name () in
@@ -127,72 +126,14 @@ let render_workers rep =
        (cycles_to_seconds rep.r_model_busy_cycles));
   Buffer.contents buf
 
-(* --- the drivers' shared skeleton --- *)
+(* --- mutant-level sharding: one campaign, cases fanned out --- *)
 
-(* What a driver's worker accumulates besides its pool state. *)
+(* What a worker accumulates besides its universe. *)
 type slot = {
-  s_id : int;
   s_hub : Hub.t;
   mutable s_setup : int64;  (* boot + prefix replay (all respawns) *)
-  mutable s_busy : int64;   (* modeled cycles executing tasks *)
+  mutable s_busy : int64;   (* modeled cycles executing test cases *)
 }
-
-(* Boot the worker's universe and charge its setup to the slot. *)
-let boot_worker ?hub ~recording ~seed_index s =
-  let replayer, anchor, setup =
-    boot_universe ?hub ~recording ~seed_index
-      ~name:(Printf.sprintf "worker%d-dummy" s.s_id) ()
-  in
-  s.s_setup <- Int64.add s.s_setup setup;
-  (replayer, anchor)
-
-(* [Pool.run] with one slot per worker, timed on the host's monotonic
-   clock, returning the results in index order and the run report. *)
-let pooled ~jobs ~total ~init ~task ~on_crash =
-  let jobs = max 1 jobs in
-  let slots =
-    Array.init jobs (fun w ->
-        { s_id = w; s_hub = Hub.create (); s_setup = 0L; s_busy = 0L })
-  in
-  let t0 = Monotonic_clock.now () in
-  let results, stats =
-    Pool.run ~jobs ~total
-      ~init:(fun w -> (slots.(w), init slots.(w)))
-      ~task:(fun (s, st) i -> task s st i)
-      ~on_crash
-  in
-  let host_seconds =
-    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
-  in
-  let merged = Hub.create () in
-  Array.iter (fun s -> Hub.merge_into ~into:merged s.s_hub) slots;
-  let workers =
-    Array.map2
-      (fun s (st : Pool.stats) ->
-        { w_id = s.s_id;
-          w_executed = st.executed;
-          w_respawns = st.respawns;
-          w_setup_cycles = s.s_setup;
-          w_busy_cycles = s.s_busy })
-      slots stats
-  in
-  let wall =
-    Array.fold_left
-      (fun acc w -> Int64.(max acc (add w.w_setup_cycles w.w_busy_cycles)))
-      0L workers
-  in
-  let total_busy =
-    Array.fold_left (fun acc w -> Int64.add acc w.w_busy_cycles) 0L workers
-  in
-  ( results,
-    { r_jobs = jobs;
-      r_workers = workers;
-      r_hub = merged;
-      r_model_wall_cycles = wall;
-      r_model_busy_cycles = total_busy;
-      r_host_seconds = host_seconds } )
-
-(* --- mutant-level sharding: one campaign, cases fanned out --- *)
 
 type fuzz_outcome = {
   fuzz_result : Campaign.result;
@@ -205,10 +146,23 @@ let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
   | None -> None
   | Some plan ->
       let seed_index = plan.Campaign.plan_target.Seed.index in
-      let raws, report =
-        pooled ~jobs ~total:(Campaign.case_count plan)
-          ~init:(fun s -> boot_worker ~hub:s.s_hub ~recording ~seed_index s)
-          ~task:(fun s (replayer, anchor) i ->
+      let jobs = max 1 jobs in
+      let slots =
+        Array.init jobs (fun _ ->
+            { s_hub = Hub.create (); s_setup = 0L; s_busy = 0L })
+      in
+      let t0 = Monotonic_clock.now () in
+      let raws, stats =
+        Pool.run ~jobs ~total:(Campaign.case_count plan)
+          ~init:(fun w ->
+            let s = slots.(w) in
+            let replayer, anchor, setup =
+              boot_universe ~hub:s.s_hub ~recording ~seed_index
+                ~name:(Printf.sprintf "worker%d-dummy" w) ()
+            in
+            s.s_setup <- Int64.add s.s_setup setup;
+            (s, replayer, anchor))
+          ~task:(fun (s, replayer, anchor) i ->
             let raw =
               Campaign.execute_case ~replayer ~anchor (Campaign.case plan i)
             in
@@ -220,70 +174,41 @@ let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
                worker. *)
           ~on_crash:(fun exn _i -> Campaign.crash_raw (Printexc.to_string exn))
       in
+      let host_seconds =
+        Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+      in
+      let merged = Hub.create () in
+      Array.iter (fun s -> Hub.merge_into ~into:merged s.s_hub) slots;
+      let workers =
+        Array.mapi
+          (fun w (st : Pool.stats) ->
+            { w_id = w;
+              w_executed = st.executed;
+              w_respawns = st.respawns;
+              w_setup_cycles = slots.(w).s_setup;
+              w_busy_cycles = slots.(w).s_busy })
+          stats
+      in
+      let wall =
+        Array.fold_left
+          (fun acc w -> Int64.(max acc (add w.w_setup_cycles w.w_busy_cycles)))
+          0L workers
+      in
+      let total_busy =
+        Array.fold_left (fun acc w -> Int64.add acc w.w_busy_cycles) 0L workers
+      in
+      let report =
+        { r_jobs = jobs;
+          r_workers = workers;
+          r_hub = merged;
+          r_model_wall_cycles = wall;
+          r_model_busy_cycles = total_busy;
+          r_host_seconds = host_seconds }
+      in
       (* Ordered merge: verdicts, coverage and novelty recomputed in
          case-index order — byte-identical for any [jobs]. *)
       let result = Campaign.finalize ~plan ~raws in
       (* Campaign-level aggregates on the merged hub: the same totals
          the sequential runner's probe hub ends up with. *)
-      Campaign.note_totals report.r_hub result;
+      Campaign.note_totals merged result;
       Some { fuzz_result = result; fuzz_report = report }
-
-(* --- differential sharding: recorded seeds fanned out across the
-   VT-x/SVM oracle --- *)
-
-module Diffcampaign = Iris_differential.Diffcampaign
-module Oracle = Iris_differential.Oracle
-
-type diff_outcome = {
-  diff_report : Diffcampaign.report;
-  diff_run : report;
-}
-
-(* Split the differential sweep into contiguous trace segments: every
-   worker boots an isolated VT-x universe anchored at S_0 plus its
-   own SVM machine, and a segment's verdicts are a function of the
-   trace prefix alone ([execute_segment] reverts to S_0 and replays
-   the prefix before walking), so the index-ordered
-   [Diffcampaign.finalize] merge is byte-identical for any [jobs].
-
-   Workers deliberately do NOT attach a telemetry probe: every segment
-   replays its whole trace prefix and [jobs] sets the segment count,
-   so per-exit counters could not merge partition-independently.  The merged hub instead carries the diff.*
-   aggregates from [Analysis.note_backend_divergence].  The
-   submit/revert cycle accounting lives inside the backends, so
-   model-busy cycles are not attributed per worker here. *)
-let diff_sweep ?(jobs = 1) ?plant ~recording () =
-  let trace = recording.Manager.trace in
-  let segs =
-    Diffcampaign.segments ~jobs ~total:(Diffcampaign.case_count trace)
-  in
-  let per_segment, run =
-    pooled ~jobs ~total:(Array.length segs)
-      ~init:(fun s -> boot_worker ~recording ~seed_index:0 s)
-      ~task:(fun _ (replayer, anchor) i ->
-        Diffcampaign.execute_segment ?plant ~replayer ~anchor ~trace segs.(i))
-        (* A worker context dying outside the replayer's triage still
-           yields deterministic crash-on-one verdicts for its
-           segment. *)
-      ~on_crash:(fun exn i ->
-        let a, b = segs.(i) in
-        Array.init (b - a) (fun k ->
-            let seed = Diffcampaign.case trace (a + k) in
-            { Oracle.v_index = seed.Seed.index;
-              v_reason = Iris_vtx.Exit_reason.name seed.Seed.reason;
-              v_class =
-                Oracle.Crash_on_one
-                  { left_crash =
-                      Some ("worker context died: " ^ Printexc.to_string exn);
-                    right_crash = None } }))
-  in
-  let result =
-    Diffcampaign.finalize ?plant
-      ~verdicts:(Array.concat (Array.to_list per_segment)) ()
-  in
-  Iris_core.Analysis.note_backend_divergence ~hub:run.r_hub
-    ~total:result.Diffcampaign.total
-    ~comparable:result.Diffcampaign.comparable
-    ~lossy:result.Diffcampaign.lossy
-    ~findings:(List.length result.Diffcampaign.findings);
-  { diff_report = result; diff_run = run }

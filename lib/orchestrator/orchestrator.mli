@@ -47,8 +47,9 @@ val dummy :
     [name], armed on the recording snapshot with guest memory dropped
     ({!Iris_core.Manager.arm_dummy}), no telemetry probe attached and
     no prefix replayed.  The dummy constructor behind every worker
-    and service universe (bisection attempts use {!dummy_on}); attach
-    a probe to its context if the caller wants one. *)
+    and service universe and the differential walk (bisection
+    attempts use {!dummy_on}); attach a probe to its context if the
+    caller wants one. *)
 
 val dummy_on :
   cov:Iris_coverage.Cov.t -> recording:Iris_core.Manager.recording ->
@@ -93,27 +94,3 @@ val fuzz :
     A worker whose hypervisor context dies beyond triage reports a
     [Hypervisor_crash] verdict for the offending case and is
     respawned. *)
-
-(** {2 Differential sweeps} *)
-
-type diff_outcome = {
-  diff_report : Iris_differential.Diffcampaign.report;
-      (** index-ordered merged divergence report *)
-  diff_run : report;  (** its hub carries the [diff.*] counters *)
-}
-
-val diff_sweep :
-  ?jobs:int ->
-  ?plant:Iris_svm.Machine.asymmetry ->
-  recording:Iris_core.Manager.recording ->
-  unit ->
-  diff_outcome
-(** Run the VT-x vs SVM differential oracle on the domain pool, one
-    task per contiguous trace segment: every worker owns an isolated VT-x
-    universe anchored at S_0 plus its own SVM machine, each segment
-    replays its prefix so every seed executes at its true predecessor
-    state S_i, each recorded seed is classified exactly once globally,
-    and the merged report is byte-identical for any [jobs].  [plant]
-    introduces an intentional SVM-side asymmetry (detector ground
-    truth); the merged hub gains [diff.*] counters via
-    {!Iris_core.Analysis.note_backend_divergence}. *)

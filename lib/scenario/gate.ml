@@ -108,42 +108,36 @@ let locate ~manager ~recording ~reference ?planted ?(thorough = false) ~every
   Ok { divergence; report }
 
 type diff = {
-  unperturbed : (int * Orch.diff_outcome) list;
-  planted : (Iris_svm.Machine.asymmetry * int list * Orch.diff_outcome) list;
+  unperturbed : Dc.report;
+  planted : (Iris_svm.Machine.asymmetry * int list * Dc.report) list;
 }
 
-let diff ~recording ~jobs ~plants =
-  let unperturbed =
-    List.map (fun j -> (j, Orch.diff_sweep ~jobs:j ~recording ())) jobs
+let diff ~recording ~plants =
+  let trace = recording.Manager.trace in
+  let sweep ?plant () =
+    Dc.run ?plant ~replayer:(Orch.dummy ~recording ~name:"diff-dummy") ~trace ()
   in
-  let* () =
-    same ~what:"divergence report"
-      (List.map
-         (fun (j, o) -> (jobs_label j, Scenario.digest o.Orch.diff_report))
-         unperturbed)
-  in
-  let findings = (snd (List.hd unperturbed)).Orch.diff_report.Dc.findings in
+  let unperturbed = sweep () in
   let* () =
     same ~what:"unperturbed findings"
-      [ ("expected", "0"); ("found", string_of_int (List.length findings)) ]
+      [ ("expected", "0");
+        ("found", string_of_int (List.length unperturbed.Dc.findings)) ]
   in
   let planted =
     List.map
       (fun plant ->
-        ( plant,
-          Dc.expected_planted ~plant recording.Manager.trace,
-          Orch.diff_sweep ~jobs:(last jobs) ~plant ~recording () ))
+        (plant, Dc.expected_planted ~plant trace, sweep ~plant ()))
       plants
   in
   let indices l = String.concat " " (List.map string_of_int l) in
   let* () =
     List.fold_left
-      (fun verdict (plant, expected, o) ->
+      (fun verdict (plant, expected, r) ->
         let* () = verdict in
         same
           ~what:(Iris_svm.Machine.asymmetry_name plant ^ " plant findings")
           [ ("ground truth", indices expected);
-            ("detected", indices (Dc.finding_indices o.Orch.diff_report)) ])
+            ("detected", indices (Dc.finding_indices r)) ])
       (Ok ()) planted
   in
   Ok { unperturbed; planted }

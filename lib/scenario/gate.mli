@@ -42,19 +42,19 @@ val locate :
     when given. *)
 
 type diff = {
-  unperturbed : (int * Iris_orchestrator.Orchestrator.diff_outcome) list;
+  unperturbed : Iris_differential.Diffcampaign.report;
   planted :
     (Iris_svm.Machine.asymmetry * int list
-    * Iris_orchestrator.Orchestrator.diff_outcome)
-    list;  (** with the ground-truth indices; swept at the last jobs count *)
+    * Iris_differential.Diffcampaign.report)
+    list;  (** with the ground-truth indices *)
 }
 
 val diff :
-  recording:Iris_core.Manager.recording -> jobs:int list ->
+  recording:Iris_core.Manager.recording ->
   plants:Iris_svm.Machine.asymmetry list -> (diff, string) result
-(** The VT-x vs SVM oracle finds nothing on the unperturbed trace, its
-    reports are byte-identical across [jobs], and each plant's findings
-    are exactly the ground truth. *)
+(** The VT-x vs SVM oracle, one {!Iris_differential.Diffcampaign.run}
+    walk per sweep, finds nothing on the unperturbed trace, and each
+    plant's findings are exactly the ground truth. *)
 
 type drained = {
   label : string;  (** ["jobs=N"] or ["jobs=N reversed"] *)

@@ -193,6 +193,9 @@ let entry_of_json j =
     | None -> Error "corpus: unknown workload"
   in
   let* exits = int "exits" in
+  let* () =
+    if exits > 0 then Ok () else Error "corpus: exits must be positive"
+  in
   let* prng_seed = int "prng_seed" in
   let boot_scale =
     match J.member "boot_scale" j with
@@ -201,6 +204,9 @@ let entry_of_json j =
     | _ -> 0.05
   in
   let* seed_index = int "seed_index" in
+  let* () =
+    if seed_index >= 0 then Ok () else Error "corpus: negative seed_index"
+  in
   let* digest = str "digest" in
   let* seed_hex = str "seed" in
   let* seed_bytes = of_hex_string seed_hex in

@@ -135,7 +135,16 @@ let handle_line server line =
   match request_of_line line with
   | Error e -> (J.to_string (fail "parse" e), false)
   | Ok req ->
-      let resp, stop = handle server req in
+      (* A handler that raises costs only its request's answer: the
+         daemon keeps serving. *)
+      let resp, stop =
+        try handle server req
+        with e ->
+          let cmd =
+            Option.bind (J.member "cmd" (request_to_json req)) J.string_value
+          in
+          (fail (Option.value cmd ~default:"") (Printexc.to_string e), false)
+      in
       (J.to_string resp, stop)
 
 let response_ok line =
@@ -166,7 +175,12 @@ let serve_pipe server ic oc =
 (* A client that hangs up before reading its response must cost only
    that response: with SIGPIPE ignored, the write fails with an
    exception instead of killing the daemon, and the exception is
-   dropped with the client. *)
+   dropped with the client.  A client that connects and sends nothing
+   must not stall the others: its request read times out after
+   [client_timeout_s] (the channel raises [Sys_blocked_io]) and the
+   client is dropped the same way. *)
+let client_timeout_s = 2.0
+
 let serve_socket server ~path =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -181,10 +195,11 @@ let serve_socket server ~path =
     if readable = [] then ignore (Server.step server : bool)
     else begin
       let client, _ = Unix.accept sock in
+      Unix.setsockopt_float client Unix.SO_RCVTIMEO client_timeout_s;
       let ic = Unix.in_channel_of_descr client in
       let oc = Unix.out_channel_of_descr client in
       (match input_line ic with
-      | exception (End_of_file | Sys_error _) -> ()
+      | exception (End_of_file | Sys_error _ | Sys_blocked_io) -> ()
       | line ->
           let resp, s = handle_line server line in
           if not (response_ok resp) then all_ok := false;

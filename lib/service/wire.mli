@@ -38,8 +38,9 @@ val handle : Server.t -> request -> Iris_telemetry.Json.t * bool
 (** Execute one request; [true] means stop serving. *)
 
 val handle_line : Server.t -> string -> string * bool
-(** [handle] over encoded lines; parse errors become
-    [{"ok":false,"error":...}] responses. *)
+(** [handle] over encoded lines; parse errors and any exception a
+    request handler raises become [{"ok":false,"error":...}]
+    responses. *)
 
 val response_ok : string -> bool
 (** Whether a response line carries ["ok":true]. *)
@@ -54,7 +55,8 @@ val serve_socket : Server.t -> path:string -> bool
     connections the server [step]s pending work, so jobs progress
     while the daemon waits.  The process ignores SIGPIPE from then on,
     so a client that hangs up before reading its response loses only
-    that response.  Returns whether every response was ok. *)
+    that response, and a client that sends no request line within
+    2 s is dropped.  Returns whether every response was ok. *)
 
 val call : path:string -> string -> (string, string) result
 (** Client side: connect, send one request line, read the response

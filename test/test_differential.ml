@@ -1,7 +1,7 @@
 (* Tests for the differential fuzzing oracle (paper §IX crossed with
    NecoFuzz-style cross-backend comparison): comparability
    classification, observation normalization, verdicts, the planted
-   ground-truth harness, and the sharded sweep's determinism. *)
+   ground-truth harness, and the sweep's pinned reports. *)
 
 module Normalize = Iris_differential.Normalize
 module Backend = Iris_differential.Backend
@@ -12,7 +12,6 @@ module Vmcb = Iris_svm.Vmcb
 module Port = Iris_svm.Port
 module Seed = Iris_core.Seed
 module Manager = Iris_core.Manager
-module Orch = Iris_orchestrator.Orchestrator
 module F = Iris_vmcs.Field
 module R = Iris_vtx.Exit_reason
 module W = Iris_guest.Workload
@@ -195,37 +194,59 @@ let recording =
 
 let gate = function Ok facts -> facts | Error msg -> Alcotest.fail msg
 
-let unperturbed_report ~recording ~jobs =
-  let facts = gate (Gate.diff ~recording ~jobs ~plants:[]) in
-  (snd (List.hd facts.Gate.unperturbed)).Orch.diff_report
+let cpu_bound_facts =
+  lazy
+    (gate
+       (Gate.diff ~recording:(Lazy.force recording)
+          ~plants:Machine.all_asymmetries))
+
+(* OS boot changes CPU mode mid-trace. *)
+let os_boot_facts =
+  lazy
+    (let m = Manager.create ~boot_scale:0.05 ~prng_seed:2023 () in
+     let recording = Manager.record m W.Os_boot ~exits:300 in
+     gate (Gate.diff ~recording ~plants:[]))
 
 let test_unperturbed_sweep_zero_findings () =
-  let r = unperturbed_report ~recording:(Lazy.force recording) ~jobs:[ 1 ] in
+  let r = (Lazy.force cpu_bound_facts).Gate.unperturbed in
   check Alcotest.int "total = trace length" 300 r.Dc.total;
   check Alcotest.bool "a real comparable set" true (r.Dc.comparable > 100);
   check Alcotest.int "partition" r.Dc.total (r.Dc.comparable + r.Dc.lossy);
   check Alcotest.int "all comparable agree" r.Dc.comparable r.Dc.agreements
 
 let test_planted_sweep_matches_ground_truth () =
-  let facts =
-    gate
-      (Gate.diff ~recording:(Lazy.force recording) ~jobs:[ 1 ]
-         ~plants:Machine.all_asymmetries)
-  in
   check Alcotest.int "every plant swept"
     (List.length Machine.all_asymmetries)
-    (List.length facts.Gate.planted)
+    (List.length (Lazy.force cpu_bound_facts).Gate.planted)
 
-let test_sharded_sweep_deterministic () =
-  ignore (unperturbed_report ~recording:(Lazy.force recording) ~jobs:[ 1; 3 ])
+(* The walk's reports, pinned by digest: CPU-bound unperturbed and
+   under every plant, and OS boot unperturbed. *)
+let test_report_digests_pinned () =
+  let cpu = Lazy.force cpu_bound_facts in
+  let digest = Iris_scenario.Scenario.digest in
+  check Alcotest.string "CPU-bound unperturbed"
+    "a86bcccb12c0d0914f98a56d5ebabb54" (digest cpu.Gate.unperturbed);
+  List.iter
+    (fun (plant, expected) ->
+      let _, _, r =
+        List.find (fun (p, _, _) -> p = plant) cpu.Gate.planted
+      in
+      check Alcotest.string
+        ("CPU-bound, plant " ^ Machine.asymmetry_name plant)
+        expected (digest r))
+    [ (Machine.Next_rip_skew, "1ffa82d6a7ef1897424ee64af0d8633d");
+      (Machine.Cpuid_ecx_flip, "65949ef097a8f746d8122f470f638455");
+      (Machine.Rflags_cf_flip, "036515c937c7128b31ab323c9a003573");
+      (Machine.Reject_asid, "c208ef96ff9e37828e21990a3a4c9457") ];
+  check Alcotest.string "OS BOOT unperturbed"
+    "9b92ea8bc6827f44a38e6a30da2b1c9c"
+    (digest (Lazy.force os_boot_facts).Gate.unperturbed)
 
 let test_os_boot_mode_changes_survive () =
   (* The §VI-B regression: OS boot changes CPU mode mid-trace, so any
      per-case anchoring at S_0 manufactures "invalid guest state"
-     crash-on-one false positives.  The segment walk must not. *)
-  let m = Manager.create ~boot_scale:0.05 ~prng_seed:2023 () in
-  let recording = Manager.record m W.Os_boot ~exits:300 in
-  let r = unperturbed_report ~recording ~jobs:[ 1 ] in
+     crash-on-one false positives.  The walk must not. *)
+  let r = (Lazy.force os_boot_facts).Gate.unperturbed in
   check Alcotest.bool "some cases comparable" true (r.Dc.comparable > 0)
 
 let () =
@@ -254,7 +275,7 @@ let () =
             test_unperturbed_sweep_zero_findings;
           Alcotest.test_case "plants match ground truth" `Slow
             test_planted_sweep_matches_ground_truth;
-          Alcotest.test_case "sharded deterministic" `Slow
-            test_sharded_sweep_deterministic;
+          Alcotest.test_case "report digests pinned" `Slow
+            test_report_digests_pinned;
           Alcotest.test_case "os-boot mode changes" `Slow
             test_os_boot_mode_changes_survive ] ) ]

@@ -451,18 +451,54 @@ let test_wire_pipe_session () =
   Alcotest.(check bool) "shutdown ok" true (Wire.response_ok r5);
   Alcotest.(check bool) "shutdown stops" true stop5
 
-(* A client that sends a drain and hangs up before reading the answer
-   costs only that answer: the daemon goes on serving the next
-   clients. *)
-let test_socket_survives_hang_up () =
+(* A saved corpus is untrusted input: an entry whose seed index is
+   negative is refused on load, one whose index lies past its recorded
+   trace is a verify mismatch, and neither raises out of the wire. *)
+let test_loaded_corpus_cannot_kill () =
+  let path = Filename.temp_file "iris-corpus" ".json" in
+  let save seed_index =
+    let store = Corpus.create () in
+    let entry =
+      Corpus.entry
+        ~meta:{ meta with Corpus.m_seed_index = seed_index }
+        ~seed:(mk_seed 0 1) ~span:Cov.Pset.empty ~digest:"d0000"
+    in
+    ignore (Corpus.add store entry : bool);
+    Corpus.save store ~path
+  in
+  let server = Server.create ~jobs:1 ~quantum:24 ~recordings:shared_cache () in
+  let request r = fst (Wire.handle_line server (Wire.request_to_line r)) in
+  save (-1);
+  Alcotest.(check bool) "negative seed_index refused" false
+    (Wire.response_ok (request (Wire.Corpus_load path)));
+  Alcotest.(check bool) "verify after the refusal" true
+    (Wire.response_ok (request Wire.Verify));
+  save 5000;
+  Alcotest.(check bool) "index past the trace loads" true
+    (Wire.response_ok (request (Wire.Corpus_load path)));
+  Sys.remove path;
+  let verify = request Wire.Verify in
+  Alcotest.(check bool) "verify fails" false (Wire.response_ok verify);
+  let field k =
+    Option.bind
+      (Result.to_option (J.of_string verify))
+      (fun j -> Option.bind (J.member k j) J.int_value)
+  in
+  Alcotest.(check (option int)) "checked" (Some 1) (field "corpus_checked");
+  Alcotest.(check (option int)) "counted as a mismatch" (Some 1)
+    (field "corpus_mismatches")
+
+(* Run [f call] against a socket daemon on its own domain, then join
+   it: [f] must end with a shutdown.  A daemon that died mid-test
+   leaves its listening socket open, and a later call would wait
+   forever in its backlog, as would a call behind a daemon stalled on
+   another client: SIGALRM's default action fails the test instead. *)
+let with_socket_daemon name f =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "iris-wire-%d.sock" (Unix.getpid ()))
+      (Printf.sprintf "iris-%s-%d.sock" name (Unix.getpid ()))
   in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
-  (* A daemon that died mid-test leaves its listening socket open, and
-     a later call would wait forever in its backlog: SIGALRM's default
-     action fails the test instead. *)
   ignore (Unix.alarm 60 : int);
   let server = Server.create ~jobs:1 ~quantum:24 ~recordings:shared_cache () in
   let daemon = Domain.spawn (fun () -> Wire.serve_socket server ~path) in
@@ -475,22 +511,45 @@ let test_socket_survives_hang_up () =
         call ~tries:(tries - 1) line
     | Error e -> Alcotest.failf "%s: %s" line e
   in
-  let submit =
-    J.to_string
-      (J.Obj [ ("cmd", J.String "submit"); ("spec", Jobspec.to_json spec_a) ])
-  in
-  Alcotest.(check bool) "submit ok" true (Wire.response_ok (call ~tries:500 submit));
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect sock (Unix.ADDR_UNIX path);
-  let drain = Bytes.of_string "{\"cmd\":\"drain\"}\n" in
-  ignore (Unix.write sock drain 0 (Bytes.length drain) : int);
-  Unix.close sock;
-  Alcotest.(check bool) "status after the hang-up" true
-    (Wire.response_ok (call {|{"cmd":"status"}|}));
-  Alcotest.(check bool) "shutdown after the hang-up" true
-    (Wire.response_ok (call {|{"cmd":"shutdown"}|}));
+  f ~path call;
   ignore (Domain.join daemon : bool);
   ignore (Unix.alarm 0 : int)
+
+(* A client that sends a drain and hangs up before reading the answer
+   costs only that answer: the daemon goes on serving the next
+   clients. *)
+let test_socket_survives_hang_up () =
+  with_socket_daemon "wire" (fun ~path call ->
+      let submit =
+        J.to_string
+          (J.Obj
+             [ ("cmd", J.String "submit"); ("spec", Jobspec.to_json spec_a) ])
+      in
+      Alcotest.(check bool) "submit ok" true
+        (Wire.response_ok (call ~tries:500 submit));
+      let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect sock (Unix.ADDR_UNIX path);
+      let drain = Bytes.of_string "{\"cmd\":\"drain\"}\n" in
+      ignore (Unix.write sock drain 0 (Bytes.length drain) : int);
+      Unix.close sock;
+      Alcotest.(check bool) "status after the hang-up" true
+        (Wire.response_ok (call {|{"cmd":"status"}|}));
+      Alcotest.(check bool) "shutdown after the hang-up" true
+        (Wire.response_ok (call {|{"cmd":"shutdown"}|})))
+
+(* A client that connects and sends nothing is dropped at its receive
+   deadline: the other clients are served while it stays connected. *)
+let test_socket_survives_silent_client () =
+  with_socket_daemon "silent" (fun ~path call ->
+      Alcotest.(check bool) "status before" true
+        (Wire.response_ok (call ~tries:500 {|{"cmd":"status"}|}));
+      let silent = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect silent (Unix.ADDR_UNIX path);
+      Alcotest.(check bool) "status beside a silent client" true
+        (Wire.response_ok (call {|{"cmd":"status"}|}));
+      Alcotest.(check bool) "shutdown beside a silent client" true
+        (Wire.response_ok (call {|{"cmd":"shutdown"}|}));
+      Unix.close silent)
 
 (* --- Pooled bisection --- *)
 
@@ -749,6 +808,10 @@ let () =
             test_shared_prefix_bisection;
           Alcotest.test_case "socket survives a hang-up" `Slow
             test_socket_survives_hang_up;
+          Alcotest.test_case "socket survives a silent client" `Slow
+            test_socket_survives_silent_client;
+          Alcotest.test_case "loaded corpus cannot kill the daemon" `Slow
+            test_loaded_corpus_cannot_kill;
           Alcotest.test_case "counts cow rewinds" `Slow
             test_server_counts_cow_rewinds
         ] );
