@@ -182,8 +182,7 @@ let telemetry_report t hub =
       | None -> ()
       | Some path ->
           T.Export.write_file ~path
-            (T.Export.chrome_trace_string ~process_name:"iris"
-               hub.T.Hub.tracer);
+            (T.Export.chrome_trace_string hub.T.Hub.tracer);
           Printf.printf "chrome trace written to %s (load in Perfetto)\n" path);
       if t.metrics then print_string (T.Hub.summary ~title:"telemetry" hub)
 
@@ -889,7 +888,7 @@ let diff_cmd =
           against planted ground truth.")
     Term.(const run $ setup $ plant $ metrics_flag)
 
-(* --- serve / submit / status / corpus: the campaign service --- *)
+(* --- serve / call: the campaign service --- *)
 
 module Svc = Iris_service
 
@@ -997,145 +996,19 @@ let serve_cmd =
       const run $ jobs $ quantum $ socket_path $ stdin_mode $ status_out
       $ corpus_file)
 
-(* Client side: one request line against a running daemon. *)
-let client_call ~socket line =
-  match Svc.Wire.call ~path:socket line with
-  | Error e ->
-      Printf.eprintf "cannot reach daemon at %s: %s\n" socket e;
+let call_cmd =
+  let run socket =
+    if not (Svc.Wire.relay ~path:socket Stdlib.stdin Stdlib.stdout) then
       exit 1
-  | Ok resp ->
-      print_endline resp;
-      if not (Svc.Wire.response_ok resp) then exit 1
-
-let submit_cmd =
-  let tenant =
-    Arg.(
-      value
-      & opt string "default"
-      & info [ "tenant" ] ~docv:"NAME"
-          ~doc:"Owner of the job; the fair scheduler's flow id.")
-  in
-  let priority =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "p"; "priority" ] ~docv:"N"
-          ~doc:"Scheduling weight (>= 1): deficit accrues N times faster.")
-  in
-  let reason = reason ~doc:"Exit reason of the target seed." in
-  let mutations =
-    Arg.(
-      value
-      & opt int 1_000
-      & info [ "m"; "mutations" ] ~docv:"N" ~doc:"Campaign budget.")
-  in
-  let timeout =
-    Arg.(
-      value
-      & opt (some int64) None
-      & info [ "timeout-cycles" ] ~docv:"CYCLES"
-          ~doc:
-            "Modeled-cycle budget; the job truncates at the same case \
-             regardless of scheduling.")
-  in
-  let run socket tenant priority s reason area mutations timeout =
-    let spec =
-      Svc.Jobspec.make ~tenant ~priority ~boot_scale:s.boot_scale
-        ?timeout_cycles:timeout ~workload:s.workload ~exits:s.exits ~reason
-        ~area ~mutations ~prng_seed:s.prng_seed ()
-    in
-    client_call ~socket (Svc.Wire.request_to_line (Svc.Wire.Submit spec))
   in
   Cmd.v
-    (Cmd.info "submit" ~doc:"Submit a campaign job to a running daemon.")
-    Term.(
-      const run $ socket_path $ tenant $ priority $ setup $ reason $ area
-      $ mutations $ timeout)
-
-let status_cmd =
-  let drain =
-    Arg.(
-      value & flag
-      & info [ "drain" ]
-          ~doc:
-            "Block until the queue is empty and print the drain summary \
-             (including the scheduling-independent report digest).")
-  in
-  let verify =
-    Arg.(
-      value & flag
-      & info [ "verify" ]
-          ~doc:
-            "Re-replay the determinism contract: every corpus entry and \
-             every triage reproducer must land on its stored digest.")
-  in
-  let cancel =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "cancel" ] ~docv:"ID" ~doc:"Cancel this job id instead.")
-  in
-  let shutdown =
-    Arg.(
-      value & flag
-      & info [ "shutdown" ] ~doc:"Ask the daemon to exit instead.")
-  in
-  let run socket drain verify cancel shutdown =
-    let req =
-      match (cancel, drain, verify, shutdown) with
-      | Some id, _, _, _ -> Svc.Wire.Cancel id
-      | None, true, _, _ -> Svc.Wire.Drain
-      | None, false, true, _ -> Svc.Wire.Verify
-      | None, false, false, true -> Svc.Wire.Shutdown
-      | None, false, false, false -> Svc.Wire.Status
-    in
-    client_call ~socket (Svc.Wire.request_to_line req)
-  in
-  Cmd.v
-    (Cmd.info "status"
+    (Cmd.info "call"
        ~doc:
-         "Query a running daemon: queue snapshot by default, or --drain, \
-          --verify, --cancel ID, --shutdown.")
-    Term.(const run $ socket_path $ drain $ verify $ cancel $ shutdown)
-
-let corpus_cmd =
-  let distill =
-    Arg.(
-      value & flag
-      & info [ "distill" ]
-          ~doc:
-            "Drop corpus entries whose coverage is subsumed by the rest \
-             (greedy set cover; the coverage union is preserved exactly).")
-  in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save" ] ~docv:"FILE" ~doc:"Save the daemon's corpus here.")
-  in
-  let load =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "load" ] ~docv:"FILE"
-          ~doc:"Merge a saved corpus into the daemon's store.")
-  in
-  let run socket distill save load =
-    let req =
-      match (distill, save, load) with
-      | true, _, _ -> Svc.Wire.Distill
-      | false, Some p, _ -> Svc.Wire.Corpus_save p
-      | false, None, Some p -> Svc.Wire.Corpus_load p
-      | false, None, None -> Svc.Wire.Corpus_stats
-    in
-    client_call ~socket (Svc.Wire.request_to_line req)
-  in
-  Cmd.v
-    (Cmd.info "corpus"
-       ~doc:
-         "Inspect or manage a running daemon's corpus: stats by default, \
-          or --distill, --save FILE, --load FILE.")
-    Term.(const run $ socket_path $ distill $ save $ load)
+         "Relay wire-protocol request lines from stdin to a running daemon, \
+          one request per line, and print each response line; exits \
+          non-zero if any response was not ok or the daemon cannot be \
+          reached.  The lines are the ones serve --stdin reads.")
+    Term.(const run $ socket_path)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
@@ -1147,5 +1020,5 @@ let () =
                "Record and replay of hardware-assisted virtualization \
                 behaviors (IRIS, DSN'23) on a simulated Xen/VT-x substrate.")
           [ record_cmd; replay_cmd; fuzz_cmd; diff_cmd; inspect_cmd; bisect_cmd;
-            serve_cmd; submit_cmd; status_cmd; corpus_cmd;
+            serve_cmd; call_cmd;
             stats_cmd; info_cmd; port_cmd ]))

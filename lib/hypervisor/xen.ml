@@ -8,16 +8,11 @@ module Op = Iris_vmcs.Vmx_op
    their hypervisor instances concurrently from separate domains. *)
 let next_domid = Atomic.make 0
 
-let construct ?(dummy = false) ?id ?mem_mib ~cov ~hooks ~name () =
+let construct ?(dummy = false) ~cov ~hooks ~name () =
   (* Both the test VM and the dummy VM are 1 GiB DomUs in the paper's
      setup; the backing store is sparse, so this costs nothing. *)
-  let mem_mib = match mem_mib with Some m -> m | None -> 1024 in
-  let id =
-    match id with
-    | Some id -> id
-    | None -> Atomic.fetch_and_add next_domid 1
-  in
-  let dom = Domain.create ~dummy ~cov ~id ~name ~mem_mib () in
+  let id = Atomic.fetch_and_add next_domid 1 in
+  let dom = Domain.create ~dummy ~cov ~id ~name ~mem_mib:1024 () in
   let ctx = Ctx.create ~dom ~cov ~hooks in
   let vcpu = dom.Domain.vcpu in
   let vmx = vcpu.Iris_vtx.Vcpu.vmx in
@@ -168,7 +163,7 @@ let wait_for_event ctx =
       H_intr.assist ctx;
       dom.Domain.blocked <- false
 
-let run ?(max_exits = max_int) ?on_exit ctx ~fetch =
+let run ?(max_exits = max_int) ctx ~fetch =
   let dom = ctx.Ctx.dom in
   let clock = Ctx.clock ctx in
   let start_cycles = Iris_vtx.Clock.now clock in
@@ -187,7 +182,6 @@ let run ?(max_exits = max_int) ?on_exit ctx ~fetch =
           dom.Domain.pending_insn <- ev.Iris_vtx.Engine.insn;
           Exitpath.handle ctx;
           dom.Domain.pending_insn <- None;
-          (match on_exit with Some cb -> cb ev | None -> ());
           if not (Domain.crashed dom) then begin
             if dom.Domain.blocked then wait_for_event ctx;
             if not (Domain.crashed dom) then

@@ -12,13 +12,12 @@
     the domain crashes, or the hypervisor panics. *)
 
 val construct :
-  ?dummy:bool -> ?id:int -> ?mem_mib:int -> cov:Iris_coverage.Cov.t ->
-  hooks:Hooks.t -> name:string -> unit -> Ctx.t
-(** Build a domain ready to launch.  [mem_mib] defaults to 1024 (the
-    paper's DomU size); the dummy VM is a 1 GiB DomU too.  [id]
-    defaults to the next unused domain id, drawn from an atomic
-    counter so concurrent construction from orchestrator worker
-    domains is safe. *)
+  ?dummy:bool -> cov:Iris_coverage.Cov.t -> hooks:Hooks.t -> name:string ->
+  unit -> Ctx.t
+(** Build a 1 GiB domain (the paper's DomU size; the dummy VM is one
+    too) ready to launch.  Its id is the next unused domain id, drawn
+    from an atomic counter so concurrent construction from
+    orchestrator worker domains is safe. *)
 
 type stop_reason =
   | Completed      (** instruction stream exhausted *)
@@ -33,11 +32,8 @@ type run_result = {
 
 val run :
   ?max_exits:int ->
-  ?on_exit:(Iris_vtx.Engine.event -> unit) ->
   Ctx.t -> fetch:(unit -> Iris_x86.Insn.t option) -> run_result
-(** May raise {!Ctx.Hypervisor_panic}.  [on_exit] observes each exit
-    event after its handler ran (used by workload characterisation,
-    not by IRIS, which uses {!Hooks}). *)
+(** May raise {!Ctx.Hypervisor_panic}. *)
 
 val enter : Ctx.t -> (unit, string) result
 (** One VM entry (VMLAUNCH or VMRESUME as appropriate) including the

@@ -249,11 +249,21 @@ let of_json j =
       | None -> Error "corpus: missing entries")
   | _ -> Error "corpus: not an iris-corpus-v1 document"
 
+(* Write a temporary file beside the target and rename it over the
+   target: a reader, or a daemon killed mid-save, sees the old document
+   or the new one, never a truncated mix. *)
 let save t ~path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (J.to_string (to_json t) ^ "\n"))
+  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+  match
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc (J.to_string (to_json t) ^ "\n"))
+  with
+  | () -> Sys.rename tmp path
+  | exception e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
 let load ~path =
   match

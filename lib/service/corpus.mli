@@ -72,7 +72,10 @@ val of_json : Iris_telemetry.Json.t -> (t, string) result
 
 val save : t -> path:string -> unit
 val load : path:string -> (t, string) result
-(** One JSON document ([iris-corpus-v1]); seeds ride as hex. *)
+(** One JSON document ([iris-corpus-v1]); seeds ride as hex.  [save]
+    writes a temporary file in [path]'s directory and renames it over
+    [path], so a reader sees the old document or the new one, never a
+    partial write. *)
 
 val merge_from : t -> t -> int
 (** Add every entry of the second store into the first; returns how

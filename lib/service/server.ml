@@ -48,7 +48,15 @@ type job_info = {
 
 (* --- recording cache --- *)
 
-type recordings = (string, Manager.recording) Hashtbl.t
+(* One entry per recording: its provenance index is built on first use,
+   on the main domain (by [note_crashes]), and shared by every server
+   that shares the cache. *)
+type entry = {
+  recording : Manager.recording;
+  provenance : Provenance.t Lazy.t;
+}
+
+type recordings = (string, entry) Hashtbl.t
 
 let recordings () : recordings = Hashtbl.create 8
 
@@ -59,15 +67,19 @@ let ensure_recording (cache : recordings) ~workload ~exits ~prng_seed
     ~boot_scale =
   let key = recording_key ~workload ~exits ~prng_seed ~boot_scale in
   match Hashtbl.find_opt cache key with
-  | Some r -> r
+  | Some e -> e
   | None ->
       let mgr = Manager.create ~boot_scale ~prng_seed () in
-      let r =
+      let recording =
         Manager.record ~store_seeds:true ~store_metrics:false mgr workload
           ~exits
       in
-      Hashtbl.replace cache key r;
-      r
+      let e =
+        { recording;
+          provenance = lazy (Provenance.build recording.Manager.trace) }
+      in
+      Hashtbl.replace cache key e;
+      e
 
 (* Minimize each [(crash, recording, plan)] request into a
    digest-verified reproducer, in two pool phases.  The search phase
@@ -170,7 +182,7 @@ type job = {
   j_key : string;
   j_hub : Hub.t;
   mutable j_status : status;
-  mutable j_recording : Manager.recording option;
+  mutable j_entry : entry option;
   mutable j_plan : Campaign.plan option;
   mutable j_raws : Campaign.raw option array;
   mutable j_done : int;
@@ -188,7 +200,6 @@ type t = {
   mutable next_id : int;
   pool_jobs : int;
   cache : recordings;
-  provenance : (string, Provenance.t) Hashtbl.t;  (* recording key -> index *)
   corpus_store : Corpus.t;
   triage_store : Triage.t;
   mutable bisect_pending :
@@ -206,7 +217,6 @@ let create ?(jobs = 1) ?(quantum = 256) ?recordings:cache ?status_sink () =
     next_id = 0;
     pool_jobs = max 1 jobs;
     cache = (match cache with Some c -> c | None -> Hashtbl.create 8);
-    provenance = Hashtbl.create 8;
     corpus_store = Corpus.create ();
     triage_store = Triage.create ();
     bisect_pending = [];
@@ -227,7 +237,7 @@ let submit t spec =
       j_key = Jobspec.key spec;
       j_hub = Hub.create ();
       j_status = Queued;
-      j_recording = None;
+      j_entry = None;
       j_plan = None;
       j_raws = [||];
       j_done = 0;
@@ -273,47 +283,26 @@ let spec_meta (spec : Jobspec.t) ~seed_index =
     m_boot_scale = spec.Jobspec.boot_scale;
     m_seed_index = seed_index }
 
-let job_recording t job =
-  match job.j_recording with
-  | Some r -> r
-  | None ->
-      let s = job.j_spec in
-      let r =
-        ensure_recording t.cache ~workload:s.Jobspec.workload
-          ~exits:s.Jobspec.exits ~prng_seed:s.Jobspec.prng_seed
-          ~boot_scale:s.Jobspec.boot_scale
-      in
-      job.j_recording <- Some r;
-      r
-
-let job_provenance t job recording =
-  let s = job.j_spec in
-  let key =
-    recording_key ~workload:s.Jobspec.workload ~exits:s.Jobspec.exits
-      ~prng_seed:s.Jobspec.prng_seed ~boot_scale:s.Jobspec.boot_scale
-  in
-  match Hashtbl.find_opt t.provenance key with
-  | Some p -> p
-  | None ->
-      let p = Provenance.build recording.Manager.trace in
-      Hashtbl.replace t.provenance key p;
-      p
-
 (* Returns [false] when the job finished during preparation (no seed
    with the requested reason, or the recording failed). *)
 let prepare t job =
   try
-    let recording = job_recording t job in
     match job.j_plan with
     | Some _ -> true
     | None -> (
         let s = job.j_spec in
+        let entry =
+          ensure_recording t.cache ~workload:s.Jobspec.workload
+            ~exits:s.Jobspec.exits ~prng_seed:s.Jobspec.prng_seed
+            ~boot_scale:s.Jobspec.boot_scale
+        in
+        job.j_entry <- Some entry;
         let config =
           { Campaign.mutations = s.Jobspec.mutations;
             prng_seed = s.Jobspec.prng_seed }
         in
         match
-          Campaign.plan ~config ~trace:recording.Manager.trace
+          Campaign.plan ~config ~trace:entry.recording.Manager.trace
             ~reason:s.Jobspec.reason ~area:s.Jobspec.area
         with
         | None ->
@@ -353,7 +342,7 @@ let timed_out job =
    [on_crash] reports it. *)
 let exec_quantum job budget =
   let plan = Option.get job.j_plan in
-  let recording = Option.get job.j_recording in
+  let { recording; _ } = Option.get job.j_entry in
   let total = Campaign.case_count plan in
   let replayer, anchor =
     match job.j_universe with
@@ -390,9 +379,9 @@ let exec_quantum job budget =
 
 (* --- job completion (main domain) --- *)
 
-let note_crashes t job plan recording =
+let note_crashes t job plan { recording; provenance } =
   let seed_index = plan.Campaign.plan_target.Seed.index in
-  let prov = job_provenance t job recording in
+  let prov = Lazy.force provenance in
   let devices =
     List.map
       (fun (d, n) -> (Provenance.device_name d, n))
@@ -432,7 +421,7 @@ let note_crashes t job plan recording =
 
 let finish_completed t job =
   let plan = Option.get job.j_plan in
-  let recording = Option.get job.j_recording in
+  let entry = Option.get job.j_entry in
   let raws = Array.map Option.get job.j_raws in
   let result = Campaign.finalize ~plan ~raws in
   job.j_result <- Some result;
@@ -444,7 +433,7 @@ let finish_completed t job =
   in
   Registry.add (counter t "service.corpus_admitted") admitted;
   Registry.add (counter t "service.corpus_duplicates") dups;
-  note_crashes t job plan recording;
+  note_crashes t job plan entry;
   Registry.add (counter t "service.vm_crashes") result.Campaign.vm_crashes;
   Registry.add (counter t "service.hv_crashes") result.Campaign.hv_crashes;
   Registry.incr (counter t "service.jobs_completed");
@@ -784,7 +773,7 @@ let verify_corpus t =
       | [] -> ()
       | e :: _ ->
           let m = e.Corpus.e_meta in
-          let recording =
+          let { recording; _ } =
             ensure_recording t.cache ~workload:m.Corpus.m_workload
               ~exits:m.Corpus.m_exits ~prng_seed:m.Corpus.m_prng_seed
               ~boot_scale:m.Corpus.m_boot_scale
@@ -818,8 +807,8 @@ let verify_triage t =
   List.iter
     (fun id ->
       let j = job t id in
-      match (j.j_plan, j.j_recording) with
-      | Some plan, Some recording ->
+      match (j.j_plan, j.j_entry) with
+      | Some plan, Some { recording; _ } ->
           if not (Hashtbl.mem by_key j.j_key) then
             Hashtbl.replace by_key j.j_key (plan, recording)
       | _ -> ())

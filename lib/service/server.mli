@@ -53,7 +53,8 @@ type job_info = {
 type recordings
 (** Cache of recordings keyed by (workload, exits, prng seed, boot
     scale) — shareable across servers so repeated drains of the same
-    scenario set record once. *)
+    scenario set record, and index each recording's provenance,
+    once. *)
 
 val recordings : unit -> recordings
 

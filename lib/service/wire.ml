@@ -153,14 +153,17 @@ let response_ok line =
       match J.member "ok" j with Some (J.Bool b) -> b | _ -> false)
   | Error _ -> false
 
-let serve_pipe server ic oc =
+(* The line loop of [serve_pipe] and [relay], which differ only in how
+   they answer a line: answer each non-blank line of [ic] on [oc] until
+   EOF or an answer that stops; returns whether every answer was ok. *)
+let answer_lines answer ic oc =
   let all_ok = ref true in
   let stop = ref false in
   (try
      while not !stop do
        let line = input_line ic in
        if String.trim line <> "" then begin
-         let resp, s = handle_line server line in
+         let resp, s = answer line in
          if not (response_ok resp) then all_ok := false;
          output_string oc (resp ^ "\n");
          flush oc;
@@ -169,6 +172,8 @@ let serve_pipe server ic oc =
      done
    with End_of_file -> ());
   !all_ok
+
+let serve_pipe server ic oc = answer_lines (handle_line server) ic oc
 
 (* --- Unix-domain socket daemon --- *)
 
@@ -232,4 +237,26 @@ let call ~path line =
   with
   | resp -> Ok resp
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  | exception Sys_error e -> Error e
   | exception End_of_file -> Error "connection closed without response"
+
+(* A relayed line is answered by the daemon; the relay stops where the
+   daemon does, at an accepted shutdown, or when the daemon cannot be
+   reached, answering that line with a local error. *)
+let relay ~path ic oc =
+  answer_lines
+    (fun line ->
+      match call ~path line with
+      | Ok resp ->
+          let stop =
+            match request_of_line line with
+            | Ok Shutdown -> response_ok resp
+            | Ok _ | Error _ -> false
+          in
+          (resp, stop)
+      | Error e ->
+          ( J.to_string
+              (fail "relay"
+                 (Printf.sprintf "cannot reach daemon at %s: %s" path e)),
+            true ))
+    ic oc

@@ -1,9 +1,9 @@
 (** JSON-lines wire protocol for the campaign daemon.
 
     One request per line, one response line per request — over a
-    Unix-domain socket (daemon mode) or stdin/stdout (pipe mode, what
-    CI drives).  Every response is an object with ["ok"] and ["cmd"];
-    failures carry ["error"].
+    Unix-domain socket (daemon mode, which {!relay} dials) or
+    stdin/stdout (pipe mode, what CI drives).  Every response is an
+    object with ["ok"] and ["cmd"]; failures carry ["error"].
 
     Requests:
     {v
@@ -61,3 +61,10 @@ val serve_socket : Server.t -> path:string -> bool
 val call : path:string -> string -> (string, string) result
 (** Client side: connect, send one request line, read the response
     line. *)
+
+val relay : path:string -> in_channel -> out_channel -> bool
+(** The client side of {!serve_pipe}: send each non-blank line of the
+    input to the daemon at [path] as one request and write its
+    response line, until EOF or an accepted [shutdown].  A daemon that
+    cannot be reached answers [{"ok":false,"cmd":"relay",...}] and
+    ends the relay.  Returns whether every response was ok. *)

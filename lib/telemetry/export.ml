@@ -22,13 +22,11 @@ let status_line ?(extra = []) ~seq snap =
        (("seq", Json.Int seq) :: extra @ [ ("metrics", Registry.to_json snap) ]))
 
 (* The paper's testbed clock: 3.6 GHz => 3600 virtual cycles per
-   microsecond.  Kept as a default, not a hard dependency on
-   [Iris_vtx.Clock], so the library stays at the bottom of the
-   dependency stack. *)
-let default_cycles_per_us = 3600.0
+   microsecond.  A constant here, not a dependency on [Iris_vtx.Clock],
+   so the library stays at the bottom of the dependency stack. *)
+let cycles_per_us = 3600.0
 
-let chrome_trace ?(cycles_per_us = default_cycles_per_us)
-    ?(process_name = "iris") tracer =
+let chrome_trace tracer =
   let us cycles = Int64.to_float cycles /. cycles_per_us in
   let args_json args =
     Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) args)
@@ -59,7 +57,7 @@ let chrome_trace ?(cycles_per_us = default_cycles_per_us)
         [ ("name", Json.String "process_name");
           ("ph", Json.String "M");
           ("pid", Json.Int 1);
-          ("args", Json.Obj [ ("name", Json.String process_name) ]) ] ]
+          ("args", Json.Obj [ ("name", Json.String "iris") ]) ] ]
   in
   Json.Obj
     [ ( "traceEvents",
@@ -71,8 +69,7 @@ let chrome_trace ?(cycles_per_us = default_cycles_per_us)
             ("cycles_per_us", Json.Float cycles_per_us);
             ("dropped_spans", Json.Int (Tracer.dropped tracer)) ] ) ]
 
-let chrome_trace_string ?cycles_per_us ?process_name tracer =
-  Json.to_string (chrome_trace ?cycles_per_us ?process_name tracer)
+let chrome_trace_string tracer = Json.to_string (chrome_trace tracer)
 
 let write_file ~path contents =
   let oc = open_out path in

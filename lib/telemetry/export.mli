@@ -19,13 +19,12 @@ val status_line :
     [{"seq":N, <extra fields>, "metrics":{...}}] — what the service
     daemon streams to its status sink, one object per line. *)
 
-val chrome_trace :
-  ?cycles_per_us:float -> ?process_name:string -> Tracer.t -> Json.t
+val chrome_trace : Tracer.t -> Json.t
 (** Complete ("ph":"X") events for closed spans, instant ("ph":"i")
-    events for zero-duration ones, plus process/thread-name metadata.
-    Timestamps convert from virtual cycles to microseconds at
-    [cycles_per_us] (default 3600, the model's 3.6 GHz testbed). *)
+    events for zero-duration ones, plus the process-name metadata
+    (["iris"]).  Timestamps convert from virtual cycles to microseconds
+    at 3600 cycles per microsecond, the model's 3.6 GHz testbed. *)
 
-val chrome_trace_string : ?cycles_per_us:float -> ?process_name:string -> Tracer.t -> string
+val chrome_trace_string : Tracer.t -> string
 
 val write_file : path:string -> string -> unit

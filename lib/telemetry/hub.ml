@@ -11,5 +11,4 @@ let snapshot t = Registry.snapshot t.registry
 
 let summary ?title t = Export.summary ?title (snapshot t)
 
-let chrome_trace_string ?cycles_per_us ?process_name t =
-  Export.chrome_trace_string ?cycles_per_us ?process_name t.tracer
+let chrome_trace_string t = Export.chrome_trace_string t.tracer

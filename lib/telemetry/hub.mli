@@ -22,4 +22,4 @@ val snapshot : t -> Registry.snapshot
 
 val summary : ?title:string -> t -> string
 
-val chrome_trace_string : ?cycles_per_us:float -> ?process_name:string -> t -> string
+val chrome_trace_string : t -> string

@@ -148,31 +148,6 @@ let bucket_bounds i =
   else (Int64.to_float (Int64.shift_left 1L i),
         Int64.to_float (Int64.shift_left 1L (min 62 (i + 1))))
 
-let hist_quantile h q =
-  if h.count = 0 then nan
-  else begin
-    let q = Float.min 1.0 (Float.max 0.0 q) in
-    let target = q *. float_of_int h.count in
-    let rec find i acc =
-      if i >= nbuckets then (nbuckets - 1, acc)
-      else
-        let acc' = acc + h.buckets.(i) in
-        if float_of_int acc' >= target && h.buckets.(i) > 0 then (i, acc)
-        else find (i + 1) acc'
-    in
-    let bucket, below = find 0 0 in
-    let inside = float_of_int h.buckets.(bucket) in
-    let frac =
-      if inside <= 0.0 then 0.0
-      else (target -. float_of_int below) /. inside
-    in
-    let lo, hi = bucket_bounds bucket in
-    (* Clamp the interpolated value to the observed extremes so p0/p100
-       report real samples rather than bucket edges. *)
-    let v = lo +. (frac *. (hi -. lo)) in
-    Float.max (float_of_int h.min) (Float.min (float_of_int h.max) v)
-  end
-
 (* --- merge --- *)
 
 let merge_counter (dst : counter) (src : counter) = dst.c <- dst.c + src.c
@@ -278,32 +253,39 @@ let snapshot t =
 
 (* --- rendering --- *)
 
-(* Quantile over a sparse snapshot bucket list, same interpolation as
-   [hist_quantile]. *)
-let sample_quantile ~count ~buckets ~vmin ~vmax q =
-  if count = 0L then nan
-  else begin
-    let target = q *. Int64.to_float count in
-    let rec find below = function
-      | [] -> (nbuckets - 1, below)
-      | (i, n) :: rest ->
-          let acc = Int64.add below n in
-          if Int64.to_float acc >= target then (i, below) else find acc rest
-    in
-    let bucket, below = find 0L buckets in
-    let inside =
-      match List.assoc_opt bucket buckets with
-      | Some n -> Int64.to_float n
-      | None -> 1.0
-    in
-    let frac =
-      if inside <= 0.0 then 0.0
-      else (target -. Int64.to_float below) /. inside
-    in
-    let lo, hi = bucket_bounds bucket in
-    let v = lo +. (frac *. (hi -. lo)) in
-    Float.max (Int64.to_float vmin) (Float.min (Int64.to_float vmax) v)
-  end
+(* Quantile of a histogram sample: find the sparse bucket that holds
+   the [q]-th observation and interpolate linearly inside its log2
+   bounds; nan for an empty histogram or a non-histogram sample. *)
+let sample_quantile s q =
+  match s with
+  | S_counter _ | S_gauge _ -> nan
+  | S_histogram { count; _ } when count = 0L -> nan
+  | S_histogram { count; buckets; min; max; _ } ->
+      let target = q *. Int64.to_float count in
+      let rec find below = function
+        | [] -> (nbuckets - 1, below)
+        | (i, n) :: rest ->
+            let acc = Int64.add below n in
+            if Int64.to_float acc >= target then (i, below) else find acc rest
+      in
+      let bucket, below = find 0L buckets in
+      let inside =
+        match List.assoc_opt bucket buckets with
+        | Some n -> Int64.to_float n
+        | None -> 1.0
+      in
+      let frac =
+        if inside <= 0.0 then 0.0
+        else (target -. Int64.to_float below) /. inside
+      in
+      let lo, hi = bucket_bounds bucket in
+      (* Clamp the interpolated value to the observed extremes so p0/p100
+         report real samples rather than bucket edges. *)
+      let v = lo +. (frac *. (hi -. lo)) in
+      Float.max (Int64.to_float min) (Float.min (Int64.to_float max) v)
+
+let hist_quantile h q =
+  sample_quantile (hist_sample h) (Float.min 1.0 (Float.max 0.0 q))
 
 let render snap =
   let buf = Buffer.create 512 in
@@ -313,12 +295,12 @@ let render snap =
       | S_counter v -> Buffer.add_string buf (Printf.sprintf "%-44s %Ld\n" name v)
       | S_gauge v ->
           Buffer.add_string buf (Printf.sprintf "%-44s %Ld (gauge)\n" name v)
-      | S_histogram { count; sum; min; max; buckets } ->
+      | S_histogram { count; sum; max; _ } ->
           if count = 0L then
             Buffer.add_string buf (Printf.sprintf "%-44s (empty histogram)\n" name)
           else begin
             let mean = Int64.to_float sum /. Int64.to_float count in
-            let p q = sample_quantile ~count ~buckets ~vmin:min ~vmax:max q in
+            let p q = sample_quantile s q in
             Buffer.add_string buf
               (Printf.sprintf
                  "%-44s n=%Ld mean=%.0f p50=%.0f p99=%.0f max=%Ld\n" name

@@ -243,6 +243,40 @@ let prop_save_load_roundtrip =
           | Ok t' -> Corpus.digest t = Corpus.digest t'
           | Error e -> QCheck.Test.fail_report e))
 
+(* [Corpus.save] replaces the file whole: a reader that opened the old
+   document keeps reading all of it, and no temporary file is left
+   beside the target. *)
+let test_save_atomic () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "iris-atomic-%d" (Unix.getpid ()))
+  in
+  (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  let path = Filename.concat dir "corpus.json" in
+  let old_store = store_of [ (1, 1, [ 3 ]) ] in
+  let new_store = store_of [ (2, 5, [ 4; 9 ]); (7, 8, [ 11 ]) ] in
+  Corpus.save old_store ~path;
+  let read_all ic =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> In_channel.input_all ic)
+  in
+  let old_doc = read_all (open_in_bin path) in
+  let reader = open_in_bin path in
+  Corpus.save new_store ~path;
+  check Alcotest.string "old channel reads the old document" old_doc
+    (read_all reader);
+  (match Corpus.load ~path with
+  | Ok t ->
+      check Alcotest.string "load returns the new store"
+        (Corpus.digest new_store) (Corpus.digest t)
+  | Error e -> Alcotest.fail e);
+  check
+    Alcotest.(array string)
+    "no temporary file remains" [| "corpus.json" |] (Sys.readdir dir);
+  Sys.remove path;
+  Unix.rmdir dir
+
 (* --- Wire protocol --- *)
 
 let spec_a =
@@ -537,6 +571,61 @@ let test_socket_survives_hang_up () =
       Alcotest.(check bool) "shutdown after the hang-up" true
         (Wire.response_ok (call {|{"cmd":"shutdown"}|})))
 
+(* The socket relay and the pipe answer the same lines alike: through
+   the daemon, a drain's report digest and the corpus answer equal those
+   of a pipe session on a fresh server.  A relay to a path with no
+   daemon returns false instead of raising. *)
+let test_socket_relay_matches_pipe () =
+  let lines =
+    List.map Wire.request_to_line
+      [ Wire.Submit spec_a; Wire.Drain; Wire.Corpus_stats; Wire.Shutdown ]
+  in
+  (* run [transport] over [lines] through temporary files *)
+  let session transport =
+    let inp = Filename.temp_file "iris-session" ".jsonl" in
+    let out = Filename.temp_file "iris-session" ".out" in
+    Out_channel.with_open_bin inp (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    let ok =
+      In_channel.with_open_bin inp (fun ic ->
+          Out_channel.with_open_bin out (fun oc -> transport ic oc))
+    in
+    let resps = In_channel.with_open_bin out In_channel.input_all in
+    Sys.remove inp;
+    Sys.remove out;
+    (ok, String.split_on_char '\n' (String.trim resps))
+  in
+  let digest = function
+    | [ _; drain; _; _ ] ->
+        Option.bind (Result.to_option (J.of_string drain)) (fun j ->
+            Option.bind (J.member "report_digest" j) J.string_value)
+    | _ -> None
+  in
+  let corpus = function [ _; _; c; _ ] -> c | _ -> "" in
+  let relayed = ref (false, []) in
+  with_socket_daemon "relay" (fun ~path call ->
+      (* wait for the daemon to bind before relaying *)
+      ignore (call ~tries:500 {|{"cmd":"status"}|} : string);
+      relayed := session (Wire.relay ~path));
+  let relay_ok, relayed = !relayed in
+  check Alcotest.bool "every relayed response ok" true relay_ok;
+  check Alcotest.int "one response per line" 4 (List.length relayed);
+  let server = Server.create ~jobs:1 ~quantum:24 ~recordings:shared_cache () in
+  let pipe_ok, piped = session (Wire.serve_pipe server) in
+  check Alcotest.bool "every piped response ok" true pipe_ok;
+  check Alcotest.bool "drain has a report digest" true (digest relayed <> None);
+  check Alcotest.(option string) "drain report digest" (digest piped)
+    (digest relayed);
+  check Alcotest.string "corpus response" (corpus piped) (corpus relayed);
+  let nowhere =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "iris-nowhere-%d.sock" (Unix.getpid ()))
+  in
+  let ok, resps = session (Wire.relay ~path:nowhere) in
+  check Alcotest.bool "no daemon: relay returns false" false ok;
+  check Alcotest.int "no daemon: one answer, then the relay ends" 1
+    (List.length resps)
+
 (* A client that connects and sends nothing is dropped at its receive
    deadline: the other clients are served while it stays connected. *)
 let test_socket_survives_silent_client () =
@@ -788,7 +877,8 @@ let () =
           [ prop_dedup_idempotent;
             prop_distill_preserves_coverage;
             prop_distill_idempotent;
-            prop_save_load_roundtrip ] );
+            prop_save_load_roundtrip ]
+        @ [ Alcotest.test_case "save is atomic" `Quick test_save_atomic ] );
       ( "wire",
         [ Alcotest.test_case "request roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "spec keys content-derived" `Quick
@@ -810,6 +900,8 @@ let () =
             test_socket_survives_hang_up;
           Alcotest.test_case "socket survives a silent client" `Slow
             test_socket_survives_silent_client;
+          Alcotest.test_case "socket relay = pipe session" `Slow
+            test_socket_relay_matches_pipe;
           Alcotest.test_case "loaded corpus cannot kill the daemon" `Slow
             test_loaded_corpus_cannot_kill;
           Alcotest.test_case "counts cow rewinds" `Slow

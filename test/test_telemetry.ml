@@ -239,7 +239,7 @@ let test_chrome_trace_wellformed () =
   T.Tracer.end_span tr ~ts:7200L;
   T.Tracer.instant tr ~name:"crash" ~ts:9000L;
   T.Tracer.end_span tr ~ts:10800L;
-  let s = T.Export.chrome_trace_string ~process_name:"test" tr in
+  let s = T.Export.chrome_trace_string tr in
   match J.of_string s with
   | Error e -> Alcotest.fail ("trace does not parse: " ^ e)
   | Ok j ->
