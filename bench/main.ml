@@ -1044,7 +1044,7 @@ let scaling () =
     gate (Gate.campaign ~manager:m ~recording ~config ~jobs:[ 1; 2; 4; 8 ])
   in
   let wall jobs =
-    Orch.cycles_to_seconds
+    Clock.cycles_to_seconds
       (List.assoc jobs sweep).Orch.fuzz_report.Orch.r_model_wall_cycles
   in
   let header =

@@ -156,35 +156,94 @@ let telemetry =
 let telemetry_hub t =
   if t.trace_out = None && not t.metrics then None else Some (T.Hub.create ())
 
-(* Allocator-pressure gauges, sampled once at campaign finalize so
-   [stats] can attribute GC load per run.  Sampled here in the CLI
-   layer — never inside per-worker registries, whose merged snapshots
-   must stay byte-identical across [--jobs N] (host GC counters are
-   partition-dependent). *)
-let sample_gc reg =
-  let module R = T.Registry in
-  let g = Gc.quick_stat () in
-  let setf name v = R.set (R.gauge reg name) (Int64.of_float v) in
-  setf "gc.minor_words" g.Gc.minor_words;
-  setf "gc.promoted_words" g.Gc.promoted_words;
-  setf "gc.major_words" g.Gc.major_words;
-  R.set (R.gauge reg "gc.minor_collections")
-    (Int64.of_int g.Gc.minor_collections);
-  R.set (R.gauge reg "gc.major_collections")
-    (Int64.of_int g.Gc.major_collections)
-
-let telemetry_report t hub =
+(* The run's report, printed one way by every command that takes
+   --trace-out or --metrics.  Stdout carries only what the run
+   computed, so it is the same under any heap setting and any
+   scheduling of worker domains; the host GC counters describe this
+   process, not the run, and go to stderr. *)
+let report t hub =
   match hub with
   | None -> ()
   | Some hub ->
-      sample_gc hub.T.Hub.registry;
-      (match t.trace_out with
-      | None -> ()
-      | Some path ->
-          T.Export.write_file ~path
-            (T.Export.chrome_trace_string hub.T.Hub.tracer);
-          Printf.printf "chrome trace written to %s (load in Perfetto)\n" path);
-      if t.metrics then print_string (T.Hub.summary ~title:"telemetry" hub)
+      let g = Gc.quick_stat () in
+      Printf.eprintf
+        "host gc: minor_words %.0f promoted_words %.0f major_words %.0f \
+         minor_collections %d major_collections %d\n%!"
+        g.Gc.minor_words g.Gc.promoted_words g.Gc.major_words
+        g.Gc.minor_collections g.Gc.major_collections;
+      if t.metrics then print_string (T.Hub.summary ~title:"telemetry" hub);
+      Option.iter
+        (fun path ->
+          T.Export.write_file ~path (T.Hub.chrome_trace_string hub);
+          Printf.printf "chrome trace written to %s (load in Perfetto)\n" path)
+        t.trace_out
+
+(* What [record --metrics] prints before the summary: the ten most
+   frequent exit reasons with their handler cycles, exact per-exit
+   handler percentiles from the trace (Fig. 10's per-exit view), and
+   the registry's log2-histogram estimate of the same distribution,
+   which is what a live campaign exports. *)
+let print_exit_profile (recording : Manager.recording) hub =
+  let trace = recording.Manager.trace in
+  let snap = T.Hub.snapshot hub in
+  (* ["hv.exits{CPUID}"] becomes [("CPUID", count)]. *)
+  let vec_members prefix =
+    let plen = String.length prefix in
+    List.filter_map
+      (fun (name, sample) ->
+        if
+          String.length name > plen + 1
+          && String.sub name 0 plen = prefix
+          && name.[plen] = '{'
+        then
+          match sample with
+          | T.Registry.S_counter v when v > 0L ->
+              Some (String.sub name (plen + 1) (String.length name - plen - 2),
+                    v)
+          | _ -> None
+        else None)
+      snap
+  in
+  let by_count =
+    List.sort (fun (_, a) (_, b) -> compare b a) (vec_members "hv.exits")
+  in
+  let cycles = vec_members "hv.exit_cycles" in
+  Printf.printf "\ntop exit reasons (%d recorded, %d during boot):\n"
+    (Trace.length trace) recording.Manager.boot_exits;
+  Printf.printf "  %-16s %10s %16s\n" "reason" "exits" "handler cycles";
+  List.iteri
+    (fun i (label, n) ->
+      if i < 10 then
+        let cyc = Option.value ~default:0L (List.assoc_opt label cycles) in
+        Printf.printf "  %-16s %10Ld %16Ld\n" label n cyc)
+    by_count;
+  let samples =
+    Array.map
+      (fun m -> Int64.to_float m.Iris_core.Metrics.handler_cycles)
+      trace.Trace.metrics
+  in
+  if Array.length samples > 0 then begin
+    let p q = Iris_util.Stats.percentile samples q in
+    Printf.printf
+      "\nhandler cycles per exit: p50 %.0f   p90 %.0f   p99 %.0f   max %.0f\n"
+      (p 50.) (p 90.) (p 99.) (p 100.)
+  end;
+  (match Analysis.handler_time_summary trace with
+  | Some q ->
+      Printf.printf
+        "handler service time:     p50 %.2f us  p95 %.2f us  p99 %.2f us  \
+         max %.2f us  (n=%d)\n"
+        q.Iris_util.Stats.q_p50 q.Iris_util.Stats.q_p95
+        q.Iris_util.Stats.q_p99 q.Iris_util.Stats.q_max
+        q.Iris_util.Stats.q_n
+  | None -> ());
+  let h = T.Registry.histogram hub.T.Hub.registry "hv.handler_cycles" in
+  if T.Registry.hist_count h > 0L then
+    Printf.printf "log2-histogram estimate:  p50 %.0f   p99 %.0f   (n=%Ld)\n"
+      (T.Registry.hist_quantile h 0.5)
+      (T.Registry.hist_quantile h 0.99)
+      (T.Registry.hist_count h);
+  print_newline ()
 
 (* --- record --- *)
 
@@ -214,10 +273,17 @@ let record_cmd =
         Printf.printf "trace written to %s (%d seed bytes)\n" path
           (Trace.total_seed_bytes trace)
     | None -> ());
-    telemetry_report tel hub
+    (match hub with
+    | Some hub when tel.metrics -> print_exit_profile recording hub
+    | _ -> ());
+    report tel hub
   in
   Cmd.v
-    (Cmd.info "record" ~doc:"Record a VM behavior as a trace of VM seeds.")
+    (Cmd.info "record"
+       ~doc:
+         "Record a VM behavior as a trace of VM seeds; with --metrics, also \
+          print its exit profile (per-reason counts and handler cycles, \
+          handler-cycle percentiles) and the metrics table.")
     Term.(const run $ setup $ out $ full_boot $ telemetry)
 
 (* --- replay --- *)
@@ -266,7 +332,7 @@ let replay_cmd =
       Printf.printf "coverage fitting %.1f%%   VMWRITE fitting %.1f%%\n"
         acc.Analysis.fitting_pct acc.Analysis.vmwrite_fit_pct
     end;
-    telemetry_report tel hub
+    report tel hub
   in
   Cmd.v
     (Cmd.info "replay"
@@ -364,18 +430,15 @@ let fuzz_cmd =
       else if jobs > 1 then
         (* Sharded campaign: each worker owns an isolated hypervisor +
            dummy VM; the ordered merge makes the report identical to a
-           sequential run. *)
+           sequential run.  The worker table depends on which domain
+           claimed which case, so it goes to stderr. *)
         Option.map
           (fun o ->
             print_campaign o.Orch.fuzz_result;
-            print_newline ();
-            print_string (Orch.render_workers o.Orch.fuzz_report);
-            if tel.metrics then begin
-              sample_gc o.Orch.fuzz_report.Orch.r_hub.T.Hub.registry;
-              print_string
-                (T.Hub.summary ~title:"telemetry (merged)"
-                   o.Orch.fuzz_report.Orch.r_hub)
-            end)
+            prerr_string (Orch.render_workers o.Orch.fuzz_report);
+            Option.iter
+              (fun into -> T.Hub.merge_into ~into o.Orch.fuzz_report.Orch.r_hub)
+              hub)
           (Orch.fuzz ~jobs ~config ~recording ~reason ~area ())
       else
         Option.map print_campaign
@@ -383,7 +446,7 @@ let fuzz_cmd =
              ~area ())
     in
     if found = None then no_seed reason;
-    telemetry_report tel hub
+    report tel hub
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -391,98 +454,6 @@ let fuzz_cmd =
     Term.(
       const run $ setup $ reason $ area $ mutations $ guided $ jobs
       $ telemetry)
-
-(* --- stats --- *)
-
-let stats_cmd =
-  let top =
-    Arg.(
-      value
-      & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Exit reasons to list (default 10).")
-  in
-  (* Pull the per-reason members of a vec family out of a snapshot:
-     ["hv.exits{CPUID}"] becomes [("CPUID", count)]. *)
-  let vec_members snap prefix =
-    let plen = String.length prefix in
-    List.filter_map
-      (fun (name, sample) ->
-        if
-          String.length name > plen + 1
-          && String.sub name 0 plen = prefix
-          && name.[plen] = '{'
-        then
-          match sample with
-          | T.Registry.S_counter v when v > 0L ->
-              Some (String.sub name (plen + 1) (String.length name - plen - 2),
-                    v)
-          | _ -> None
-        else None)
-      snap
-  in
-  let run s trace_out top =
-    let hub = T.Hub.create () in
-    let _, recording = record ~hub:(Some hub) ~full_boot:false s in
-    let trace = recording.Manager.trace in
-    sample_gc hub.T.Hub.registry;
-    let snap = T.Hub.snapshot hub in
-    let by_count =
-      List.sort
-        (fun (_, a) (_, b) -> compare b a)
-        (vec_members snap "hv.exits")
-    in
-    let cycles = vec_members snap "hv.exit_cycles" in
-    Printf.printf "\ntop exit reasons (%d recorded, %d during boot):\n"
-      (Trace.length trace) recording.Manager.boot_exits;
-    Printf.printf "  %-16s %10s %16s\n" "reason" "exits" "handler cycles";
-    List.iteri
-      (fun i (label, n) ->
-        if i < top then
-          let cyc = Option.value ~default:0L (List.assoc_opt label cycles) in
-          Printf.printf "  %-16s %10Ld %16Ld\n" label n cyc)
-      by_count;
-    (* Exact per-exit percentiles from the recorded metrics
-       (Fig. 10's per-exit view)... *)
-    let samples =
-      Array.map
-        (fun m -> Int64.to_float m.Iris_core.Metrics.handler_cycles)
-        trace.Trace.metrics
-    in
-    if Array.length samples > 0 then begin
-      let p q = Iris_util.Stats.percentile samples q in
-      Printf.printf
-        "\nhandler cycles per exit: p50 %.0f   p90 %.0f   p99 %.0f   max %.0f\n"
-        (p 50.) (p 90.) (p 99.) (p 100.)
-    end;
-    (match Analysis.handler_time_summary trace with
-    | Some q ->
-        Printf.printf
-          "handler service time:     p50 %.2f us  p95 %.2f us  p99 %.2f us  \
-           max %.2f us  (n=%d)\n"
-          q.Iris_util.Stats.q_p50 q.Iris_util.Stats.q_p95
-          q.Iris_util.Stats.q_p99 q.Iris_util.Stats.q_max
-          q.Iris_util.Stats.q_n
-    | None -> ());
-    (* ...and the registry's O(1) log2-histogram approximation of the
-       same distribution, which is what a live campaign exports. *)
-    let h = T.Registry.histogram hub.T.Hub.registry "hv.handler_cycles" in
-    if T.Registry.hist_count h > 0L then
-      Printf.printf
-        "log2-histogram estimate:  p50 %.0f   p99 %.0f   (n=%Ld)\n"
-        (T.Registry.hist_quantile h 0.5)
-        (T.Registry.hist_quantile h 0.99)
-        (T.Registry.hist_count h);
-    print_newline ();
-    print_string (T.Export.summary ~title:"telemetry" snap);
-    telemetry_report { trace_out; metrics = false } (Some hub)
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Record a short run and print its telemetry: per-exit-reason \
-          counts and cycle totals, handler-cycle percentiles, and the full \
-          metrics table.")
-    Term.(const run $ setup $ trace_out $ top)
 
 (* --- inspect --- *)
 
@@ -564,15 +535,6 @@ let inspect_cmd =
       & info [ "k"; "every" ] ~docv:"K"
           ~doc:"Checkpoint period of the detection pass, in seeds.")
   in
-  let thorough =
-    Arg.(
-      value & flag
-      & info [ "thorough" ]
-          ~doc:
-            "Scan every segment down to seed 0 instead of stopping at the \
-             first clean segment below a divergence (guaranteed-global \
-             minimum for multi-fault traces).")
-  in
   let field =
     Arg.(
       value
@@ -583,7 +545,7 @@ let inspect_cmd =
              first recorded touch, and the reverse-continue target before \
              the divergence.")
   in
-  let run s perturb every thorough field tel =
+  let run s perturb every field tel =
     let hub = telemetry_hub tel in
     let mgr, recording = record ~hub ~full_boot:false s in
     let rec_trace = recording.Manager.trace in
@@ -618,8 +580,8 @@ let inspect_cmd =
         seeds
     in
     let verdict =
-      match locate ~thorough with
-      | Error _ when not thorough ->
+      match locate ~thorough:false with
+      | Error _ ->
           (* The fast scan stops at the first clean segment; a
              multi-fault trace with healed divergence can fool it. *)
           Printf.printf
@@ -629,7 +591,7 @@ let inspect_cmd =
     in
     match verdict with
     | Error msg ->
-        telemetry_report tel hub;
+        report tel hub;
         Printf.eprintf "locator disagrees with the linear ground truth: %s\n"
           msg;
         exit 1
@@ -666,7 +628,7 @@ let inspect_cmd =
                | Some d -> d.Analysis.d_index
                | None -> Trace.length rec_trace))
           field;
-        telemetry_report tel hub
+        report tel hub
   in
   Cmd.v
     (Cmd.info "inspect"
@@ -675,7 +637,7 @@ let inspect_cmd =
           checkpoint search instead of linear re-replay, and answer \
           field-provenance queries.")
     Term.(
-      const run $ setup $ perturb $ every $ thorough $ field $ telemetry)
+      const run $ setup $ perturb $ every $ field $ telemetry)
 
 (* --- bisect --- *)
 
@@ -768,7 +730,7 @@ let bisect_cmd =
                     Printf.printf "reproducer written to %s\n" path
                 | None -> ());
                 if not b.Insp.Bisect.b_deterministic then exit 1)));
-    telemetry_report tel hub
+    report tel hub
   in
   Cmd.v
     (Cmd.info "bisect"
@@ -844,6 +806,8 @@ let diff_cmd =
              reject-asid, or 'all'.")
   in
   let run s plant metrics =
+    let tel = { trace_out = None; metrics } in
+    let hub = telemetry_hub tel in
     let plants =
       match plant with
       | None -> []
@@ -863,12 +827,14 @@ let diff_cmd =
         Printf.eprintf "differential gate failed: %s\n" msg;
         exit 1
     | Ok facts ->
-        let hub = T.Hub.create () in
         List.iter
           (fun (r : Diffc.report) ->
-            Iris_core.Analysis.note_backend_divergence ~hub ~total:r.total
-              ~comparable:r.comparable ~lossy:r.lossy
-              ~findings:(List.length r.findings);
+            Option.iter
+              (fun hub ->
+                Analysis.note_backend_divergence ~hub ~total:r.total
+                  ~comparable:r.comparable ~lossy:r.lossy
+                  ~findings:(List.length r.findings))
+              hub;
             Format.printf "%a@." Diffc.pp_report r)
           (facts.Gate.unperturbed
           :: List.map (fun (_, _, r) -> r) facts.Gate.planted);
@@ -876,8 +842,7 @@ let diff_cmd =
           "backends agree on every comparable case; %d planted asymmetries \
            detected exactly\n"
           (List.length facts.Gate.planted);
-        if metrics then
-          print_string (T.Hub.summary ~title:"differential" hub)
+        report tel hub
   in
   Cmd.v
     (Cmd.info "diff"
@@ -1021,4 +986,4 @@ let () =
                 behaviors (IRIS, DSN'23) on a simulated Xen/VT-x substrate.")
           [ record_cmd; replay_cmd; fuzz_cmd; diff_cmd; inspect_cmd; bisect_cmd;
             serve_cmd; call_cmd;
-            stats_cmd; info_cmd; port_cmd ]))
+            info_cmd; port_cmd ]))

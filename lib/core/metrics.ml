@@ -34,13 +34,3 @@ let vmwrite_fitting_pct ~recorded ~replayed =
     100.0 *. float_of_int matched /. float_of_int n
   end
 
-let cumulative_coverage metrics =
-  let acc = ref Cov.Pset.empty in
-  List.map
-    (fun m ->
-      acc := Cov.Pset.union !acc m.coverage;
-      !acc)
-    metrics
-
-let total_cycles metrics =
-  List.fold_left (fun acc m -> Int64.add acc m.handler_cycles) 0L metrics

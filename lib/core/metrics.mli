@@ -30,7 +30,3 @@ val vmwrite_fitting_pct : recorded:t list -> replayed:t list -> float
 (** Percentage of exits whose guest-state VMWRITE sequence was
     reproduced exactly. *)
 
-val cumulative_coverage : t list -> Iris_coverage.Cov.Pset.t list
-(** Running union, one entry per exit — Fig. 6's curves. *)
-
-val total_cycles : t list -> int64

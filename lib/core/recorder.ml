@@ -117,8 +117,6 @@ let start ?(store_seeds = true) ?(store_metrics = true) ctx =
         ~ts:t.start_wall);
   t
 
-let exits_recorded t = t.count
-
 let stop t ~workload ~prng_seed =
   let hooks = t.ctx.Ctx.hooks in
   hooks.Hooks.on_exit_start <- None;

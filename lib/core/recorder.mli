@@ -17,8 +17,6 @@ val start :
     callbacks are replaced; any replay shim already installed is left
     untouched (replay + record mode). *)
 
-val exits_recorded : t -> int
-
 val stop : t -> workload:string -> prng_seed:int -> Trace.t
 (** Uninstall the recorder callbacks (leaving other hooks) and return
     the trace. *)

@@ -21,8 +21,6 @@ let exit_mix t =
   Hashtbl.fold (fun r n acc -> (r, n) :: acc) tbl []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-let reasons_present t = List.map fst (exit_mix t)
-
 let seeds_with_reason t reason =
   Array.to_list t.seeds |> List.filter (fun s -> s.Seed.reason = reason)
 

@@ -19,8 +19,6 @@ val length : t -> int
 val exit_mix : t -> (Iris_vtx.Exit_reason.t * int) list
 (** Exit-reason histogram, descending (Fig. 5 rows). *)
 
-val reasons_present : t -> Iris_vtx.Exit_reason.t list
-
 val seeds_with_reason : t -> Iris_vtx.Exit_reason.t -> Seed.t list
 
 val sub : t -> pos:int -> len:int -> t

@@ -20,9 +20,6 @@ let point_of_int raw =
     if Component.of_index comp = None then None else Some raw
   end
 
-let pp_point fmt p =
-  Format.fprintf fmt "%s:%d" (Component.name (point_component p)) (point_line p)
-
 module Pset = Set.Make (Int)
 
 (* AFL-style dense store: one flat int-count array per component,

@@ -18,7 +18,6 @@ type point = private int
 val point : Component.t -> int -> point
 val point_component : point -> Component.t
 val point_line : point -> int
-val pp_point : Format.formatter -> point -> unit
 
 val point_of_int : int -> point option
 (** Validate a raw packed value (deserialisation); [None] when the

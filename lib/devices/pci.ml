@@ -70,6 +70,4 @@ let attach t bus =
     { Port_bus.read = (fun ~port:_ ~size -> config_read t ~size);
       write = (fun ~port:_ ~size:_ _ -> ()) }
 
-let last_address t = t.address
-
 let transplant ~into ~from = into.address <- from.address

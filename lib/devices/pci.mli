@@ -23,8 +23,5 @@ type dev = {
 val devices : dev list
 (** The fixed synthetic topology. *)
 
-val last_address : t -> int32
-(** Last value written to CONFIG_ADDRESS. *)
-
 val transplant : into:t -> from:t -> unit
 (** Overwrite [into] from [from], keeping identity. *)

@@ -92,8 +92,6 @@ let attach t bus =
   in
   Port_bus.register bus ~first:0x40 ~last:0x43 ~name:"pit" handler
 
-let channel_count t i = t.channels.(i).count
-
 let channel_period t i =
   if t.channels.(i).programmed then Some t.channels.(i).reload else None
 

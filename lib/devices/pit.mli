@@ -11,9 +11,6 @@ val create : unit -> t
 val copy : t -> t
 val attach : t -> Port_bus.t -> unit
 
-val channel_count : t -> int -> int
-(** Current counter value of channel 0..2. *)
-
 val channel_period : t -> int -> int option
 (** Programmed reload value, if the channel has been set up. *)
 

@@ -48,8 +48,6 @@ let attach t bus =
             | (0x0C | 0x0D) -> () (* read-only status registers *)
             | idx -> t.ram.(idx) <- v) }
 
-let selected_index t = t.index
-
 let reg_b t = t.ram.(0x0B)
 
 let transplant ~into ~from =

@@ -11,7 +11,6 @@ val create : unit -> t
 val copy : t -> t
 val attach : t -> Port_bus.t -> unit
 
-val selected_index : t -> int
 val reg_b : t -> int
 
 val transplant : into:t -> from:t -> unit

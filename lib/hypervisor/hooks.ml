@@ -26,10 +26,6 @@ let clear t =
   t.on_exit_start <- None;
   t.on_exit_end <- None
 
-let any_installed t =
-  t.vmread_filter <> None || t.on_vmread <> None || t.on_vmwrite <> None
-  || t.on_exit_start <> None || t.on_exit_end <> None
-
 (* Every hook invocation goes through one of the [fire_*] helpers so
    the overhead accounting lives in exactly one place: the surcharge
    is paid once per *installed* callback actually invoked, and an

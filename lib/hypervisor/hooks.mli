@@ -39,8 +39,6 @@ val clear : t -> unit
 (** Removes the record/replay callbacks; the telemetry [probe] slot is
     left alone (observability outlives a recording session). *)
 
-val any_installed : t -> bool
-
 val default_callback_cycles : int
 
 (** {2 Hook invocation}

@@ -3,14 +3,14 @@ module Cov = Iris_coverage.Cov
 
 type source = Pt_pit | Pt_lapic | Pt_rtc
 
-let source_name = function
-  | Pt_pit -> "pit"
-  | Pt_lapic -> "lapic-timer"
-  | Pt_rtc -> "rtc"
-
 (* Timers are immutable: [process] replaces the ones that fire, so a
-   copy or restore shares the list instead of rebuilding it.  (Probe
-   line numbers are coverage points: keep them where they are.) *)
+   copy or restore shares the list instead of rebuilding it.  Each
+   source has at most one timer: [arm] replaces it and [disarm] drops
+   it, and [next_deadline] is the earliest deadline over all sources.
+
+   The [hit] probes below are coverage points keyed by [__LINE__]:
+   moving one changes every recorded coverage set and digest, so an
+   edit above them must keep the line count. *)
 type timer = {
   src : source;
   vector : int;

@@ -11,8 +11,6 @@ type t
 
 type source = Pt_pit | Pt_lapic | Pt_rtc
 
-val source_name : source -> string
-
 val create : cov:Iris_coverage.Cov.t -> t
 val copy : t -> t
 val restore : t -> from:t -> unit

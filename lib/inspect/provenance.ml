@@ -39,7 +39,6 @@ let device_of_port p =
 type t = {
   seed_count : int;
   by_field : (F.t, touch list) Hashtbl.t;  (** ascending index *)
-  msrs : (int64, touch list) Hashtbl.t;
   gpas : touch list;  (** ascending index; t_value = faulting GPA *)
   ports : (int, touch list) Hashtbl.t;
       (** I/O-instruction exits per port; OUT touches carry the
@@ -54,7 +53,6 @@ let finalize tbl = Hashtbl.iter (fun k v -> Hashtbl.replace tbl k (List.rev v)) 
 
 let build (trace : Trace.t) =
   let by_field = Hashtbl.create 64 in
-  let msrs = Hashtbl.create 16 in
   let ports = Hashtbl.create 16 in
   let gpas = ref [] in
   Array.iter
@@ -67,19 +65,6 @@ let build (trace : Trace.t) =
       List.iter (mk Read) s.Seed.reads;
       List.iter (mk Write) s.Seed.writes;
       (match s.Seed.reason with
-      | R.Rdmsr ->
-          push msrs (Seed.gpr_value s Gpr.Rcx)
-            { t_index = s.Seed.index; t_reason = s.Seed.reason;
-              t_access = Read; t_value = 0L }
-      | R.Wrmsr ->
-          let v =
-            Int64.logor
-              (Int64.shift_left (Seed.gpr_value s Gpr.Rdx) 32)
-              (Int64.logand (Seed.gpr_value s Gpr.Rax) 0xFFFF_FFFFL)
-          in
-          push msrs (Seed.gpr_value s Gpr.Rcx)
-            { t_index = s.Seed.index; t_reason = s.Seed.reason;
-              t_access = Write; t_value = v }
       | R.Ept_violation -> (
           match Seed.first_read s F.guest_physical_address with
           | None -> ()
@@ -120,10 +105,9 @@ let build (trace : Trace.t) =
       | _ -> ()))
     trace.Trace.seeds;
   finalize by_field;
-  finalize msrs;
   finalize ports;
   { seed_count = Array.length trace.Trace.seeds;
-    by_field; msrs; gpas = List.rev !gpas; ports }
+    by_field; gpas = List.rev !gpas; ports }
 
 let seed_count t = t.seed_count
 
@@ -141,12 +125,8 @@ let last_touch_before ?access t f i =
       if touch.t_index < i && matches access touch then Some touch else acc)
     None (field_touches t f)
 
-let msr_touches t m = try Hashtbl.find t.msrs m with Not_found -> []
-
 let gpa_touches t ~lo ~hi =
   List.filter (fun touch -> touch.t_value >= lo && touch.t_value <= hi) t.gpas
-
-let port_touches t p = try Hashtbl.find t.ports p with Not_found -> []
 
 let device_touches t d =
   Hashtbl.fold

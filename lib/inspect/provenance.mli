@@ -1,11 +1,12 @@
 (** Field-provenance index over a recorded trace.
 
     Answers the debugger questions the accuracy report cannot:
-    "which exit first read (or wrote) VMCS field X", "which MSR
-    accesses touched MSR [m]", "which EPT violations hit this GPA
-    range" — and, combined with {!Session.reverse_continue_to}, "run
-    backwards to the exit that last touched X before seed [i]" (the
-    rr reverse-watchpoint idiom over IRIS seeds).
+    "which exit first read (or wrote) VMCS field X", "which EPT
+    violations hit this GPA range", "which devices did the I/O exits
+    before seed [i] reach" — and, combined with
+    {!Session.reverse_continue_to}, "run backwards to the exit that
+    last touched X before seed [i]" (the rr reverse-watchpoint idiom
+    over IRIS seeds).
 
     The index is built once from the trace's seeds — recorded VMREAD
     traffic is a read provenance, recorded VMWRITE traffic a write
@@ -42,12 +43,6 @@ val last_touch_before :
 (** [last_touch_before t f i] is the newest touch of [f] strictly
     before seed [i] — the reverse-continue target. *)
 
-val msr_touches : t -> int64 -> touch list
-(** Accesses to MSR [m]: RDMSR exits ([Read]) and WRMSR exits
-    ([Write]) whose RCX selected [m].  A WRMSR touch carries the
-    written EDX:EAX value; a RDMSR touch carries 0 — the read result
-    is produced by the handler, not recorded in the seed. *)
-
 val gpa_touches : t -> lo:int64 -> hi:int64 -> touch list
 (** EPT violations whose guest-physical address falls in
     [\[lo, hi\]]; access direction from the exit qualification
@@ -68,9 +63,6 @@ val device_of_port : int -> device
 (** The lib/devices port map: PIC 0x20/0x21 + 0xA0/0xA1, PIT
     0x40-0x43, RTC/CMOS 0x70/0x71, COM1 UART 0x3F8-0x3FF, PCI
     config 0xCF8-0xCFF; anything else is [Port_other]. *)
-
-val port_touches : t -> int -> touch list
-(** Accesses to one port, ascending index. *)
 
 val device_touches : t -> device -> touch list
 (** Accesses to any port of one device, ascending index. *)

@@ -9,8 +9,6 @@ let perm_rwx = { r = true; w = true; x = true }
 
 type access = Read | Write | Exec
 
-let access_name = function Read -> "read" | Write -> "write" | Exec -> "exec"
-
 (* Large mappings (the RAM identity map) are kept as ranges; holes and
    individual page (re)mappings live in a small per-page override
    table.  This keeps snapshot/revert O(overrides) instead of

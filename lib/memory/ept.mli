@@ -16,8 +16,6 @@ val perm_rwx : perm
 
 type access = Read | Write | Exec
 
-val access_name : access -> string
-
 type t
 
 val create : unit -> t

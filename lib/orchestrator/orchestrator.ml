@@ -41,10 +41,6 @@ module Replayer = Iris_core.Replayer
 module Campaign = Iris_fuzzer.Campaign
 module Hub = Iris_telemetry.Hub
 
-let cycles_per_second = 3_600_000_000.0
-
-let cycles_to_seconds c = Int64.to_float c /. cycles_per_second
-
 (* A dummy domain at the recording's initial state: constructed, armed
    on the recording snapshot, memory dropped, no probe.  Every worker,
    service universe, bisection attempt and differential walk starts
@@ -117,13 +113,13 @@ let render_workers rep =
       Buffer.add_string buf
         (Printf.sprintf "  %6d  %6d  %8d  %13.3f  %4.0f%%\n" w.w_id
            w.w_executed w.w_respawns
-           (cycles_to_seconds w.w_busy_cycles)
+           (Iris_vtx.Clock.cycles_to_seconds w.w_busy_cycles)
            (100.0 *. utilization rep w)))
     rep.r_workers;
   Buffer.add_string buf
     (Printf.sprintf "  model wall %.3fs  (ideal 1-worker %.3fs)\n"
-       (cycles_to_seconds rep.r_model_wall_cycles)
-       (cycles_to_seconds rep.r_model_busy_cycles));
+       (Iris_vtx.Clock.cycles_to_seconds rep.r_model_wall_cycles)
+       (Iris_vtx.Clock.cycles_to_seconds rep.r_model_busy_cycles));
   Buffer.contents buf
 
 (* --- mutant-level sharding: one campaign, cases fanned out --- *)

@@ -12,10 +12,6 @@
     telemetry snapshot are byte-identical for any [jobs] — the test
     suite and the [scaling] bench enforce this by digest. *)
 
-val cycles_to_seconds : int64 -> float
-(** Modeled cycles of the substrate's 3.6 GHz virtual TSC, in
-    seconds. *)
-
 type worker_report = {
   w_id : int;
   w_executed : int;

@@ -34,13 +34,7 @@ let entry_key ~meta ~seed =
   let h = Fnv.string h (Bytes.unsafe_to_string (Seed.encode seed)) in
   Fnv.to_hex h
 
-let points_of_span span =
-  let pts =
-    Cov.Pset.fold (fun p acc -> (p : Cov.point :> int) :: acc) span []
-  in
-  let a = Array.of_list (List.rev pts) in
-  Array.sort compare a;
-  a
+let points_of_span span = Array.of_list (Cov.Pset.elements span :> int list)
 
 let entry ~meta ~seed ~span ~digest =
   { e_key = entry_key ~meta ~seed;
@@ -198,10 +192,8 @@ let entry_of_json j =
   in
   let* prng_seed = int "prng_seed" in
   let boot_scale =
-    match J.member "boot_scale" j with
-    | Some (J.Float f) -> f
-    | Some (J.Int i) -> float_of_int i
-    | _ -> 0.05
+    Option.value ~default:0.05
+      (Option.bind (J.member "boot_scale" j) J.float_value)
   in
   let* seed_index = int "seed_index" in
   let* () =

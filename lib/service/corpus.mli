@@ -38,6 +38,9 @@ val entry :
   meta:meta -> seed:Iris_core.Seed.t ->
   span:Iris_coverage.Cov.Pset.t -> digest:string -> entry
 
+val points_of_span : Iris_coverage.Cov.Pset.t -> int array
+(** The span's packed coverage points, ascending. *)
+
 type t
 
 val create : unit -> t

@@ -97,15 +97,10 @@ let to_json t =
   in
   J.Obj (base @ timeout)
 
-let num_value = function
-  | J.Int i -> Some (float_of_int i)
-  | J.Float f -> Some f
-  | _ -> None
-
 let of_json j =
   let str k = Option.bind (J.member k j) J.string_value in
   let int k = Option.bind (J.member k j) J.int_value in
-  let num k = Option.bind (J.member k j) num_value in
+  let num k = Option.bind (J.member k j) J.float_value in
   let ( let* ) = Result.bind in
   let require what = function
     | Some v -> Ok v

@@ -392,19 +392,13 @@ let note_crashes t job plan { recording; provenance } =
       match raw_opt with
       | Some (raw : Campaign.raw)
         when raw.Campaign.raw_failure <> Campaign.No_failure ->
-          let span =
-            Cov.Pset.fold
-              (fun p acc -> (p : Cov.point :> int) :: acc)
-              raw.Campaign.raw_span []
-            |> List.rev |> Array.of_list
-          in
           let crash =
             { Triage.c_spec_key = job.j_key;
               c_case = i;
               c_reason = plan.Campaign.plan_reason;
               c_failure = raw.Campaign.raw_failure;
               c_detail = raw.Campaign.raw_detail;
-              c_span = span;
+              c_span = Corpus.points_of_span raw.Campaign.raw_span;
               c_devices = devices }
           in
           (* bisected after the round, by [bisect_round] *)

@@ -91,12 +91,6 @@ let r_i64 r =
   r.pos <- r.pos + 8;
   !v
 
-let r_bytes r n =
-  need r n;
-  let b = Bytes.of_string (String.sub r.buf r.pos n) in
-  r.pos <- r.pos + n;
-  b
-
 let r_string r =
   let n = r_u32 r in
   need r n;

@@ -39,7 +39,6 @@ val r_u8 : reader -> int
 val r_u16 : reader -> int
 val r_u32 : reader -> int
 val r_i64 : reader -> int64
-val r_bytes : reader -> int -> bytes
 val r_string : reader -> string
 val remaining : reader -> int
 val at_end : reader -> bool

@@ -105,9 +105,4 @@ let sign_test_p a b =
     Float.min 1.0 (2.0 *. !tail)
   end
 
-let mean_ci95 xs =
-  let m = mean xs in
-  let n = float_of_int (Array.length xs) in
-  if n < 2.0 then (m, 0.0) else (m, 1.96 *. stddev xs /. sqrt n)
-
 let pct_change base v = (v -. base) /. base *. 100.0

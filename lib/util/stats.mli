@@ -50,9 +50,5 @@ val sign_test_p : float array -> float array -> float
     samples [a] and [b] (ties dropped).  Used to back the paper's
     "p-value < 0.05" claim on the 15 efficiency runs. *)
 
-val mean_ci95 : float array -> float * float
-(** Mean and half-width of a normal-approximation 95 % confidence
-    interval. *)
-
 val pct_change : float -> float -> float
 (** [pct_change base v] is [(v - base) / base * 100.]. *)

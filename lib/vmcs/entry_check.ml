@@ -8,8 +8,6 @@ let failure_message = function
   | Invalid_host_state m -> "invalid host state: " ^ m
   | Invalid_guest_state m -> "invalid guest state: " ^ m
 
-let pp_failure fmt f = Format.pp_print_string fmt (failure_message f)
-
 let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e
 
 (* ---- Control-field checks (SDM 26.2.1) ---- *)
@@ -243,8 +241,6 @@ let guest_checks :
         end
         else Ok () );
   ]
-
-let guest_check_names = List.map fst guest_checks
 
 let check_guest_state vmcs =
   let rec loop = function

@@ -19,8 +19,6 @@ type failure =
 
 val failure_message : failure -> string
 
-val pp_failure : Format.formatter -> failure -> unit
-
 val check_controls : Vmcs.t -> (unit, failure) result
 val check_host_state : Vmcs.t -> (unit, failure) result
 val check_guest_state : Vmcs.t -> (unit, failure) result
@@ -28,7 +26,3 @@ val check_guest_state : Vmcs.t -> (unit, failure) result
 val run : Vmcs.t -> (unit, failure) result
 (** All three groups in architectural order. *)
 
-val guest_check_names : string list
-(** The names of the individual guest-state checks, for test
-    coverage: corrupting the corresponding field must trip the
-    corresponding check. *)

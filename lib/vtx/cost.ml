@@ -10,8 +10,4 @@ let vmread_cost = 120
 
 let vmwrite_cost = 150
 
-let handler_base = 6_000
-
 let timer_interrupt_period = 14_400_000
-
-let idle_hlt_wait = 12_000_000

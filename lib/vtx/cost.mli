@@ -23,14 +23,6 @@ val event_injection : int
 val vmread_cost : int
 val vmwrite_cost : int
 
-val handler_base : int
-(** Typical reason-specific handler body cost, excluding VMREAD and
-    VMWRITE traffic. *)
-
 val timer_interrupt_period : int
 (** Cycles between virtual periodic-timer ticks (250 Hz at 3.6 GHz =
     14.4 M cycles). *)
-
-val idle_hlt_wait : int
-(** Cycles an idle guest spends halted per HLT before the next tick on
-    average. *)

@@ -33,4 +33,3 @@ let description = function
 
 let pp fmt m = Format.pp_print_string fmt (name m)
 
-let compare_rank a b = compare (to_int a) (to_int b)

@@ -30,6 +30,3 @@ val description : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val compare_rank : t -> t -> int
-(** Order by [to_int]; used to check monotone progression during
-    boot. *)

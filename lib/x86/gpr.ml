@@ -37,8 +37,3 @@ let copy_into ~src ~dst = Array.blit src 0 dst 0 count
 let iter f file = Array.iteri (fun i v -> f all.(i) v) file
 
 let equal a b = a = b
-
-let pp_file fmt file =
-  Format.fprintf fmt "@[<v>";
-  iter (fun r v -> Format.fprintf fmt "%s=%016Lx@ " (name r) v) file;
-  Format.fprintf fmt "@]"

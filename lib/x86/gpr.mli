@@ -38,4 +38,3 @@ val copy : file -> file
 val copy_into : src:file -> dst:file -> unit
 val iter : (reg -> int64 -> unit) -> file -> unit
 val equal : file -> file -> bool
-val pp_file : Format.formatter -> file -> unit

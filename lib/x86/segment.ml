@@ -2,10 +2,6 @@ type name = Cs | Ds | Es | Fs | Gs | Ss | Tr | Ldtr
 
 let all_names = [ Cs; Ds; Es; Fs; Gs; Ss; Tr; Ldtr ]
 
-let name_to_string = function
-  | Cs -> "cs" | Ds -> "ds" | Es -> "es" | Fs -> "fs"
-  | Gs -> "gs" | Ss -> "ss" | Tr -> "tr" | Ldtr -> "ldtr"
-
 type t = { selector : int; base : int64; limit : int64; ar : int }
 
 let pp fmt s =

@@ -11,7 +11,6 @@
 type name = Cs | Ds | Es | Fs | Gs | Ss | Tr | Ldtr
 
 val all_names : name list
-val name_to_string : name -> string
 
 type t = {
   selector : int;      (** 16-bit selector *)

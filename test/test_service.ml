@@ -466,6 +466,51 @@ let test_server_counts_cow_rewinds () =
         (counter "service.cases") (counter "cow.reverts"))
     (Lazy.force serve_gate).Gate.drains
 
+(* A job whose modeled-cycle budget runs out drains to [timed-out], and
+   the report carries how far it got.  The budget is checked against
+   the cumulative case cycles in case order, so quantum boundaries,
+   pool width and submission order cannot move the case it stops at. *)
+let test_server_timeout () =
+  let budget = 5_000_000L in
+  let timed =
+    Jobspec.make ~tenant:"erin" ~priority:1 ~boot_scale:0.02
+      ~timeout_cycles:budget ~workload:W.Cpu_bound ~exits:300
+      ~reason:R.Rdtsc ~area:Mutation.Area_gpr ~mutations:90 ~prng_seed:21 ()
+  in
+  let report ~jobs specs =
+    let server = Server.create ~jobs ~quantum:24 ~recordings:shared_cache () in
+    List.iter (fun s -> ignore (Server.submit server s : int)) specs;
+    ignore (Server.drain server : Server.drain_summary);
+    J.to_string (Server.report server)
+  in
+  let first = report ~jobs:1 [ spec_a; timed ] in
+  List.iter
+    (fun (label, r) -> check Alcotest.string label first r)
+    [ ("jobs=2", report ~jobs:2 [ spec_a; timed ]);
+      ("jobs=2 reversed", report ~jobs:2 [ timed; spec_a ]) ];
+  let job =
+    match J.of_string first with
+    | Error e -> Alcotest.fail e
+    | Ok doc ->
+        Option.get (J.member "jobs" doc)
+        |> J.to_list
+        |> List.find (fun j ->
+               J.member "key" j = Some (J.String (Jobspec.key timed)))
+  in
+  let field path =
+    List.fold_left (fun j k -> Option.bind j (J.member k)) (Some job) path
+  in
+  check Alcotest.string "status" {|["timed-out"]|}
+    (J.to_string (Option.get (field [ "statuses" ])));
+  check Alcotest.bool "no result" true (field [ "result" ] = Some J.Null);
+  let int path = Option.get (Option.bind (field path) J.int_value) in
+  let executed = int [ "partial"; "executed" ] in
+  (* past the first 24-case quantum, short of the baseline case plus
+     90 mutants *)
+  check Alcotest.bool "partial run" true (executed > 24 && executed < 91);
+  check Alcotest.bool "cycles reached the budget" true
+    (Int64.of_int (int [ "partial"; "cycles" ]) >= budget)
+
 let test_wire_pipe_session () =
   let server = Server.create ~jobs:1 ~quantum:24 ~recordings:shared_cache () in
   let submit =
@@ -904,6 +949,8 @@ let () =
             test_socket_relay_matches_pipe;
           Alcotest.test_case "loaded corpus cannot kill the daemon" `Slow
             test_loaded_corpus_cannot_kill;
+          Alcotest.test_case "timeout is schedule-independent" `Slow
+            test_server_timeout;
           Alcotest.test_case "counts cow rewinds" `Slow
             test_server_counts_cow_rewinds
         ] );
