@@ -1041,7 +1041,7 @@ let scaling () =
   let recording = Manager.record m W.Cpu_bound ~exits:1_200 in
   let config = { Iris_fuzzer.Campaign.mutations = 10_000; prng_seed } in
   let sweep =
-    gate (Gate.campaign ~manager:m ~recording ~config ~jobs:[ 1; 2; 4; 8 ])
+    gate (Gate.campaign ~recording ~config ~jobs:[ 1; 2; 4; 8 ])
   in
   let wall jobs =
     Clock.cycles_to_seconds
@@ -1147,12 +1147,8 @@ let revert_bench () =
     in
     let anchor = pin ~replayer in
     let t0 = Scenario.wall_now () in
-    let raws =
-      Array.init cases (fun i ->
-          Campaign.execute_case ~replayer ~anchor (Campaign.case plan i))
-    in
-    let host = Scenario.wall_now () -. t0 in
-    (Campaign.finalize ~plan ~raws, host, anchor, replayer)
+    let result = Campaign.execute ~replayer ~anchor plan in
+    (result, Scenario.wall_now () -. t0, anchor, replayer)
   in
   let res_full, host_full, anch_full, _ =
     run (fun ~replayer ->

@@ -97,6 +97,22 @@ let area =
     & opt area_conv Iris_fuzzer.Mutation.Area_vmcs
     & info [ "a"; "area" ] ~docv:"AREA" ~doc:"Seed area to mutate: vmcs or gpr.")
 
+(* A worker-domain count.  The runtime allows 128 domains at once
+   (Max_domains), the main domain among them, so a run can spawn at
+   most 127 workers; a value outside 1..127 is a usage error. *)
+let jobs ~doc =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 && n <= 127 -> Ok n
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid worker count %S (expected 1..127)" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Format.pp_print_int)) 1
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
 (* --- the recording every run command starts from --- *)
 
 type setup = {
@@ -127,6 +143,21 @@ let no_seed reason =
   Printf.printf "the trace has no seed with exit reason %s\n"
     (R.short_name reason)
 
+(* Every plain campaign runs through the orchestrator, at any jobs
+   count.  Its workers attach their probe only after S_R, so the
+   counters merged into [hub] are the same at every jobs count.  The
+   worker table depends on which domain claimed which case, so it goes
+   to stderr. *)
+let campaign ~hub ~jobs ~config ~recording ~reason ~area =
+  Option.map
+    (fun o ->
+      prerr_string (Orch.render_workers o.Orch.fuzz_report);
+      Option.iter
+        (fun into -> T.Hub.merge_into ~into o.Orch.fuzz_report.Orch.r_hub)
+        hub;
+      o.Orch.fuzz_result)
+    (Orch.fuzz ~jobs ~config ~recording ~reason ~area ())
+
 (* --- telemetry options --- *)
 
 let trace_out =
@@ -135,8 +166,9 @@ let trace_out =
     & opt (some string) None
     & info [ "trace-out" ] ~docv:"FILE"
         ~doc:
-          "Write a Chrome trace_event file of the run (spans per VM exit, \
-           phase and campaign; load it in Perfetto or about://tracing).")
+          "Write a Chrome trace_event file of the run (spans per VM exit \
+           and phase; load it in Perfetto or about://tracing).  For fuzz \
+           and bisect it holds the recording's track only.")
 
 let metrics_flag =
   Arg.(
@@ -364,14 +396,11 @@ let fuzz_cmd =
              of the PoC's naive single bit-flips.")
   in
   let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Shard the campaign's test cases across N worker domains, each \
-             with an isolated dummy VM; results are merged in case-index \
-             order, so the report is byte-identical for any N.")
+    jobs
+      ~doc:
+        "Shard the campaign's test cases across N worker domains (1..127), \
+         each with an isolated dummy VM; results are merged in case-index \
+         order, so the report is byte-identical for any N."
   in
   let print_campaign r =
     Printf.printf
@@ -408,42 +437,29 @@ let fuzz_cmd =
     let hub = telemetry_hub tel in
     let mgr, recording = record ~hub ~full_boot:false s in
     let prng_seed = s.prng_seed in
-    Printf.printf "fuzzing: reason=%s area=%s N=%d%s%s...\n%!"
+    (* Stdout must not depend on --jobs, so the jobs count and the
+       guided loop's note about it go to stderr. *)
+    Printf.printf "fuzzing: reason=%s area=%s N=%d%s...\n%!"
       (R.short_name reason)
       (Iris_fuzzer.Mutation.area_name area)
       mutations
-      (if guided then " (coverage-guided)" else "")
-      (if jobs > 1 then Printf.sprintf " jobs=%d" jobs else "");
+      (if guided then " (coverage-guided)" else "");
+    if jobs > 1 then
+      prerr_endline
+        (if guided then
+           "note: the guided loop is inherently sequential (each round \
+            mutates the corpus previous rounds grew); ignoring --jobs"
+         else Printf.sprintf "jobs=%d" jobs);
     let config = { Iris_fuzzer.Campaign.mutations; prng_seed } in
     let found =
-      if guided then begin
-        if jobs > 1 then
-          Printf.printf
-            "note: the guided loop is inherently sequential (each round \
-             mutates the corpus\nprevious rounds grew); --jobs applies to \
-             plain campaigns, ignoring it here\n";
+      if guided then
         Option.map print_guided
           (Iris_fuzzer.Guided.run
              ~config:{ Iris_fuzzer.Guided.iterations = mutations; prng_seed }
              ~manager:mgr ~recording ~reason)
-      end
-      else if jobs > 1 then
-        (* Sharded campaign: each worker owns an isolated hypervisor +
-           dummy VM; the ordered merge makes the report identical to a
-           sequential run.  The worker table depends on which domain
-           claimed which case, so it goes to stderr. *)
-        Option.map
-          (fun o ->
-            print_campaign o.Orch.fuzz_result;
-            prerr_string (Orch.render_workers o.Orch.fuzz_report);
-            Option.iter
-              (fun into -> T.Hub.merge_into ~into o.Orch.fuzz_report.Orch.r_hub)
-              hub)
-          (Orch.fuzz ~jobs ~config ~recording ~reason ~area ())
       else
         Option.map print_campaign
-          (Iris_fuzzer.Campaign.run ~config ~manager:mgr ~recording ~reason
-             ~area ())
+          (campaign ~hub ~jobs ~config ~recording ~reason ~area)
     in
     if found = None then no_seed reason;
     report tel hub
@@ -667,13 +683,8 @@ let bisect_cmd =
     Printf.printf "fuzzing %s/%s for a crashing mutant...\n%!"
       (R.short_name reason)
       (Iris_fuzzer.Mutation.area_name area);
-    let result =
-      Iris_fuzzer.Campaign.run ~config ~manager:mgr ~recording ~reason ~area
-        ()
-    in
-    let plan =
-      Iris_fuzzer.Campaign.plan ~config ~trace ~reason ~area
-    in
+    let result = campaign ~hub ~jobs:1 ~config ~recording ~reason ~area in
+    let plan = Iris_fuzzer.Campaign.plan ~config ~trace ~reason ~area in
     (match (result, plan) with
     | None, _ | _, None ->
         no_seed reason;
@@ -866,13 +877,10 @@ let socket_path =
 
 let serve_cmd =
   let jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Domain-pool width: runnable jobs dispatched per scheduling \
-             round, each on its own worker domain.")
+    jobs
+      ~doc:
+        "Domain-pool width (1..127): runnable jobs dispatched per \
+         scheduling round, each on its own worker domain."
   in
   let quantum =
     Arg.(

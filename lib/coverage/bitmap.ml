@@ -54,17 +54,8 @@ let merge_new ~virgin t =
   done;
   !fresh
 
-(* Union for the orchestrator's join path: saturating per-slot sum, so
-   merging per-worker maps in any order yields the same bitmap as one
-   sequential run would have. *)
-let merge ~into t = ignore (merge_new ~virgin:into t : int)
-
 let reset t =
   for k = 0 to t.n - 1 do
     Bytes.set t.map t.touched.(k) '\000'
   done;
   t.n <- 0
-
-let copy t =
-  { map = Bytes.copy t.map; mask = t.mask; touched = Array.copy t.touched;
-    n = t.n }

@@ -6,10 +6,10 @@
     signal: a test case is interesting if it sets a byte no previous
     input set.
 
-    Each map also lists the slots it has filled, so [merge],
-    [merge_new], [reset] and [set_bytes] cost time proportional to the
-    slots touched, not to [size]: the per-case novelty check over a
-    span of a few dozen points does not walk 64 KiB. *)
+    Each map also lists the slots it has filled, so [merge_new],
+    [reset] and [set_bytes] cost time proportional to the slots
+    touched, not to [size]: the per-case novelty check over a span of
+    a few dozen points does not walk 64 KiB. *)
 
 type t
 
@@ -31,11 +31,4 @@ val merge_new : virgin:t -> t -> int
     and returns how many *new* byte slots [m] touched — the fuzzer's
     novelty count. *)
 
-val merge : into:t -> t -> unit
-(** [merge ~into m] unions [m] into [into] (saturating per-slot sum).
-    Commutative and associative up to saturation, so merging
-    per-worker maps in any order matches one sequential run — the
-    orchestrator's join path relies on this. *)
-
 val reset : t -> unit
-val copy : t -> t

@@ -61,28 +61,14 @@ let submit_probed replayer seed =
   let span = Cov.span_end ctx.Ctx.cov in
   (outcome, span)
 
-(* Campaign-level aggregates: per-campaign counters plus the
-   coverage-gain gauge the paper's Table 2 reports per campaign.  The
-   sequential runner writes them into its probe's hub, the
-   orchestrator into the merged hub, so both end with the same totals. *)
-let note_totals hub r =
-  let module R = Iris_telemetry.Registry in
-  let reg = hub.Iris_telemetry.Hub.registry in
-  R.add (R.counter reg "fuzz.mutations") r.executed;
-  R.add (R.counter reg "fuzz.new_lines") (r.fuzz_lines - r.baseline_lines);
-  R.add (R.counter reg "fuzz.vm_crashes") r.vm_crashes;
-  R.add (R.counter reg "fuzz.hv_crashes") r.hv_crashes;
-  R.set (R.gauge reg "fuzz.coverage_gain_pct")
-    (Int64.of_float r.coverage_increase_pct)
-
 (* --- pure test-case generation ---
 
-   The plan replays [run]'s exact PRNG call sequence (target pick,
+   The plan draws every random choice of a campaign (target pick,
    then [config.mutations] draws of [Mutation.random]) without
    touching a hypervisor, so test cases can be generated once on the
    dispatching side and sharded across workers.  Mutations that the
-   PRNG rejects ([Mutation.random] returning [None]) are dropped here,
-   exactly as the sequential loop skips them. *)
+   PRNG rejects ([Mutation.random] returning [None]) are dropped
+   here. *)
 
 type plan = {
   plan_reason : Iris_vtx.Exit_reason.t;
@@ -332,48 +318,21 @@ let finalize ~plan:p ~raws =
     hv_crashes = !hv_crashes;
     crashing = List.rev !crashing }
 
-(* --- sequential driver --- *)
+(* --- in-order driver --- *)
+
+let execute ~replayer ~anchor p =
+  finalize ~plan:p
+    ~raws:
+      (Array.init (case_count p) (fun i ->
+           execute_case ~replayer ~anchor (case p i)))
 
 let run ~config ~manager ~recording ~reason ~area () =
   let trace = recording.Manager.trace in
-  match plan ~config ~trace ~reason ~area with
-  | None -> None
-  | Some p ->
+  Option.map
+    (fun p ->
       let replayer =
         Manager.make_dummy manager ~revert_to:recording.Manager.snapshot ()
       in
       let seed_index = p.plan_target.Seed.index in
-      let anch = anchor ~replayer ~trace ~seed_index () in
-      let ctx = Replayer.ctx replayer in
-      let probe = Iris_hv.Observe.probe ctx in
-      (match probe with
-      | None -> ()
-      | Some p ->
-          Iris_telemetry.Tracer.begin_span
-            (Iris_telemetry.Probe.hub p).Iris_telemetry.Hub.tracer
-            ~cat:"phase" ~tid:(Iris_telemetry.Probe.tid p) ~name:"campaign"
-            ~args:
-              [ ("reason", Iris_vtx.Exit_reason.name reason);
-                ("seed_index", string_of_int seed_index) ]
-            ~ts:(Iris_vtx.Clock.now (Ctx.clock ctx)));
-      let n = case_count p in
-      let raws =
-        Array.init n (fun i -> execute_case ~replayer ~anchor:anch (case p i))
-      in
-      release ~replayer anch;
-      let result = finalize ~plan:p ~raws in
-      (match probe with
-      | None -> ()
-      | Some p ->
-          let hub = Iris_telemetry.Probe.hub p in
-          note_totals hub result;
-          let now = Iris_vtx.Clock.now (Ctx.clock ctx) in
-          Iris_telemetry.Probe.unwind p ~now;
-          Iris_telemetry.Tracer.end_span hub.Iris_telemetry.Hub.tracer
-            ~name:"campaign"
-            ~args:
-              [ ("executed", string_of_int result.executed);
-                ("vm_crashes", string_of_int result.vm_crashes);
-                ("hv_crashes", string_of_int result.hv_crashes) ]
-            ~ts:now);
-      Some result
+      execute ~replayer ~anchor:(anchor ~replayer ~trace ~seed_index ()) p)
+    (plan ~config ~trace ~reason ~area)

@@ -42,11 +42,6 @@ type result = {
 val pct_string : result -> string
 (** Table I cell text, e.g. "+122%". *)
 
-val note_totals : Iris_telemetry.Hub.t -> result -> unit
-(** Add a campaign's [fuzz.*] aggregates (mutations, new lines, VM and
-    hypervisor crashes, coverage-gain gauge) to [hub] — the sequential
-    runner's probe hub or the orchestrator's merged one. *)
-
 val submit_probed :
   Iris_core.Replayer.t -> Iris_core.Seed.t ->
   (failure_class * string) * Iris_coverage.Cov.Pset.t
@@ -68,17 +63,18 @@ val run :
   unit -> result option
 (** [None] when the recording contains no seed with [reason] (a "-"
     cell in Table I).  [VMseed_R] is drawn uniformly among that
-    reason's seeds.  S_R is pinned with a COW {!anchor}; the run opens
-    a [campaign] trace span and adds {!note_totals} when the manager
-    attaches a telemetry probe. *)
+    reason's seeds.  [run] is {!plan}, then {!execute} on one dummy of
+    [manager] whose S_R is pinned with a COW {!anchor}.  It writes no
+    campaign telemetry of its own: a probe the manager attaches sees
+    the prefix replay, the cases and their [cow.*] rewinds, nothing
+    more. *)
 
 (** {2 Sharded execution}
 
     [run] decomposes into a pure {!plan} (test-case generation), a
     per-case {!execute_case} (the only part that needs a hypervisor),
     and a pure ordered {!finalize} — the seams the orchestrator
-    dispatches across worker domains.  [run] itself is
-    [plan → execute each case in order → finalize]. *)
+    dispatches across worker domains. *)
 
 type plan = {
   plan_reason : Iris_vtx.Exit_reason.t;
@@ -183,3 +179,11 @@ val finalize : plan:plan -> raws:raw array -> result
     order.  Per-verdict [new_lines] is recomputed here in index order,
     which is what makes the merged report independent of how cases
     were sharded. *)
+
+val execute :
+  replayer:Iris_core.Replayer.t -> anchor:anchor -> plan -> result
+(** The one in-order case loop: {!execute_case} on every case of the
+    plan in index order from [anchor]'s S_R, then {!finalize}.  What
+    {!run} does after pinning S_R, and what tests and the bench run
+    against a full-restore anchor as the oracle for sharded
+    campaigns. *)

@@ -136,20 +136,35 @@ type fuzz_outcome = {
   fuzz_report : report;
 }
 
+(* Campaign-level aggregates on the merged hub: per-campaign counters
+   plus the coverage-gain gauge the paper's Table 2 reports per
+   campaign. *)
+let note_totals hub (r : Campaign.result) =
+  let module R = Iris_telemetry.Registry in
+  let reg = hub.Hub.registry in
+  R.add (R.counter reg "fuzz.mutations") r.executed;
+  R.add (R.counter reg "fuzz.new_lines") (r.fuzz_lines - r.baseline_lines);
+  R.add (R.counter reg "fuzz.vm_crashes") r.vm_crashes;
+  R.add (R.counter reg "fuzz.hv_crashes") r.hv_crashes;
+  R.set (R.gauge reg "fuzz.coverage_gain_pct")
+    (Int64.of_float r.coverage_increase_pct)
+
 let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
   let trace = recording.Manager.trace in
   match Campaign.plan ~config ~trace ~reason ~area with
   | None -> None
   | Some plan ->
       let seed_index = plan.Campaign.plan_target.Seed.index in
-      let jobs = max 1 jobs in
+      let total = Campaign.case_count plan in
+      (* [Pool.run] starts no worker beyond the case count. *)
+      let jobs = max 1 (min jobs total) in
       let slots =
         Array.init jobs (fun _ ->
             { s_hub = Hub.create (); s_setup = 0L; s_busy = 0L })
       in
       let t0 = Monotonic_clock.now () in
       let raws, stats =
-        Pool.run ~jobs ~total:(Campaign.case_count plan)
+        Pool.run ~jobs ~total
           ~init:(fun w ->
             let s = slots.(w) in
             let replayer, anchor, setup =
@@ -204,7 +219,5 @@ let fuzz ?(jobs = 1) ~config ~recording ~reason ~area () =
       (* Ordered merge: verdicts, coverage and novelty recomputed in
          case-index order — byte-identical for any [jobs]. *)
       let result = Campaign.finalize ~plan ~raws in
-      (* Campaign-level aggregates on the merged hub: the same totals
-         the sequential runner's probe hub ends up with. *)
-      Campaign.note_totals merged result;
+      note_totals merged result;
       Some { fuzz_result = result; fuzz_report = report }

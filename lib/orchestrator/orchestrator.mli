@@ -76,7 +76,7 @@ val render_workers : report -> string
 
 type fuzz_outcome = {
   fuzz_result : Iris_fuzzer.Campaign.result;
-      (** byte-identical to the sequential [Campaign.run] result *)
+      (** byte-identical to [Campaign.run]'s result *)
   fuzz_report : report;
 }
 
@@ -86,7 +86,8 @@ val fuzz :
   reason:Iris_vtx.Exit_reason.t -> area:Iris_fuzzer.Mutation.area ->
   unit -> fuzz_outcome option
 (** Fan one campaign's [1 + mutations] test cases out across [jobs]
-    worker domains.  [None] if the trace has no seed with [reason].
+    worker domains, at most one per case ([jobs = 1]: in order on the
+    calling domain).  [None] if the trace has no seed with [reason].
     A worker whose hypervisor context dies beyond triage reports a
     [Hypervisor_crash] verdict for the offending case and is
     respawned. *)

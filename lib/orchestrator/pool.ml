@@ -18,9 +18,11 @@
    keeps claiming indices.  An exception escaping [init] or
    [on_crash] itself is a harness bug and propagates out of [run].
 
-   [jobs = 1] runs the whole schedule inline on the calling domain, in
-   index order — same code path, no spawn — so a sequential run is the
-   parallel machinery with N = 1, not a separate implementation. *)
+   At most [total] workers start: one without an index to claim would
+   only build its state.  [jobs = 1] runs the whole schedule inline on
+   the calling domain, in index order — same code path, no spawn — so
+   a sequential run is the parallel machinery with N = 1, not a
+   separate implementation. *)
 
 type stats = {
   mutable executed : int;    (* tasks this worker completed *)
@@ -30,7 +32,7 @@ type stats = {
 let run (type w r) ~jobs ~total ~(init : int -> w)
     ~(task : w -> int -> r) ~(on_crash : exn -> int -> r) :
     r array * stats array =
-  let jobs = max 1 jobs in
+  let jobs = max 1 (min jobs total) in
   let results : r option array = Array.make total None in
   let cursor = Atomic.make 0 in
   let stats = Array.init jobs (fun _ -> { executed = 0; respawns = 0 }) in

@@ -14,9 +14,11 @@
     indices.  Exceptions from [init] or [on_crash] propagate out of
     [run] (re-raised by [Domain.join]).
 
-    [jobs = 1] runs the whole schedule inline on the calling domain,
-    in index order — the same code path with no spawn, so a sequential
-    run is the parallel machinery with N = 1. *)
+    At most [min jobs total] workers start (at least one), so the
+    stats array may be shorter than [jobs].  [jobs = 1] runs the whole
+    schedule inline on the calling domain, in index order — the same
+    code path with no spawn, so a sequential run is the parallel
+    machinery with N = 1. *)
 
 type stats = {
   mutable executed : int;    (** tasks this worker completed *)

@@ -22,32 +22,21 @@ let jobs_label jobs = Printf.sprintf "jobs=%d" jobs
 
 let last jobs = List.nth jobs (List.length jobs - 1)
 
-(* The oracle every sharded campaign is checked against: one dummy
-   pinning S_R with a deep snapshot, every case executed in order. *)
-let full_restore_run ~manager ~recording plan =
-  let trace = recording.Manager.trace in
-  let replayer =
-    Manager.make_dummy manager ~revert_to:recording.Manager.snapshot ()
-  in
-  let seed_index = plan.Campaign.plan_target.Iris_core.Seed.index in
-  let anchor =
-    Campaign.Anchor_full (Campaign.reach_sr ~replayer ~trace ~seed_index)
-  in
-  Campaign.finalize ~plan
-    ~raws:
-      (Array.init (Campaign.case_count plan) (fun i ->
-           Campaign.execute_case ~replayer ~anchor (Campaign.case plan i)))
-
-let campaign ~manager ~recording ~config ~jobs =
+let campaign ~recording ~config ~jobs =
   let reason = Scenario.campaign_reason and area = Scenario.campaign_area in
-  match
-    Campaign.plan ~config ~trace:recording.Manager.trace ~reason ~area
-  with
+  let trace = recording.Manager.trace in
+  match Campaign.plan ~config ~trace ~reason ~area with
   | None ->
       Error
         ("no " ^ Iris_vtx.Exit_reason.short_name reason ^ " seed in the trace")
   | Some plan ->
-      let sequential = full_restore_run ~manager ~recording plan in
+      (* The oracle: one dummy pinning S_R with a deep snapshot. *)
+      let replayer = Orch.dummy ~recording ~name:"oracle-dummy" in
+      let seed_index = plan.Campaign.plan_target.Iris_core.Seed.index in
+      let anchor =
+        Campaign.Anchor_full (Campaign.reach_sr ~replayer ~trace ~seed_index)
+      in
+      let sequential = Campaign.execute ~replayer ~anchor plan in
       (* the plan exists, so every sharded run does too *)
       let fuzz j =
         Option.get (Orch.fuzz ~jobs:j ~config ~recording ~reason ~area ())

@@ -12,12 +12,12 @@ val same : what:string -> (string * string) list -> (unit, string) result
     identity check goes through it. *)
 
 val campaign :
-  manager:Iris_core.Manager.t -> recording:Iris_core.Manager.recording ->
+  recording:Iris_core.Manager.recording ->
   config:Iris_fuzzer.Campaign.config -> jobs:int list ->
   ((int * Iris_orchestrator.Orchestrator.fuzz_outcome) list, string) result
 (** The standard campaign: [Orchestrator.fuzz] at every jobs count
-    reports byte-identically to the oracle — every case of the plan
-    executed in order on one dummy restored through
+    reports byte-identically to the oracle — [Campaign.execute] on one
+    [Orchestrator.dummy] restored through
     [Campaign.Anchor_full (Campaign.reach_sr ...)] — and the merged
     telemetry is byte-identical across jobs counts.  Returns the runs
     in order. *)

@@ -203,10 +203,14 @@ let entry_of_json j =
   let* seed_hex = str "seed" in
   let* seed_bytes = of_hex_string seed_hex in
   let* seed = Seed.decode seed_bytes in
-  let points =
+  let* points =
     match J.member "points" j with
-    | Some l -> J.to_list l |> List.filter_map J.int_value |> Array.of_list
-    | None -> [||]
+    | None -> Ok [||]
+    | Some (J.List l) ->
+        let ints = List.filter_map J.int_value l in
+        if List.compare_lengths ints l = 0 then Ok (Array.of_list ints)
+        else Error "corpus: points must be integers"
+    | Some _ -> Error "corpus: points must be a list"
   in
   Array.sort compare points;
   let meta =

@@ -142,7 +142,7 @@ let minimize_all ~jobs requests =
     let covs = Array.init (min jobs n) (fun _ -> Cov.create ()) in
     let pooled ~total task ~on_crash =
       fst
-        (Pool.run ~jobs:(min jobs total) ~total ~init:(fun w -> covs.(w)) ~task
+        (Pool.run ~jobs ~total ~init:(fun w -> covs.(w)) ~task
            ~on_crash)
     in
     let found =
@@ -587,7 +587,7 @@ let step t =
     in
     let n = Array.length work in
     let rounds, _stats =
-      Pool.run ~jobs:(min t.pool_jobs n) ~total:n ~init:ignore
+      Pool.run ~jobs:t.pool_jobs ~total:n ~init:ignore
         ~task:(fun () i ->
           let j, budget = work.(i) in
           if j.j_cancel then idle else exec_quantum j budget)

@@ -303,22 +303,19 @@ let test_campaign_deterministic () =
 
 let test_campaign_plan_finalize_equals_run () =
   (* The orchestrator's decomposition — plan (pure), execute each case,
-     finalize (pure ordered fold) — must reproduce [Campaign.run]
-     byte for byte: this is what makes the parallel merge exact. *)
+     finalize (pure ordered fold) — run from a full-restore anchor
+     reproduces [Campaign.run], which pins S_R with a COW mark, byte
+     for byte: this is what makes the parallel merge exact. *)
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
   let trace = recording.Manager.trace in
   let whole =
-    Campaign.run ~config:(config 60) ~manager:m ~recording ~reason:R.Rdtsc
+    Campaign.run ~config:(config 120) ~manager:m ~recording ~reason:R.Rdtsc
       ~area:Mutation.Area_vmcs ()
   in
   let pieces =
-    match
-      Campaign.plan ~config:(config 60) ~trace ~reason:R.Rdtsc
-        ~area:Mutation.Area_vmcs
-    with
-    | None -> None
-    | Some plan ->
+    Option.map
+      (fun plan ->
         let replayer =
           Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
         in
@@ -327,11 +324,9 @@ let test_campaign_plan_finalize_equals_run () =
             (Campaign.reach_sr ~replayer ~trace
                ~seed_index:plan.Campaign.plan_target.Iris_core.Seed.index)
         in
-        let raws =
-          Array.init (Campaign.case_count plan) (fun i ->
-              Campaign.execute_case ~replayer ~anchor (Campaign.case plan i))
-        in
-        Some (Campaign.finalize ~plan ~raws)
+        Campaign.execute ~replayer ~anchor plan)
+      (Campaign.plan ~config:(config 120) ~trace ~reason:R.Rdtsc
+         ~area:Mutation.Area_vmcs)
   in
   match (whole, pieces) with
   | Some whole, Some pieces ->

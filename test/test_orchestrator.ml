@@ -101,13 +101,18 @@ let test_pool_empty () =
   check Alcotest.int "nothing executed" 0
     (Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats)
 
+(* A worker with no index to claim is never started, so it builds no
+   state (for the orchestrator: boots no universe). *)
 let test_pool_fewer_tasks_than_workers () =
+  let boots = Atomic.make 0 in
   let results, stats =
-    Pool.run ~jobs:4 ~total:2 ~init:(fun w -> w)
+    Pool.run ~jobs:4 ~total:2
+      ~init:(fun w -> Atomic.incr boots; w)
       ~task:(fun _ i -> 10 + i) ~on_crash:(fun _ _ -> -1)
   in
   check Alcotest.(array int) "every slot filled" [| 10; 11 |] results;
-  check Alcotest.int "four workers reported" 4 (Array.length stats);
+  check Alcotest.int "two workers started" 2 (Array.length stats);
+  check Alcotest.int "two states built" 2 (Atomic.get boots);
   check Alcotest.int "work conservation" 2
     (Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats)
 
@@ -187,7 +192,7 @@ let test_fuzz_jobs_byte_identical () =
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
   match
-    Gate.campaign ~manager:m ~recording ~config:(config 80) ~jobs:[ 1; 4 ]
+    Gate.campaign ~recording ~config:(config 80) ~jobs:[ 1; 4 ]
   with
   | Error msg -> Alcotest.fail msg
   | Ok runs ->

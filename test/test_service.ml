@@ -413,6 +413,29 @@ let prop_decoders_total =
   QCheck.Test.make ~name:"decoders never raise" ~count:500 corrupted
     decodes_totally
 
+(* An entry whose points are not all integers, or not a list, is an
+   error: dropping them would load the entry with other coverage. *)
+let test_corpus_points_malformed () =
+  let doc = Corpus.to_json (store_of [ (1, 1, [ 3; 5 ]) ]) in
+  let rec with_points bad = function
+    | J.Obj kvs ->
+        J.Obj
+          (List.map
+             (fun (k, v) ->
+               (k, if k = "points" then bad else with_points bad v))
+             kvs)
+    | J.List l -> J.List (List.map (with_points bad) l)
+    | j -> j
+  in
+  Alcotest.(check bool) "well-formed document loads" true
+    (Result.is_ok (Corpus.of_json doc));
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.(check bool) what true
+        (Result.is_error (Corpus.of_json (with_points bad doc))))
+    [ ("non-integer point", J.List [ J.Int 3; J.String "5" ]);
+      ("non-list points", J.Int 3) ]
+
 let test_server_report_schedule_independent () =
   let drains = (Lazy.force serve_gate).Gate.drains in
   (* identical campaigns on every server admit an identical corpus *)
@@ -928,8 +951,9 @@ let () =
         [ Alcotest.test_case "request roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "spec keys content-derived" `Quick
             test_jobspec_key_content_derived;
-          Alcotest.test_case "status line shape" `Quick test_status_line_shape
-        ]
+          Alcotest.test_case "status line shape" `Quick test_status_line_shape;
+          Alcotest.test_case "corpus points malformed" `Quick
+            test_corpus_points_malformed ]
         @ qcheck [ prop_decoders_total ] );
       ( "server",
         [ Alcotest.test_case "report schedule-independent" `Slow
