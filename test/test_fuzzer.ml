@@ -303,14 +303,13 @@ let test_campaign_deterministic () =
 
 let test_campaign_plan_finalize_equals_run () =
   (* The orchestrator's decomposition — plan (pure), execute each case,
-     finalize (pure ordered fold) — run from a full-restore anchor
-     reproduces [Campaign.run], which pins S_R with a COW mark, byte
-     for byte: this is what makes the parallel merge exact. *)
+     finalize (pure ordered fold) — must reproduce [Campaign.run]
+     byte for byte: this is what makes the parallel merge exact. *)
   let m = mgr () in
   let recording = Manager.record m W.Cpu_bound ~exits:300 in
   let trace = recording.Manager.trace in
   let whole =
-    Campaign.run ~config:(config 120) ~manager:m ~recording ~reason:R.Rdtsc
+    Campaign.run ~config:(config 60) ~manager:m ~recording ~reason:R.Rdtsc
       ~area:Mutation.Area_vmcs ()
   in
   let pieces =
@@ -325,7 +324,7 @@ let test_campaign_plan_finalize_equals_run () =
                ~seed_index:plan.Campaign.plan_target.Iris_core.Seed.index)
         in
         Campaign.execute ~replayer ~anchor plan)
-      (Campaign.plan ~config:(config 120) ~trace ~reason:R.Rdtsc
+      (Campaign.plan ~config:(config 60) ~trace ~reason:R.Rdtsc
          ~area:Mutation.Area_vmcs)
   in
   match (whole, pieces) with

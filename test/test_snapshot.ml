@@ -538,6 +538,31 @@ let test_per_case_equivalence () =
   (* ...so the two universes still agree with each other. *)
   check Alcotest.string "domains agree" (canon repl_f) (canon repl_c)
 
+(* [Campaign.run] (COW) reports exactly what the seams report when S_R
+   is pinned by the full-restore oracle. *)
+let test_campaign_modes_byte_identical () =
+  let full =
+    let m = mgr () in
+    let recording = Manager.record m W.Cpu_bound ~exits:300 in
+    let trace = recording.Manager.trace in
+    let plan = rdtsc_plan 120 trace in
+    let replayer =
+      Manager.make_dummy m ~revert_to:recording.Manager.snapshot ()
+    in
+    let anchor = full_anchor ~replayer ~trace plan in
+    Campaign.execute ~replayer ~anchor plan
+  in
+  let m = mgr () in
+  let recording = Manager.record m W.Cpu_bound ~exits:300 in
+  match
+    Campaign.run ~config:(config 120) ~manager:m ~recording ~reason:R.Rdtsc
+      ~area:Mutation.Area_vmcs ()
+  with
+  | Some cow ->
+      check Alcotest.string "campaign report identical" (digest full)
+        (digest cow)
+  | None -> Alcotest.fail "rdtsc seeds exist"
+
 (* Golden values of this guided run, taken when the loop could still pin
    S_R by full restore and both restore paths produced them: the
    COW-only loop stays bound to the full-restore result. *)
@@ -631,6 +656,8 @@ let () =
         qcheck [ prop_domain_cow_equals_full ]
         @ [ Alcotest.test_case "per-case raw equivalence" `Slow
               test_per_case_equivalence;
+            Alcotest.test_case "campaign modes identical" `Slow
+              test_campaign_modes_byte_identical;
             Alcotest.test_case "guided = full-restore golden" `Slow
               test_guided_full_restore_golden;
             Alcotest.test_case "cow stats accounting" `Slow
