@@ -99,21 +99,6 @@ let span_push t p =
   t.span_buf.(t.span_len) <- p;
   t.span_len <- t.span_len + 1
 
-let hit_one t p =
-  let ci = p / line_space and idx = p mod line_space in
-  ensure t ci (idx + 1);
-  let counts = t.counts.(ci) in
-  let c = counts.(idx) in
-  if c = 0 then t.unique <- t.unique + 1;
-  counts.(idx) <- c + 1;
-  if t.span_on then begin
-    let gens = t.span_gen.(ci) in
-    if gens.(idx) <> t.gen then begin
-      gens.(idx) <- t.gen;
-      span_push t p
-    end
-  end
-
 (* A probe stands for a gcov basic block: executing it covers a short
    run of consecutive source lines, with a per-site deterministic
    length.  This keeps line counts in the same regime as real gcov
@@ -246,7 +231,3 @@ let by_component pset =
     pset;
   Hashtbl.fold (fun c n acc -> (c, n) :: acc) tbl []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-(* Keep [hit_one] reachable for white-box tests of the single-point
-   path. *)
-let _ = hit_one

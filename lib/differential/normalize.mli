@@ -29,10 +29,6 @@ type observation = {
     deliberately absent: the replayer never lets the dummy vCPU block
     (§IV-B), so it is harness-suppressed state on the VT-x side. *)
 
-val gpr_clobbers : Iris_svm.Port.translated -> Iris_x86.Gpr.reg list
-(** GPRs whose post-case value is legitimately backend-local for this
-    exit family (TSC reads, device IN results, TPR reads). *)
-
 type case_class =
   | Comparable of Iris_svm.Port.translated * probe
   | Untranslatable of string

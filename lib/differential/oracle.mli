@@ -20,9 +20,6 @@ type verdict = {
   v_class : clazz;
 }
 
-val is_finding : clazz -> bool
-(** [Semantic] and [Crash_on_one]. *)
-
 val class_kind : clazz -> string
 
 val classify_pair :

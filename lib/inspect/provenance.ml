@@ -37,9 +37,7 @@ let device_of_port p =
   else Port_other
 
 type t = {
-  seed_count : int;
   by_field : (F.t, touch list) Hashtbl.t;  (** ascending index *)
-  gpas : touch list;  (** ascending index; t_value = faulting GPA *)
   ports : (int, touch list) Hashtbl.t;
       (** I/O-instruction exits per port; OUT touches carry the
           written value, IN touches 0 *)
@@ -54,7 +52,6 @@ let finalize tbl = Hashtbl.iter (fun k v -> Hashtbl.replace tbl k (List.rev v)) 
 let build (trace : Trace.t) =
   let by_field = Hashtbl.create 64 in
   let ports = Hashtbl.create 16 in
-  let gpas = ref [] in
   Array.iter
     (fun (s : Seed.t) ->
       let mk access (f, v) =
@@ -65,19 +62,6 @@ let build (trace : Trace.t) =
       List.iter (mk Read) s.Seed.reads;
       List.iter (mk Write) s.Seed.writes;
       (match s.Seed.reason with
-      | R.Ept_violation -> (
-          match Seed.first_read s F.guest_physical_address with
-          | None -> ()
-          | Some gpa ->
-              let access =
-                match Seed.first_read s F.exit_qualification with
-                | Some q when Int64.logand q 2L <> 0L -> Write
-                | Some _ | None -> Read
-              in
-              gpas :=
-                { t_index = s.Seed.index; t_reason = s.Seed.reason;
-                  t_access = access; t_value = gpa }
-                :: !gpas)
       | R.Io_instruction -> (
           match
             Option.bind
@@ -106,10 +90,7 @@ let build (trace : Trace.t) =
     trace.Trace.seeds;
   finalize by_field;
   finalize ports;
-  { seed_count = Array.length trace.Trace.seeds;
-    by_field; gpas = List.rev !gpas; ports }
-
-let seed_count t = t.seed_count
+  { by_field; ports }
 
 let field_touches t f = try Hashtbl.find t.by_field f with Not_found -> []
 
@@ -124,9 +105,6 @@ let last_touch_before ?access t f i =
     (fun acc touch ->
       if touch.t_index < i && matches access touch then Some touch else acc)
     None (field_touches t f)
-
-let gpa_touches t ~lo ~hi =
-  List.filter (fun touch -> touch.t_value >= lo && touch.t_value <= hi) t.gpas
 
 let device_touches t d =
   Hashtbl.fold

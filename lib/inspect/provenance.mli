@@ -1,9 +1,8 @@
 (** Field-provenance index over a recorded trace.
 
     Answers the debugger questions the accuracy report cannot:
-    "which exit first read (or wrote) VMCS field X", "which EPT
-    violations hit this GPA range", "which devices did the I/O exits
-    before seed [i] reach" — and, combined with
+    "which exit first read (or wrote) VMCS field X", "which devices
+    did the I/O exits before seed [i] reach" — and, combined with
     {!Session.reverse_continue_to}, "run backwards to the exit that
     last touched X before seed [i]" (the rr reverse-watchpoint idiom
     over IRIS seeds).
@@ -27,8 +26,6 @@ type t
 val build : Iris_core.Trace.t -> t
 (** The trace must carry seeds ([store_seeds] recordings). *)
 
-val seed_count : t -> int
-
 val field_touches : t -> Iris_vmcs.Field.t -> touch list
 (** Every recorded access to the field, ascending index, reads and
     writes interleaved in execution order per exit. *)
@@ -42,11 +39,6 @@ val last_touch_before :
   ?access:access -> t -> Iris_vmcs.Field.t -> int -> touch option
 (** [last_touch_before t f i] is the newest touch of [f] strictly
     before seed [i] — the reverse-continue target. *)
-
-val gpa_touches : t -> lo:int64 -> hi:int64 -> touch list
-(** EPT violations whose guest-physical address falls in
-    [\[lo, hi\]]; access direction from the exit qualification
-    (bit 1 = write).  The touch value is the faulting GPA. *)
 
 (** {2 Device-state provenance}
 

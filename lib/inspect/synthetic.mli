@@ -16,11 +16,6 @@
 
 type kind = Crash_rip | Wrong_value
 
-val crash_rip_value : int64
-(** [0x0100_0000_0000_0000]: non-canonical in IA-32e mode, out of
-    range for 32-bit modes — rejected by the entry checks either
-    way. *)
-
 val perturb :
   kind:kind -> at:int -> Iris_core.Seed.t array ->
   (int * Iris_core.Seed.t array) option

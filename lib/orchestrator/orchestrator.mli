@@ -33,9 +33,6 @@ type report = {
       (** host wall time of the whole run, on the monotonic clock *)
 }
 
-val utilization : report -> worker_report -> float
-(** (setup + busy) / model wall, in [0, 1]. *)
-
 val dummy :
   recording:Iris_core.Manager.recording -> name:string ->
   Iris_core.Replayer.t

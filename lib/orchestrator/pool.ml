@@ -19,10 +19,10 @@
    [on_crash] itself is a harness bug and propagates out of [run].
 
    At most [total] workers start: one without an index to claim would
-   only build its state.  [jobs = 1] runs the whole schedule inline on
-   the calling domain, in index order — same code path, no spawn — so
-   a sequential run is the parallel machinery with N = 1, not a
-   separate implementation. *)
+   only build its state.  Worker 0 runs on the calling domain and only
+   workers 1..jobs-1 are spawned, so [jobs = 1] runs the whole schedule
+   inline, in index order: a sequential run is the parallel machinery
+   with N = 1, not a separate implementation. *)
 
 type stats = {
   mutable executed : int;    (* tasks this worker completed *)
@@ -58,12 +58,19 @@ let run (type w r) ~jobs ~total ~(init : int -> w)
     in
     loop ()
   in
-  if jobs = 1 then worker 0
-  else begin
-    let domains = Array.init jobs (fun w -> Domain.spawn (fun () -> worker w)) in
-    Array.iter Domain.join domains
-  end;
-  (* The cursor hands out every index below [total] once and
-     [Domain.join] re-raises a worker's uncaught exception, so after
-     the joins every slot is set. *)
+  let spawned =
+    Array.init (jobs - 1) (fun k -> Domain.spawn (fun () -> worker (k + 1)))
+  in
+  let failed = ref (match worker 0 with () -> None | exception e -> Some e) in
+  (* Join every spawned worker whatever worker 0 did; the first
+     exception, worker 0's before the others', propagates. *)
+  Array.iter
+    (fun d ->
+      match Domain.join d with
+      | () -> ()
+      | exception e -> if Option.is_none !failed then failed := Some e)
+    spawned;
+  Option.iter raise !failed;
+  (* The cursor hands out every index below [total] once, so when no
+     worker raised every slot is set. *)
   (Array.map Option.get results, stats)

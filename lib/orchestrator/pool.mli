@@ -12,13 +12,14 @@
     worker records [on_crash exn index] as that task's result,
     rebuilds its state with [init] (respawn), and keeps claiming
     indices.  Exceptions from [init] or [on_crash] propagate out of
-    [run] (re-raised by [Domain.join]).
+    [run], once every spawned worker has been joined.
 
     At most [min jobs total] workers start (at least one), so the
-    stats array may be shorter than [jobs].  [jobs = 1] runs the whole
-    schedule inline on the calling domain, in index order — the same
-    code path with no spawn, so a sequential run is the parallel
-    machinery with N = 1. *)
+    stats array may be shorter than [jobs].  Worker 0 runs on the
+    calling domain and only the others are spawned, so [jobs = 1] runs
+    the whole schedule inline, in index order — the same code path
+    with no spawn, so a sequential run is the parallel machinery with
+    N = 1. *)
 
 type stats = {
   mutable executed : int;    (** tasks this worker completed *)

@@ -25,8 +25,6 @@ let create ?(quantum = 256) () =
     deferred = Hashtbl.create 16;
     inflight = Hashtbl.create 16 }
 
-let quantum t = t.q
-
 let find_flow t tenant = List.find_opt (fun f -> f.f_tenant = tenant) t.flows
 
 let flow_of t tenant =

@@ -19,8 +19,6 @@ type t
 val create : ?quantum:int -> unit -> t
 (** [quantum] is the base case budget per round (default 256). *)
 
-val quantum : t -> int
-
 val submit : t -> id:int -> tenant:string -> weight:int -> unit
 (** Enqueue job [id] on [tenant]'s flow.  [weight] (>= 1) scales the
     flow's per-round deficit increment while this job is queued. *)

@@ -81,100 +81,38 @@ let ensure_recording (cache : recordings) ~workload ~exits ~prng_seed
       Hashtbl.replace cache key e;
       e
 
-(* Minimize each [(crash, recording, plan)] request into a
-   digest-verified reproducer, in two pool phases.  The search phase
-   runs one task per (recording, target index) group, so one
-   [Bisect.search] shares every replayed prefix state among the
-   group's crashers; an exception in a group's search reads as
-   unreproduced for every request of that group.  The verification
-   phase runs one task per request — its two from-scratch replays are
-   the larger share, and most rounds bring a single group — and a
-   verification that raises reads as unreproduced for its request.
-   Tasks share only the read-only recordings and plans, and each
-   result is a function of its request alone, whatever [jobs] is.  A
-   worker's dummies all build on the worker's one coverage store: a
-   fresh store per dummy is ~0.6 MB of arrays, and that churn spread
-   over the workers' malloc arenas makes the process's peak resident
-   set vary from run to run. *)
-let minimize_all ~jobs requests =
-  let requests = Array.of_list requests in
-  let n = Array.length requests in
-  if n = 0 then [||]
-  else
-    let recording i =
-      let _, (recording : Manager.recording), _ = requests.(i) in
-      recording
-    in
-    let index i =
-      let _, _, plan = requests.(i) in
-      plan.Campaign.plan_target.Seed.index
-    in
-    let make_replayer ~cov i () =
-      let (crash : Triage.crash), _, _ = requests.(i) in
-      Orchestrator.dummy_on ~cov ~recording:(recording i)
-        ~name:(Printf.sprintf "svc-%s-triage" crash.Triage.c_spec_key)
-    in
-    let prefix i =
-      Array.sub (recording i).Manager.trace.Trace.seeds 0 (index i)
-    in
-    let crasher i =
-      let (crash : Triage.crash), _, plan = requests.(i) in
-      Campaign.case plan crash.Triage.c_case
-    in
-    (* A group is named by its first request; a recording is one cache
-       entry, so physical equality tells recordings apart. *)
-    let all = List.init n Fun.id in
-    let leader =
-      Array.init n (fun i ->
-          List.find
-            (fun k -> recording k == recording i && index k = index i)
-            all)
-    in
-    let groups =
-      List.filter_map
-        (fun i ->
-          if leader.(i) = i then
-            Some (List.filter (fun k -> leader.(k) = i) all |> Array.of_list)
-          else None)
-        all
-      |> Array.of_list
-    in
-    let covs = Array.init (min jobs n) (fun _ -> Cov.create ()) in
-    let pooled ~total task ~on_crash =
-      fst
-        (Pool.run ~jobs ~total ~init:(fun w -> covs.(w)) ~task
-           ~on_crash)
-    in
-    let found =
-      pooled ~total:(Array.length groups)
-        (fun cov g ->
-          let members = groups.(g) in
-          Bisect.search
-            ~make_replayer:(make_replayer ~cov members.(0))
-            ~prefix:(prefix members.(0))
-            ~crashers:(Array.map crasher members))
-        ~on_crash:(fun _exn g -> Array.map (fun _ -> None) groups.(g))
-    in
-    let searched = Array.make n None in
-    Array.iteri
-      (fun g members ->
-        Array.iteri (fun k i -> searched.(i) <- found.(g).(k)) members)
-      groups;
-    pooled ~total:n
-      (fun cov i ->
-        Option.map
-          (Bisect.verify ~make_replayer:(make_replayer ~cov i) ~prefix:(prefix i)
-             ~crasher:(crasher i))
-          searched.(i))
-      ~on_crash:(fun _exn _i -> None)
+(* A recording and a seed index in it: corpus entries, and crashes to
+   minimize, that share one of these share a replayed prefix. *)
+let meta_key (m : Corpus.meta) =
+  Printf.sprintf "%s|%d"
+    (recording_key ~workload:m.Corpus.m_workload ~exits:m.Corpus.m_exits
+       ~prng_seed:m.Corpus.m_prng_seed ~boot_scale:m.Corpus.m_boot_scale)
+    m.Corpus.m_seed_index
 
-let repro_of (b : Bisect.result) =
-  { Triage.r_digest = b.Bisect.b_digest;
-    r_seeds = Array.length b.Bisect.b_seeds;
-    r_deterministic = b.Bisect.b_deterministic;
-    r_attempts = b.Bisect.b_attempts }
+(* [group_by key xs] groups [xs] by [key]: groups in order of first
+   appearance, members in list order. *)
+let group_by key xs =
+  let tbl = Hashtbl.create 16 and firsts = ref [] in
+  List.iter
+    (fun x ->
+      let k = key x in
+      match Hashtbl.find_opt tbl k with
+      | Some members -> Hashtbl.replace tbl k (x :: members)
+      | None ->
+          Hashtbl.replace tbl k [ x ];
+          firsts := k :: !firsts)
+    xs;
+  List.rev_map (fun k -> (k, List.rev (Hashtbl.find tbl k))) !firsts
 
 (* --- jobs --- *)
+
+(* What a job runs, fixed the first time it is picked. *)
+type run = {
+  entry : entry;
+  plan : Campaign.plan;
+  meta : Corpus.meta;                (* its recording and target seed *)
+  raws : Campaign.raw option array;  (* filled in case order *)
+}
 
 type job = {
   j_id : int;
@@ -182,9 +120,7 @@ type job = {
   j_key : string;
   j_hub : Hub.t;
   mutable j_status : status;
-  mutable j_entry : entry option;
-  mutable j_plan : Campaign.plan option;
-  mutable j_raws : Campaign.raw option array;
+  mutable j_run : run option;
   mutable j_done : int;
   mutable j_universe : (Replayer.t * Campaign.anchor) option;
   mutable j_respawns : int;
@@ -202,9 +138,6 @@ type t = {
   cache : recordings;
   corpus_store : Corpus.t;
   triage_store : Triage.t;
-  mutable bisect_pending :
-    (Triage.crash * Manager.recording * Campaign.plan) list;
-      (* crashes noted this round that created or took over a bucket *)
   server_hub : Hub.t;
   status_sink : (string -> unit) option;
   mutable status_seq : int;
@@ -219,7 +152,6 @@ let create ?(jobs = 1) ?(quantum = 256) ?recordings:cache ?status_sink () =
     cache = (match cache with Some c -> c | None -> Hashtbl.create 8);
     corpus_store = Corpus.create ();
     triage_store = Triage.create ();
-    bisect_pending = [];
     server_hub = Hub.create ();
     status_sink;
     status_seq = 0 }
@@ -237,9 +169,7 @@ let submit t spec =
       j_key = Jobspec.key spec;
       j_hub = Hub.create ();
       j_status = Queued;
-      j_entry = None;
-      j_plan = None;
-      j_raws = [||];
+      j_run = None;
       j_done = 0;
       j_universe = None;
       j_respawns = 0;
@@ -261,62 +191,130 @@ let finished job =
   | Queued | Running -> false
   | Completed | No_seed | Cancelled | Timed_out | Failed _ -> true
 
+(* --- how a job ends (main domain: touches the shared stores) --- *)
+
+(* Count a completed job's crashing cases into triage.  A crash that
+   creates a bucket or takes over its representative leaves the bucket
+   in {!Triage.take_changed} for the round's bisection. *)
+let note_crashes t ~key { entry; plan; _ } raws =
+  let seed_index = plan.Campaign.plan_target.Seed.index in
+  let devices =
+    List.map
+      (fun (d, n) -> (Provenance.device_name d, n))
+      (Provenance.devices_touched ~before:seed_index
+         (Lazy.force entry.provenance))
+  in
+  Array.iteri
+    (fun i (raw : Campaign.raw) ->
+      if raw.Campaign.raw_failure <> Campaign.No_failure then begin
+        let crash =
+          { Triage.c_spec_key = key;
+            c_case = i;
+            c_reason = plan.Campaign.plan_reason;
+            c_failure = raw.Campaign.raw_failure;
+            c_detail = raw.Campaign.raw_detail;
+            c_span = Corpus.points_of_span raw.Campaign.raw_span;
+            c_devices = devices }
+        in
+        (* minimized after the round, by [bisect_round] *)
+        (match Triage.note t.triage_store crash ~minimize:(fun () -> None)
+         with
+        | `New -> Registry.incr (counter t "service.triage_new_buckets")
+        | `Counted | `Replaced -> ());
+        Registry.incr (counter t "service.crashes")
+      end)
+    raws
+
+(* A completed job's result, corpus admissions and crashes. *)
+let record_completion t job =
+  let run = Option.get job.j_run in
+  let raws = Array.map Option.get run.raws in
+  let result = Campaign.finalize ~plan:run.plan ~raws in
+  job.j_result <- Some result;
+  let admitted, dups =
+    Corpus.admit_plan t.corpus_store ~meta:run.meta ~plan:run.plan ~raws
+  in
+  Registry.add (counter t "service.corpus_admitted") admitted;
+  Registry.add (counter t "service.corpus_duplicates") dups;
+  note_crashes t ~key:job.j_key run raws;
+  Registry.add (counter t "service.vm_crashes") result.Campaign.vm_crashes;
+  Registry.add (counter t "service.hv_crashes") result.Campaign.hv_crashes;
+  Hub.merge_into ~into:t.server_hub job.j_hub;
+  Registry.set (gauge t "service.corpus_entries")
+    (Int64.of_int (Corpus.count t.corpus_store));
+  Registry.set (gauge t "service.triage_buckets")
+    (Int64.of_int (Triage.count t.triage_store))
+
+(* Every way a job ends: it takes its terminal status, the one
+   [service.jobs_*] counter for that status moves, its universe is
+   dropped and it leaves the queue, charged [consumed] cases.  A queued
+   job that is cancelled has already left through [Jobqueue.cancel], so
+   [Jobqueue.complete] finds nothing to do for it. *)
+let finish t job ~consumed status =
+  let tally =
+    match status with
+    | Completed ->
+        record_completion t job;
+        "service.jobs_completed"
+    | No_seed -> "service.jobs_no_seed"
+    | Cancelled -> "service.jobs_cancelled"
+    | Timed_out -> "service.jobs_timed_out"
+    | Failed _ -> "service.jobs_failed"
+    | Queued | Running -> invalid_arg "Server.finish: not a terminal status"
+  in
+  job.j_status <- status;
+  Registry.incr (counter t tally);
+  job.j_universe <- None;
+  Jobqueue.complete t.queue ~id:job.j_id ~consumed ~finished:true
+
 let cancel t id =
   match Hashtbl.find_opt t.jobs id with
   | None -> false
   | Some job when finished job -> false
   | Some job ->
       job.j_cancel <- true;
-      if Jobqueue.cancel t.queue id then begin
-        job.j_status <- Cancelled;
-        Registry.incr (counter t "service.jobs_cancelled")
-      end;
-      (* if in flight, the round post-processing finishes it *)
+      (* a job in flight ends at its quantum boundary, in [post_round] *)
+      if Jobqueue.cancel t.queue id then finish t job ~consumed:0 Cancelled;
       true
 
 (* --- per-job preparation (main domain: touches the shared caches) --- *)
 
-let spec_meta (spec : Jobspec.t) ~seed_index =
-  { Corpus.m_workload = spec.Jobspec.workload;
-    m_exits = spec.Jobspec.exits;
-    m_prng_seed = spec.Jobspec.prng_seed;
-    m_boot_scale = spec.Jobspec.boot_scale;
-    m_seed_index = seed_index }
-
-(* Returns [false] when the job finished during preparation (no seed
-   with the requested reason, or the recording failed). *)
+(* Plan a job the first time it is picked.  Returns the status it ends
+   with instead when it cannot run: no seed with the requested reason,
+   or recording or planning raised. *)
 let prepare t job =
-  try
-    match job.j_plan with
-    | Some _ -> true
-    | None -> (
-        let s = job.j_spec in
-        let entry =
-          ensure_recording t.cache ~workload:s.Jobspec.workload
-            ~exits:s.Jobspec.exits ~prng_seed:s.Jobspec.prng_seed
-            ~boot_scale:s.Jobspec.boot_scale
-        in
-        job.j_entry <- Some entry;
-        let config =
-          { Campaign.mutations = s.Jobspec.mutations;
-            prng_seed = s.Jobspec.prng_seed }
-        in
-        match
-          Campaign.plan ~config ~trace:entry.recording.Manager.trace
-            ~reason:s.Jobspec.reason ~area:s.Jobspec.area
-        with
-        | None ->
-            job.j_status <- No_seed;
-            Registry.incr (counter t "service.jobs_no_seed");
-            false
-        | Some plan ->
-            job.j_plan <- Some plan;
-            job.j_raws <- Array.make (Campaign.case_count plan) None;
-            true)
-  with exn ->
-    job.j_status <- Failed ("prepare: " ^ Printexc.to_string exn);
-    Registry.incr (counter t "service.jobs_failed");
-    false
+  if Option.is_some job.j_run then None
+  else
+    let s = job.j_spec in
+    match
+      let entry =
+        ensure_recording t.cache ~workload:s.Jobspec.workload
+          ~exits:s.Jobspec.exits ~prng_seed:s.Jobspec.prng_seed
+          ~boot_scale:s.Jobspec.boot_scale
+      in
+      let config =
+        { Campaign.mutations = s.Jobspec.mutations;
+          prng_seed = s.Jobspec.prng_seed }
+      in
+      ( entry,
+        Campaign.plan ~config ~trace:entry.recording.Manager.trace
+          ~reason:s.Jobspec.reason ~area:s.Jobspec.area )
+    with
+    | _, None -> Some No_seed
+    | entry, Some plan ->
+        job.j_run <-
+          Some
+            { entry;
+              plan;
+              meta =
+                { Corpus.m_workload = s.Jobspec.workload;
+                  m_exits = s.Jobspec.exits;
+                  m_prng_seed = s.Jobspec.prng_seed;
+                  m_boot_scale = s.Jobspec.boot_scale;
+                  m_seed_index = plan.Campaign.plan_target.Seed.index };
+              raws = Array.make (Campaign.case_count plan) None };
+        None
+    | exception exn -> Some (Failed ("prepare: " ^ Printexc.to_string exn))
 
 (* --- quantum execution (runs on a pool worker) --- *)
 
@@ -341,15 +339,14 @@ let timed_out job =
    for respawn; a universe that fails to boot raises, and the pool's
    [on_crash] reports it. *)
 let exec_quantum job budget =
-  let plan = Option.get job.j_plan in
-  let { recording; _ } = Option.get job.j_entry in
+  let { entry; plan; raws; _ } = Option.get job.j_run in
   let total = Campaign.case_count plan in
   let replayer, anchor =
     match job.j_universe with
     | Some u -> u
     | None ->
         let replayer, anchor, _setup =
-          Orchestrator.boot_universe ~hub:job.j_hub ~recording
+          Orchestrator.boot_universe ~hub:job.j_hub ~recording:entry.recording
             ~seed_index:plan.Campaign.plan_target.Seed.index
             ~name:(Printf.sprintf "svc-%s-dummy" job.j_key)
             ()
@@ -365,77 +362,121 @@ let exec_quantum job budget =
       job.j_done <- i + 1;
       match Campaign.execute_case ~replayer ~anchor (Campaign.case plan i) with
       | raw ->
-          job.j_raws.(i) <- Some raw;
+          raws.(i) <- Some raw;
           job.j_cycles <- Int64.add job.j_cycles raw.Campaign.raw_cycles;
           go (consumed + 1)
       | exception exn ->
           let msg = Printexc.to_string exn in
-          job.j_raws.(i) <- Some (Campaign.crash_raw msg);
+          raws.(i) <- Some (Campaign.crash_raw msg);
           job.j_universe <- None;
           { consumed = consumed + 1; panic = Some msg; timeout = false }
     end
   in
   go 0
 
-(* --- job completion (main domain) --- *)
+(* --- crash minimization (pooled; main domain before and after) --- *)
 
-let note_crashes t job plan { recording; provenance } =
-  let seed_index = plan.Campaign.plan_target.Seed.index in
-  let prov = Lazy.force provenance in
-  let devices =
-    List.map
-      (fun (d, n) -> (Provenance.device_name d, n))
-      (Provenance.devices_touched ~before:seed_index prov)
-  in
-  Array.iteri
-    (fun i raw_opt ->
-      match raw_opt with
-      | Some (raw : Campaign.raw)
-        when raw.Campaign.raw_failure <> Campaign.No_failure ->
-          let crash =
-            { Triage.c_spec_key = job.j_key;
-              c_case = i;
-              c_reason = plan.Campaign.plan_reason;
-              c_failure = raw.Campaign.raw_failure;
-              c_detail = raw.Campaign.raw_detail;
-              c_span = Corpus.points_of_span raw.Campaign.raw_span;
-              c_devices = devices }
-          in
-          (* bisected after the round, by [bisect_round] *)
-          let minimize () =
-            t.bisect_pending <- (crash, recording, plan) :: t.bisect_pending;
-            None
-          in
-          (match Triage.note t.triage_store crash ~minimize with
-          | `New -> Registry.incr (counter t "service.triage_new_buckets")
-          | `Counted | `Replaced -> ());
-          Registry.incr (counter t "service.crashes")
-      | Some _ | None -> ())
-    job.j_raws
+(* The run a crash came from.  Every job of one spec key runs one plan
+   on one cached recording, so the latest planned one stands for all. *)
+let run_of t key =
+  List.find_map
+    (fun id ->
+      let j = job t id in
+      if j.j_key = key then j.j_run else None)
+    t.order
 
-let finish_completed t job =
-  let plan = Option.get job.j_plan in
-  let entry = Option.get job.j_entry in
-  let raws = Array.map Option.get job.j_raws in
-  let result = Campaign.finalize ~plan ~raws in
-  job.j_result <- Some result;
-  job.j_status <- Completed;
-  let seed_index = plan.Campaign.plan_target.Seed.index in
-  let meta = spec_meta job.j_spec ~seed_index in
-  let admitted, dups =
-    Corpus.admit_plan t.corpus_store ~meta ~plan ~raws
+(* Minimize each bucket's representative into a digest-verified
+   reproducer, in two pool phases, and return every bucket whose run
+   [run_of] resolves with its result.  The search phase runs one task
+   per (recording, target index) group, so one [Bisect.search] shares
+   every replayed prefix state among the group's crashers; an
+   exception in a group's search reads as unreproduced for every
+   request of that group.  The verification phase runs one task per
+   request — its two from-scratch replays are the larger share, and
+   most rounds bring a single group — and a verification that raises
+   reads as unreproduced for its request.  Tasks share only the
+   read-only recordings and plans, and each result is a function of
+   its request alone, whatever [jobs] is.  A worker's dummies all
+   build on the worker's one coverage store: a fresh store per dummy
+   is ~0.6 MB of arrays, and that churn spread over the workers'
+   malloc arenas makes the process's peak resident set vary from run
+   to run. *)
+let minimize_all t buckets =
+  let requests =
+    Array.of_list
+      (List.filter_map
+         (fun (b : Triage.bucket) ->
+           Option.map
+             (fun run -> (b, run))
+             (run_of t b.Triage.b_rep.Triage.c_spec_key))
+         buckets)
   in
-  Registry.add (counter t "service.corpus_admitted") admitted;
-  Registry.add (counter t "service.corpus_duplicates") dups;
-  note_crashes t job plan entry;
-  Registry.add (counter t "service.vm_crashes") result.Campaign.vm_crashes;
-  Registry.add (counter t "service.hv_crashes") result.Campaign.hv_crashes;
-  Registry.incr (counter t "service.jobs_completed");
-  Hub.merge_into ~into:t.server_hub job.j_hub;
-  Registry.set (gauge t "service.corpus_entries")
-    (Int64.of_int (Corpus.count t.corpus_store));
-  Registry.set (gauge t "service.triage_buckets")
-    (Int64.of_int (Triage.count t.triage_store))
+  let n = Array.length requests in
+  if n = 0 then []
+  else
+    let rep i = (fst requests.(i)).Triage.b_rep in
+    let run i = snd requests.(i) in
+    let index i = (run i).plan.Campaign.plan_target.Seed.index in
+    let make_replayer ~cov i () =
+      Orchestrator.dummy_on ~cov ~recording:(run i).entry.recording
+        ~name:(Printf.sprintf "svc-%s-triage" (rep i).Triage.c_spec_key)
+    in
+    let prefix i =
+      Array.sub (run i).entry.recording.Manager.trace.Trace.seeds 0 (index i)
+    in
+    let crasher i = Campaign.case (run i).plan (rep i).Triage.c_case in
+    let groups =
+      group_by (fun i -> meta_key (run i).meta) (List.init n Fun.id)
+      |> List.map (fun (_, members) -> Array.of_list members)
+      |> Array.of_list
+    in
+    let covs = Array.init (min t.pool_jobs n) (fun _ -> Cov.create ()) in
+    let pooled ~total task ~on_crash =
+      fst
+        (Pool.run ~jobs:t.pool_jobs ~total ~init:(fun w -> covs.(w)) ~task
+           ~on_crash)
+    in
+    let found =
+      pooled ~total:(Array.length groups)
+        (fun cov g ->
+          let members = groups.(g) in
+          Bisect.search
+            ~make_replayer:(make_replayer ~cov members.(0))
+            ~prefix:(prefix members.(0))
+            ~crashers:(Array.map crasher members))
+        ~on_crash:(fun _exn g -> Array.map (fun _ -> None) groups.(g))
+    in
+    let searched = Array.make n None in
+    Array.iteri
+      (fun g members ->
+        Array.iteri (fun k i -> searched.(i) <- found.(g).(k)) members)
+      groups;
+    let verified =
+      pooled ~total:n
+        (fun cov i ->
+          Option.map
+            (Bisect.verify ~make_replayer:(make_replayer ~cov i)
+               ~prefix:(prefix i) ~crasher:(crasher i))
+            searched.(i))
+        ~on_crash:(fun _exn _i -> None)
+    in
+    List.init n (fun i -> (fst requests.(i), verified.(i)))
+
+let repro_of (b : Bisect.result) =
+  { Triage.r_digest = b.Bisect.b_digest;
+    r_seeds = Array.length b.Bisect.b_seeds;
+    r_deterministic = b.Bisect.b_deterministic;
+    r_attempts = b.Bisect.b_attempts }
+
+(* The round's bisection phase: minimize the representative of every
+   bucket the round's crashes created or took over.  A representative
+   replaced later in the same round is its bucket's no longer, so only
+   the final one is minimized, as a serial run would have left it. *)
+let bisect_round t =
+  List.iter
+    (fun ((b : Triage.bucket), result) ->
+      b.Triage.b_repro <- Option.map repro_of result)
+    (minimize_all t (Triage.take_changed t.triage_store))
 
 (* --- the scheduling round --- *)
 
@@ -450,35 +491,15 @@ let post_round t work rounds =
     (fun (job, _budget) { consumed; panic; timeout } ->
       let id = job.j_id in
       Registry.add (counter t "service.cases") consumed;
-      let total =
-        match job.j_plan with
-        | Some p -> Campaign.case_count p
-        | None -> max_int
-      in
-      (* Every way a job leaves the queue: completed (no [ended]), or
-         ended early with a status and the counter that tallies it. *)
-      let finish ?ended () =
-        (match ended with
-        | None -> finish_completed t job
-        | Some (status, name) ->
-            job.j_status <- status;
-            Registry.incr (counter t name));
-        job.j_universe <- None;
-        Jobqueue.complete t.queue ~id ~consumed ~finished:true
-      in
-      if job.j_cancel then
-        finish ~ended:(Cancelled, "service.jobs_cancelled") ()
-      else if job.j_done >= total then finish ()
-      else if timeout then
-        finish ~ended:(Timed_out, "service.jobs_timed_out") ()
+      let finish = finish t job ~consumed in
+      if job.j_cancel then finish Cancelled
+      else if job.j_done >= Campaign.case_count (Option.get job.j_run).plan
+      then finish Completed
+      else if timeout then finish Timed_out
       else
         match panic with
         | Some msg when job.j_respawns >= max_respawns ->
-            finish
-              ~ended:
-                ( Failed ("respawn budget exhausted: " ^ msg),
-                  "service.jobs_failed" )
-              ()
+            finish (Failed ("respawn budget exhausted: " ^ msg))
         | Some _ ->
             job.j_respawns <- job.j_respawns + 1;
             Registry.incr (counter t "service.respawns");
@@ -499,14 +520,14 @@ let job_infos t =
         ji_status = j.j_status;
         ji_done = j.j_done;
         ji_total =
-          (match j.j_plan with
-          | Some p -> Campaign.case_count p
+          (match j.j_run with
+          | Some r -> Campaign.case_count r.plan
           | None -> -1);
         ji_respawns = j.j_respawns;
         ji_cycles = j.j_cycles })
     t.order
 
-let status_json t =
+let status_fields t =
   let jobs =
     List.map
       (fun ji ->
@@ -522,13 +543,12 @@ let status_json t =
             ("cycles", J.Int (Int64.to_int ji.ji_cycles)) ])
       (job_infos t)
   in
-  J.Obj
-    [ ("round", J.Int (Jobqueue.round t.queue));
-      ("pending", J.Int (List.length (Jobqueue.pending t.queue)));
-      ("in_flight", J.Int (List.length (Jobqueue.in_flight t.queue)));
-      ("corpus", J.Int (Corpus.count t.corpus_store));
-      ("buckets", J.Int (Triage.count t.triage_store));
-      ("jobs", J.List jobs) ]
+  [ ("round", J.Int (Jobqueue.round t.queue));
+    ("pending", J.Int (List.length (Jobqueue.pending t.queue)));
+    ("in_flight", J.Int (List.length (Jobqueue.in_flight t.queue)));
+    ("corpus", J.Int (Corpus.count t.corpus_store));
+    ("buckets", J.Int (Triage.count t.triage_store));
+    ("jobs", J.List jobs) ]
 
 let emit_status t =
   match t.status_sink with
@@ -536,54 +556,30 @@ let emit_status t =
   | Some sink ->
       let seq = t.status_seq in
       t.status_seq <- seq + 1;
-      let extra =
-        match status_json t with J.Obj fields -> fields | _ -> []
-      in
-      sink (Export.status_line ~extra ~seq (Hub.snapshot t.server_hub))
-
-(* The round's bisection phase: minimize, one pool task per bucket,
-   every bucket whose representative this round set.  A crash replaced
-   later in the same round is no bucket's representative any more and
-   is skipped; a serial run would have overwritten its repro too. *)
-let bisect_round t =
-  let pending = t.bisect_pending in
-  t.bisect_pending <- [];
-  let todo =
-    List.filter_map
-      (fun (b : Triage.bucket) ->
-        List.find_opt (fun (c, _, _) -> c == b.Triage.b_rep) pending
-        |> Option.map (fun request -> (b, request)))
-      (Triage.buckets t.triage_store)
-  in
-  let results = minimize_all ~jobs:t.pool_jobs (List.map snd todo) in
-  List.iteri
-    (fun i (b, _) -> b.Triage.b_repro <- Option.map repro_of results.(i))
-    todo
+      sink
+        (Export.status_line ~extra:(status_fields t) ~seq
+           (Hub.snapshot t.server_hub))
 
 let step t =
   if Jobqueue.is_idle t.queue then false
   else begin
-    let picks = Jobqueue.next t.queue ~max:t.pool_jobs in
-    let runnable =
-      List.filter
-        (fun (id, _) ->
-          let j = job t id in
-          if j.j_cancel then true  (* post_round finishes it *)
-          else if prepare t j then begin
-            j.j_status <- Running;
-            true
-          end
-          else begin
-            Jobqueue.complete t.queue ~id ~consumed:0 ~finished:true;
-            false
-          end)
-        picks
-    in
     (* One pool task per picked job: disjoint universes and job
        records, so quanta run in parallel; the pool's join is the
        happens-before edge the main domain reads them across. *)
     let work =
-      Array.of_list (List.map (fun (id, budget) -> (job t id, budget)) runnable)
+      Jobqueue.next t.queue ~max:t.pool_jobs
+      |> List.filter_map (fun (id, budget) ->
+             let j = job t id in
+             if j.j_cancel then Some (j, budget) (* post_round finishes it *)
+             else
+               match prepare t j with
+               | None ->
+                   j.j_status <- Running;
+                   Some (j, budget)
+               | Some status ->
+                   finish t j ~consumed:0 status;
+                   None)
+      |> Array.of_list
     in
     let n = Array.length work in
     let rounds, _stats =
@@ -646,34 +642,20 @@ let result_json (r : Campaign.result) =
    Keys are content-derived and the groups sort by key — submission
    order and job ids never reach the report. *)
 let report t =
-  let groups = Hashtbl.create 16 in
-  List.iter
-    (fun id ->
-      let j = job t id in
-      let prev =
-        match Hashtbl.find_opt groups j.j_key with
-        | Some l -> l
-        | None -> []
-      in
-      Hashtbl.replace groups j.j_key (j :: prev))
-    t.order;
-  let keys =
-    Hashtbl.fold (fun k _ acc -> k :: acc) groups [] |> List.sort compare
+  let groups =
+    group_by (fun j -> j.j_key) (List.rev_map (job t) t.order)
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
   let job_objs =
     List.map
-      (fun key ->
-        let js = Hashtbl.find groups key in
+      (fun (key, js) ->
         let statuses =
           List.map (fun j -> status_string j.j_status) js
           |> List.sort compare
         in
         let result =
-          match List.find_opt (fun j -> j.j_result <> None) js with
-          | Some j -> (
-              match j.j_result with
-              | Some r -> result_json r
-              | None -> J.Null)
+          match List.find_map (fun j -> j.j_result) js with
+          | Some r -> result_json r
           | None -> J.Null
         in
         let sample = List.hd js in
@@ -693,7 +675,7 @@ let report t =
             ("statuses", J.List (List.map (fun s -> J.String s) statuses));
             ("result", result);
             ("partial", partial) ])
-      keys
+      groups
   in
   J.Obj
     [ ("schema", J.String "iris-serve-report-v1");
@@ -713,17 +695,11 @@ let drain t =
   while step t do
     ()
   done;
-  let completed = ref 0 and failed = ref 0 in
-  List.iter
-    (fun id ->
-      match (job t id).j_status with
-      | Completed -> incr completed
-      | Failed _ -> incr failed
-      | _ -> ())
-    t.order;
+  let statuses = List.map (fun id -> (job t id).j_status) t.order in
+  let count p = List.length (List.filter p statuses) in
   { d_rounds = Jobqueue.round t.queue - r0;
-    d_completed = !completed;
-    d_failed = !failed;
+    d_completed = count (( = ) Completed);
+    d_failed = count (function Failed _ -> true | _ -> false);
     d_crashes = Triage.total t.triage_store;
     d_buckets = Triage.count t.triage_store;
     d_corpus = Corpus.count t.corpus_store;
@@ -744,97 +720,56 @@ let verify_ok v =
   && v.v_bucket_mismatches = 0
   && v.v_buckets_unreproduced = 0
 
-let meta_key (m : Corpus.meta) =
-  Printf.sprintf "%s|%d"
-    (recording_key ~workload:m.Corpus.m_workload ~exits:m.Corpus.m_exits
-       ~prng_seed:m.Corpus.m_prng_seed ~boot_scale:m.Corpus.m_boot_scale)
-    m.Corpus.m_seed_index
-
 let verify_corpus t =
-  let groups = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Corpus.entry) ->
-      let k = meta_key e.Corpus.e_meta in
-      let prev =
-        match Hashtbl.find_opt groups k with Some l -> l | None -> []
+  List.fold_left
+    (fun (checked, mismatches) (_, entries) ->
+      let m = (List.hd entries).Corpus.e_meta in
+      let { recording; _ } =
+        ensure_recording t.cache ~workload:m.Corpus.m_workload
+          ~exits:m.Corpus.m_exits ~prng_seed:m.Corpus.m_prng_seed
+          ~boot_scale:m.Corpus.m_boot_scale
       in
-      Hashtbl.replace groups k (e :: prev))
-    (Corpus.entries t.corpus_store);
-  let checked = ref 0 and mismatches = ref 0 in
-  Hashtbl.iter
-    (fun _k entries ->
-      match entries with
-      | [] -> ()
-      | e :: _ ->
-          let m = e.Corpus.e_meta in
-          let { recording; _ } =
-            ensure_recording t.cache ~workload:m.Corpus.m_workload
-              ~exits:m.Corpus.m_exits ~prng_seed:m.Corpus.m_prng_seed
-              ~boot_scale:m.Corpus.m_boot_scale
-          in
-          let n = List.length entries in
-          checked := !checked + n;
-          (* A loaded entry may name a seed its recorded trace does not
-             have: it cannot reproduce, so every entry of the group is a
-             mismatch. *)
-          let seeds = recording.Manager.trace.Trace.seeds in
-          if m.Corpus.m_seed_index >= Array.length seeds then
-            mismatches := !mismatches + n
-          else
-            let replayer, anchor, _setup =
-              Orchestrator.boot_universe ~recording
-                ~seed_index:m.Corpus.m_seed_index ~name:"svc-verify-dummy" ()
-            in
-            List.iter
-              (fun (e : Corpus.entry) ->
-                let raw =
-                  Campaign.execute_case ~replayer ~anchor e.Corpus.e_seed
-                in
-                if Campaign.raw_digest raw <> e.Corpus.e_digest then
-                  incr mismatches)
-              (List.rev entries))
-    groups;
-  (!checked, !mismatches)
+      let n = List.length entries in
+      (* A loaded entry may name a seed its recorded trace does not
+         have: it cannot reproduce, so every entry of the group is a
+         mismatch. *)
+      let seeds = recording.Manager.trace.Trace.seeds in
+      if m.Corpus.m_seed_index >= Array.length seeds then
+        (checked + n, mismatches + n)
+      else
+        let replayer, anchor, _setup =
+          Orchestrator.boot_universe ~recording
+            ~seed_index:m.Corpus.m_seed_index ~name:"svc-verify-dummy" ()
+        in
+        let differs (e : Corpus.entry) =
+          Campaign.raw_digest
+            (Campaign.execute_case ~replayer ~anchor e.Corpus.e_seed)
+          <> e.Corpus.e_digest
+        in
+        (checked + n, mismatches + List.length (List.filter differs entries)))
+    (0, 0)
+    (group_by
+       (fun (e : Corpus.entry) -> meta_key e.Corpus.e_meta)
+       (Corpus.entries t.corpus_store))
 
+(* Re-minimize every bucket that has a reproducer; it must land on the
+   stored digest, deterministically. *)
 let verify_triage t =
-  let by_key = Hashtbl.create 16 in
-  List.iter
-    (fun id ->
-      let j = job t id in
-      match (j.j_plan, j.j_entry) with
-      | Some plan, Some { recording; _ } ->
-          if not (Hashtbl.mem by_key j.j_key) then
-            Hashtbl.replace by_key j.j_key (plan, recording)
-      | _ -> ())
-    t.order;
-  let mismatches = ref 0 and unreproduced = ref 0 in
-  let checks =
-    List.filter_map
-      (fun (b : Triage.bucket) ->
-        let rep = b.Triage.b_rep in
-        match b.Triage.b_repro with
-        | None ->
-            incr unreproduced;
-            None
-        | Some repro -> (
-            match Hashtbl.find_opt by_key rep.Triage.c_spec_key with
-            | None ->
-                incr mismatches;
-                None
-            | Some (plan, recording) -> Some (repro, (rep, recording, plan))))
-      (Triage.buckets t.triage_store)
+  let buckets = Triage.buckets t.triage_store in
+  let reproduced =
+    List.filter (fun (b : Triage.bucket) -> Option.is_some b.Triage.b_repro)
+      buckets
   in
-  let results = minimize_all ~jobs:t.pool_jobs (List.map snd checks) in
-  List.iteri
-    (fun i (repro, _) ->
-      match results.(i) with
-      | Some check
-        when check.Bisect.b_digest = repro.Triage.r_digest
-             && check.Bisect.b_deterministic ->
-          ()
-      | Some _ | None -> incr mismatches)
-    checks;
-  (List.length checks, !mismatches, !unreproduced)
+  let matches ((b : Triage.bucket), check) =
+    match (b.Triage.b_repro, check) with
+    | Some repro, Some check ->
+        check.Bisect.b_digest = repro.Triage.r_digest
+        && check.Bisect.b_deterministic
+    | _ -> false
+  in
+  let checked = List.length reproduced in
+  let matched = List.filter matches (minimize_all t reproduced) in
+  (checked, checked - List.length matched, List.length buckets - checked)
 
 let verify t =
   let corpus_checked, corpus_mismatches = verify_corpus t in

@@ -6,14 +6,16 @@
     scheduling round runs up to [jobs] runnable jobs' quanta through
     {!Iris_orchestrator.Pool}, one task per job — inline when only one
     job is picked.  Completed campaigns feed the {!Corpus} store and
-    crashes feed {!Triage}.  Crashes that create a bucket or take over
-    its representative are minimized through {!Iris_inspect.Bisect}
-    after each round, in two pool phases on the same [jobs] domains:
-    one search task per (recording, target seed) group, so the
-    group's crashers share every replayed prefix state, then one
-    verification task per bucket.  Their repros are filled in before
-    the round's status line.  Per-job telemetry hubs merge commutatively into the
-    server hub, and every round can stream a JSONL status snapshot.
+    crashes feed {!Triage}.  After each round, every bucket the round's
+    crashes created or took over ({!Triage.take_changed}) has its
+    representative minimized through {!Iris_inspect.Bisect}, in two
+    pool phases on the same [jobs] domains: one search task per
+    (recording, target seed) group, so the group's crashers share every
+    replayed prefix state, then one verification task per bucket.  The
+    repros are filled in before the round's status line; {!verify}
+    re-minimizes through the same path.  Per-job telemetry hubs merge
+    commutatively into the server hub, and every round can stream a
+    JSONL status snapshot.
 
     Determinism contract.  A case outcome is a pure function of
     (S_R, seed); cases run in index order within their job; jobs own
@@ -130,7 +132,7 @@ val verify : t -> verify_summary
 
 val verify_ok : verify_summary -> bool
 
-val status_json : t -> Iris_telemetry.Json.t
+val status_fields : t -> (string * Iris_telemetry.Json.t) list
 (** The live status snapshot: round, queue depths, corpus and bucket
-    counts, one entry per job — the [status] wire response and, with
-    the hub snapshot, each round's status line. *)
+    counts, one entry per job — the [status] wire response's fields
+    and, with the hub snapshot, each round's status line. *)

@@ -78,9 +78,10 @@ let signature ~failure ~reason ~span ~detail =
 type t = {
   table : (string, bucket) Hashtbl.t;
   mutable crashes : int;
+  mutable changed : bucket list;  (* new representatives since [take_changed] *)
 }
 
-let create () = { table = Hashtbl.create 16; crashes = 0 }
+let create () = { table = Hashtbl.create 16; crashes = 0; changed = [] }
 
 let rep_order c = (c.c_spec_key, c.c_case)
 
@@ -92,17 +93,28 @@ let note t crash ~minimize =
   in
   match Hashtbl.find_opt t.table s with
   | None ->
-      Hashtbl.replace t.table s
-        { b_signature = s; b_count = 1; b_rep = crash; b_repro = minimize () };
+      let b =
+        { b_signature = s; b_count = 1; b_rep = crash; b_repro = minimize () }
+      in
+      Hashtbl.replace t.table s b;
+      t.changed <- b :: t.changed;
       `New
   | Some b ->
       b.b_count <- b.b_count + 1;
       if rep_order crash < rep_order b.b_rep then begin
         b.b_rep <- crash;
         b.b_repro <- minimize ();
+        t.changed <- b :: t.changed;
         `Replaced
       end
       else `Counted
+
+let by_signature a b = compare a.b_signature b.b_signature
+
+let take_changed t =
+  let changed = List.sort_uniq by_signature t.changed in
+  t.changed <- [];
+  changed
 
 let count t = Hashtbl.length t.table
 
@@ -110,7 +122,7 @@ let total t = t.crashes
 
 let buckets t =
   Hashtbl.fold (fun _ b acc -> b :: acc) t.table []
-  |> List.sort (fun a b -> compare a.b_signature b.b_signature)
+  |> List.sort by_signature
 
 let bucket_to_json b =
   let repro =

@@ -60,6 +60,10 @@ val note :
 (** Count a crash into its bucket.  [minimize] runs only when the
     crash creates the bucket or replaces its representative. *)
 
+val take_changed : t -> bucket list
+(** The buckets that {!note} created or gave a new representative since
+    the last call, sorted by signature; the set starts empty again. *)
+
 val count : t -> int
 (** Buckets. *)
 

@@ -71,13 +71,11 @@ let fail cmd msg =
   J.Obj
     [ ("ok", J.Bool false); ("cmd", J.String cmd); ("error", J.String msg) ]
 
-let obj_fields = function J.Obj fields -> fields | _ -> []
-
 let handle server = function
   | Submit spec ->
       let id = Server.submit server spec in
       (ok "submit" [ ("id", J.Int id); ("key", J.String (Jobspec.key spec)) ], false)
-  | Status -> (ok "status" (obj_fields (Server.status_json server)), false)
+  | Status -> (ok "status" (Server.status_fields server), false)
   | Cancel id ->
       let found = Server.cancel server id in
       ( J.Obj [ ("ok", J.Bool found); ("cmd", J.String "cancel"); ("id", J.Int id) ],

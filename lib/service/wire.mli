@@ -34,13 +34,10 @@ type request =
 val request_to_line : request -> string
 val request_of_line : string -> (request, string) result
 
-val handle : Server.t -> request -> Iris_telemetry.Json.t * bool
-(** Execute one request; [true] means stop serving. *)
-
 val handle_line : Server.t -> string -> string * bool
-(** [handle] over encoded lines; parse errors and any exception a
-    request handler raises become [{"ok":false,"error":...}]
-    responses. *)
+(** Execute one encoded request; [true] means stop serving.  Parse
+    errors and any exception a request handler raises become
+    [{"ok":false,"error":...}] responses. *)
 
 val response_ok : string -> bool
 (** Whether a response line carries ["ok":true]. *)

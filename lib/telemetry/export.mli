@@ -5,7 +5,7 @@
     - [summary]: plain-text table for terminals;
     - [Registry.to_jsonl] (re-exported here as {!metrics_jsonl}):
       line-delimited JSON for ingestion;
-    - [chrome_trace]: the Chrome [trace_event] JSON-array format that
+    - [chrome_trace_string]: the Chrome [trace_event] JSON-array format that
       [about://tracing] and {{:https://ui.perfetto.dev}Perfetto} load
       directly. *)
 
@@ -19,12 +19,10 @@ val status_line :
     [{"seq":N, <extra fields>, "metrics":{...}}] — what the service
     daemon streams to its status sink, one object per line. *)
 
-val chrome_trace : Tracer.t -> Json.t
+val chrome_trace_string : Tracer.t -> string
 (** Complete ("ph":"X") events for closed spans, instant ("ph":"i")
     events for zero-duration ones, plus the process-name metadata
     (["iris"]).  Timestamps convert from virtual cycles to microseconds
     at 3600 cycles per microsecond, the model's 3.6 GHz testbed. *)
-
-val chrome_trace_string : Tracer.t -> string
 
 val write_file : path:string -> string -> unit

@@ -11,8 +11,6 @@ let variance xs =
     acc /. float_of_int (n - 1)
   end
 
-let stddev xs = sqrt (variance xs)
-
 let percentile xs p =
   let n = Array.length xs in
   assert (n > 0);

@@ -11,8 +11,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Unbiased sample variance (n-1 denominator); [0.] for n < 2. *)
 
-val stddev : float array -> float
-
 val percentile : float array -> float -> float
 (** [percentile xs p] for [p] in [\[0,100\]], linear interpolation
     between closest ranks.  The input need not be sorted. *)

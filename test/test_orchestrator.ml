@@ -116,6 +116,39 @@ let test_pool_fewer_tasks_than_workers () =
   check Alcotest.int "work conservation" 2
     (Array.fold_left (fun a s -> a + s.Pool.executed) 0 stats)
 
+(* Worker 0 runs on the calling domain at every [jobs].  Each task
+   waits until both are claimed, so neither worker can take both. *)
+let test_pool_caller_is_worker_zero () =
+  let claimed = Atomic.make 0 in
+  let ran_on, _ =
+    Pool.run ~jobs:2 ~total:2 ~init:ignore
+      ~task:(fun () _ ->
+        Atomic.incr claimed;
+        while Atomic.get claimed < 2 do
+          Domain.cpu_relax ()
+        done;
+        (Domain.self () :> int))
+      ~on_crash:(fun e _ -> raise e)
+  in
+  let caller = (Domain.self () :> int) in
+  check Alcotest.int "one task ran on the caller" 1
+    (Array.fold_left (fun n d -> if d = caller then n + 1 else n) 0 ran_on)
+
+(* A failure of worker 0's [init] propagates only once the spawned
+   worker has been joined, so it has run every task. *)
+let test_pool_joins_after_caller_fails () =
+  let finished = Atomic.make 0 in
+  (match
+     Pool.run ~jobs:2 ~total:2
+       ~init:(fun w -> if w = 0 then failwith "worker 0 cannot boot")
+       ~task:(fun () _ -> Atomic.incr finished)
+       ~on_crash:(fun e _ -> raise e)
+   with
+  | _ -> Alcotest.fail "worker 0's init failure must propagate"
+  | exception Failure _ -> ());
+  check Alcotest.int "the spawned worker ran both tasks" 2
+    (Atomic.get finished)
+
 (* --- domain-safety satellites --- *)
 
 let test_registries_frozen () =
@@ -328,7 +361,11 @@ let () =
             test_pool_panic_containment;
           Alcotest.test_case "empty" `Quick test_pool_empty;
           Alcotest.test_case "fewer tasks than workers" `Quick
-            test_pool_fewer_tasks_than_workers ] );
+            test_pool_fewer_tasks_than_workers;
+          Alcotest.test_case "worker 0 on the caller" `Quick
+            test_pool_caller_is_worker_zero;
+          Alcotest.test_case "joins after worker 0 fails" `Quick
+            test_pool_joins_after_caller_fails ] );
       ( "domain-safety",
         [ Alcotest.test_case "registries frozen" `Quick
             test_registries_frozen;

@@ -534,6 +534,72 @@ let test_server_timeout () =
   check Alcotest.bool "cycles reached the budget" true
     (Int64.of_int (int [ "partial"; "cycles" ]) >= budget)
 
+(* Every way a job ends, driven one job at a time through one server:
+   each ending sets its status and moves exactly one [service.jobs_*]
+   counter, and a drained server has nothing left to step. *)
+let test_server_job_endings () =
+  let server = Server.create ~jobs:1 ~quantum:24 ~recordings:shared_cache () in
+  let tallies () =
+    let snap = Iris_telemetry.Hub.snapshot (Server.hub server) in
+    List.filter_map
+      (fun (name, v) ->
+        match v with
+        | Registry.S_counter n
+          when String.starts_with ~prefix:"service.jobs_" name
+               && name <> "service.jobs_submitted" ->
+            Some (name, n)
+        | _ -> None)
+      snap
+  in
+  let status id =
+    (List.find (fun ji -> ji.Server.ji_id = id) (Server.job_infos server))
+      .Server.ji_status
+  in
+  let until_ended id =
+    while
+      (match status id with Server.Queued | Server.Running -> true | _ -> false)
+      && Server.step server
+    do
+      ()
+    done
+  in
+  let ends label spec ~status:want ~counter act =
+    let id = Server.submit server spec in
+    let before = tallies () in
+    act id;
+    Alcotest.(check bool) (label ^ ": status") true (status id = want);
+    let moved =
+      List.filter_map
+        (fun (name, n) ->
+          let was = Option.value (List.assoc_opt name before) ~default:0L in
+          if n <> was then Some (name, Int64.sub n was) else None)
+        (tallies ())
+    in
+    check
+      Alcotest.(list (pair string int64))
+      (label ^ ": one counter moved") [ (counter, 1L) ] moved
+  in
+  let long = { spec_a with Jobspec.priority = 1 } in
+  ends "completion" spec_b ~status:Server.Completed
+    ~counter:"service.jobs_completed" until_ended;
+  ends "queued cancel" long ~status:Server.Cancelled
+    ~counter:"service.jobs_cancelled" (fun id ->
+      Alcotest.(check bool) "cancel accepted" true (Server.cancel server id));
+  ends "running cancel" long ~status:Server.Cancelled
+    ~counter:"service.jobs_cancelled" (fun id ->
+      Alcotest.(check bool) "stepped" true (Server.step server);
+      Alcotest.(check bool) "running after one quantum" true
+        (status id = Server.Running);
+      Alcotest.(check bool) "cancel accepted" true (Server.cancel server id);
+      until_ended id);
+  ends "no seed" { long with Jobspec.reason = R.Xsetbv } ~status:Server.No_seed
+    ~counter:"service.jobs_no_seed" until_ended;
+  ends "timeout"
+    { long with Jobspec.timeout_cycles = Some 5_000_000L }
+    ~status:Server.Timed_out ~counter:"service.jobs_timed_out" until_ended;
+  ignore (Server.drain server : Server.drain_summary);
+  Alcotest.(check bool) "idle after drain" false (Server.step server)
+
 let test_wire_pipe_session () =
   let server = Server.create ~jobs:1 ~quantum:24 ~recordings:shared_cache () in
   let submit =
@@ -975,6 +1041,8 @@ let () =
             test_loaded_corpus_cannot_kill;
           Alcotest.test_case "timeout is schedule-independent" `Slow
             test_server_timeout;
+          Alcotest.test_case "every way a job ends" `Slow
+            test_server_job_endings;
           Alcotest.test_case "counts cow rewinds" `Slow
             test_server_counts_cow_rewinds
         ] );
