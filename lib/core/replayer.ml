@@ -6,6 +6,7 @@ module Gpr = Iris_x86.Gpr
 type t = {
   ctx : Ctx.t;
   shim : (F.t, int64 Queue.t) Hashtbl.t;
+  written : (F.t, unit) Hashtbl.t;  (* [inject]'s scratch, cleared per seed *)
   mutable shim_enabled : bool;
   mutable entry_checks : bool;
   mutable trigger : [ `Preemption_timer | `Hlt ];
@@ -23,6 +24,7 @@ let create ctx =
   let t =
     { ctx;
       shim = Hashtbl.create 32;
+      written = Hashtbl.create 16;
       shim_enabled = true;
       entry_checks = true;
       trigger = `Preemption_timer;
@@ -57,7 +59,9 @@ let charge t n = Iris_vtx.Clock.advance (Ctx.clock t.ctx) n
    occurrence wins — later occurrences reflect the handler's own
    updates); read-only fields queued for the VMREAD shim. *)
 let inject t (seed : Seed.t) =
-  Hashtbl.reset t.shim;
+  (* [clear], not [reset]: both tables keep their buckets across seeds. *)
+  Hashtbl.clear t.shim;
+  Hashtbl.clear t.written;
   let records = ref 0 in
   let regs = Ctx.regs t.ctx in
   List.iter
@@ -65,7 +69,6 @@ let inject t (seed : Seed.t) =
       incr records;
       Gpr.set regs r v)
     seed.Seed.gprs;
-  let written = Hashtbl.create 16 in
   List.iter
     (fun (f, v) ->
       incr records;
@@ -82,8 +85,8 @@ let inject t (seed : Seed.t) =
           Queue.push v q
         end
       end
-      else if not (Hashtbl.mem written f) then begin
-        Hashtbl.replace written f ();
+      else if not (Hashtbl.mem t.written f) then begin
+        Hashtbl.replace t.written f ();
         Iris_hv.Access.vmwrite_raw t.ctx f v
       end)
     seed.Seed.reads;
@@ -132,7 +135,7 @@ let submit_inner t seed =
       charge t (400 + Iris_vtx.Cost.event_injection + 1200);
     inject t seed;
     Iris_hv.Exitpath.handle t.ctx;
-    Hashtbl.reset t.shim;
+    Hashtbl.clear t.shim;
     (* The dummy vCPU is never allowed to block: replay must keep
        consuming seeds at full rate (§IV-B). *)
     dom.Iris_hv.Domain.blocked <- false;

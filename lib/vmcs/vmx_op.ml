@@ -71,29 +71,36 @@ let vmptrld ctx vmcs =
 
 let current ctx = ctx.current_vmcs
 
-let with_current ctx f =
-  if not ctx.on then Error VMfail_invalid
-  else
-    match ctx.current_vmcs with
-    | None -> Error VMfail_invalid
-    | Some vmcs -> f vmcs
+(* The VMCS an instruction operates on: none outside VMX operation or
+   without a current VMCS (VMfailInvalid).  A plain match at each use,
+   not a continuation, so no instruction allocates a closure. *)
+let operand ctx = if ctx.on then ctx.current_vmcs else None
 
 let vmread ctx field =
-  with_current ctx (fun vmcs -> Ok (Vmcs.read vmcs field))
+  match operand ctx with
+  | None -> Error VMfail_invalid
+  | Some vmcs -> Ok (Vmcs.read vmcs field)
+
+let write_failed ctx = function
+  | Vmcs.Readonly_field f ->
+      fail_valid ctx err_readonly_component
+        ("VMWRITE to read-only field " ^ Field.name f)
+  | Vmcs.Unsupported_field enc ->
+      fail_valid ctx err_unsupported_component
+        (Printf.sprintf "VMWRITE to unsupported encoding 0x%x" enc)
 
 let vmwrite ctx field v =
-  with_current ctx (fun vmcs ->
+  match operand ctx with
+  | None -> Error VMfail_invalid
+  | Some vmcs -> (
       match Vmcs.write vmcs field v with
       | Ok () -> Ok ()
-      | Error (Vmcs.Readonly_field f) ->
-          fail_valid ctx err_readonly_component
-            ("VMWRITE to read-only field " ^ Field.name f)
-      | Error (Vmcs.Unsupported_field enc) ->
-          fail_valid ctx err_unsupported_component
-            (Printf.sprintf "VMWRITE to unsupported encoding 0x%x" enc))
+      | Error e -> write_failed ctx e)
 
 let vmread_enc ctx enc =
-  with_current ctx (fun vmcs ->
+  match operand ctx with
+  | None -> Error VMfail_invalid
+  | Some vmcs -> (
       match Vmcs.read_by_encoding vmcs enc with
       | Ok v -> Ok v
       | Error _ ->
@@ -101,22 +108,21 @@ let vmread_enc ctx enc =
             (Printf.sprintf "VMREAD of unsupported encoding 0x%x" enc))
 
 let vmwrite_enc ctx enc v =
-  with_current ctx (fun vmcs ->
+  match operand ctx with
+  | None -> Error VMfail_invalid
+  | Some vmcs -> (
       match Vmcs.write_by_encoding vmcs enc v with
       | Ok () -> Ok ()
-      | Error (Vmcs.Readonly_field f) ->
-          fail_valid ctx err_readonly_component
-            ("VMWRITE to read-only field " ^ Field.name f)
-      | Error (Vmcs.Unsupported_field _) ->
-          fail_valid ctx err_unsupported_component
-            (Printf.sprintf "VMWRITE to unsupported encoding 0x%x" enc))
+      | Error e -> write_failed ctx e)
 
 type entry_outcome =
   | Entered
   | Entry_failed of Entry_check.failure
 
 let do_entry ctx ~launch =
-  with_current ctx (fun vmcs ->
+  match operand ctx with
+  | None -> Error VMfail_invalid
+  | Some vmcs -> (
       let state = Vmcs.state vmcs in
       if launch && state <> Vmcs.Active_current_clear then
         fail_valid ctx err_vmlaunch_nonclear "VMLAUNCH with non-clear VMCS"
@@ -124,25 +130,20 @@ let do_entry ctx ~launch =
         fail_valid ctx err_vmresume_nonlaunched
           "VMRESUME with non-launched VMCS"
       else
-        match Entry_check.check_controls vmcs with
-        | Error f ->
+        match Entry_check.run_stale vmcs with
+        | Ok () ->
+            if launch then Vmcs.mark_launched vmcs;
+            Ok Entered
+        | Error (Entry_check.Invalid_control _ as f) ->
             fail_valid ctx err_entry_bad_controls
               (Entry_check.failure_message f)
-        | Ok () -> (
-            match Entry_check.check_host_state vmcs with
-            | Error f ->
-                fail_valid ctx err_entry_bad_host
-                  (Entry_check.failure_message f)
-            | Ok () -> (
-                match Entry_check.check_guest_state vmcs with
-                | Error f ->
-                    (* Guest-state failure: the entry itself succeeds
-                       as an instruction but immediately "exits" with
-                       reason 33; the launch state is not advanced. *)
-                    Ok (Entry_failed f)
-                | Ok () ->
-                    if launch then Vmcs.mark_launched vmcs;
-                    Ok Entered)))
+        | Error (Entry_check.Invalid_host_state _ as f) ->
+            fail_valid ctx err_entry_bad_host (Entry_check.failure_message f)
+        | Error (Entry_check.Invalid_guest_state _ as f) ->
+            (* Guest-state failure: the entry itself succeeds as an
+               instruction but immediately "exits" with reason 33; the
+               launch state is not advanced. *)
+            Ok (Entry_failed f))
 
 let vmlaunch ctx = do_entry ctx ~launch:true
 

@@ -101,16 +101,32 @@ let advance_rip t len =
   let off' = Int64.rem (Int64.add off (Int64.of_int len)) t.code_size in
   t.rip <- Int64.add t.code_base off'
 
+(* Apply [f t] to every segment name, without the closure a partial
+   application would allocate on each transition. *)
+let rec each_seg f t = function
+  | [] -> ()
+  | name :: rest ->
+      f t name;
+      each_seg f t rest
+
 (* Hardware guest-state save.  Uses the processor-internal write path:
    these stores are performed by the CPU during the exit transition,
-   not by hypervisor VMWRITEs, so they are invisible to IRIS hooks. *)
+   not by hypervisor VMWRITEs, so they are invisible to IRIS hooks.
+   Selectors and AR bytes are cached as ints: [save_int] stores the
+   VMCS's own boxed copy when it already holds the value, so an
+   unchanged segment saves without allocating.  The store is still
+   journaled. *)
+let save_int vmcs f i =
+  let cur = V.read vmcs f in
+  V.write_exit_info vmcs f (if Int64.of_int i = cur then cur else Int64.of_int i)
+
 let save_seg t name =
   let sel_f, base_f, limit_f, ar_f = F.segment_fields name in
   let s = get_seg t name in
-  V.write_exit_info t.vmcs sel_f (Int64.of_int s.Segment.selector);
+  save_int t.vmcs sel_f s.Segment.selector;
   V.write_exit_info t.vmcs base_f s.Segment.base;
   V.write_exit_info t.vmcs limit_f s.Segment.limit;
-  V.write_exit_info t.vmcs ar_f (Int64.of_int s.Segment.ar)
+  save_int t.vmcs ar_f s.Segment.ar
 
 let save_to_vmcs t =
   let vmcs = t.vmcs in
@@ -131,7 +147,7 @@ let save_to_vmcs t =
   V.write_exit_info vmcs F.guest_sysenter_cs (Msr.read t.msrs Msr.Ia32_sysenter_cs);
   V.write_exit_info vmcs F.guest_sysenter_esp (Msr.read t.msrs Msr.Ia32_sysenter_esp);
   V.write_exit_info vmcs F.guest_sysenter_eip (Msr.read t.msrs Msr.Ia32_sysenter_eip);
-  List.iter (save_seg t) Segment.all_names
+  each_seg save_seg t Segment.all_names
 
 (* Rebuild the cached segment record only when the VMCS copy actually
    moved: segment state is cold on the exit hot path, and skipping the
@@ -170,7 +186,7 @@ let load_from_vmcs t =
   Msr.write t.msrs Msr.Ia32_sysenter_cs (V.read vmcs F.guest_sysenter_cs);
   Msr.write t.msrs Msr.Ia32_sysenter_esp (V.read vmcs F.guest_sysenter_esp);
   Msr.write t.msrs Msr.Ia32_sysenter_eip (V.read vmcs F.guest_sysenter_eip);
-  List.iter (load_seg t) Segment.all_names;
+  each_seg load_seg t Segment.all_names;
   t.preemption_timer <- V.read vmcs F.guest_preemption_timer
 
 let snapshot t =

@@ -8,23 +8,44 @@ let pp fmt s =
   Format.fprintf fmt "sel=%04x base=%Lx limit=%Lx ar=%05x" s.selector s.base
     s.limit s.ar
 
-let ar_type s = s.ar land 0xF
+module Ar = struct
+  let typ ar = ar land 0xF
 
-let ar_s s = s.ar land 0x10 <> 0
+  let s ar = ar land 0x10 <> 0
+
+  let present ar = ar land 0x80 <> 0
+
+  let long ar = ar land 0x2000 <> 0
+
+  let unusable ar = ar land 0x10000 <> 0
+
+  let valid_cs ar =
+    (not (unusable ar)) && present ar && s ar && typ ar land 0x8 <> 0
+
+  let valid_tr ar =
+    (not (unusable ar))
+    && present ar
+    && (not (s ar))
+    && (typ ar = 3 || typ ar = 11)
+end
+
+let ar_type s = Ar.typ s.ar
+
+let ar_s s = Ar.s s.ar
 
 let ar_dpl s = (s.ar lsr 5) land 0x3
 
-let ar_present s = s.ar land 0x80 <> 0
+let ar_present s = Ar.present s.ar
 
 let ar_avl s = s.ar land 0x1000 <> 0
 
-let ar_long s = s.ar land 0x2000 <> 0
+let ar_long s = Ar.long s.ar
 
 let ar_db s = s.ar land 0x4000 <> 0
 
 let ar_granularity s = s.ar land 0x8000 <> 0
 
-let unusable s = s.ar land 0x10000 <> 0
+let unusable s = Ar.unusable s.ar
 
 let make_ar ?(typ = 0) ?(s = false) ?(dpl = 0) ?(present = false)
     ?(avl = false) ?(long = false) ?(db = false) ?(granularity = false)
@@ -70,11 +91,6 @@ let initial_ldtr =
   { selector = 0; base = 0L; limit = 0L;
     ar = make_ar ~typ:0x2 ~present:true () }
 
-let entry_valid_cs s =
-  (not (unusable s)) && ar_present s && ar_s s && ar_type s land 0x8 <> 0
+let entry_valid_cs s = Ar.valid_cs s.ar
 
-let entry_valid_tr s =
-  (not (unusable s))
-  && ar_present s
-  && (not (ar_s s))
-  && (ar_type s = 3 || ar_type s = 11)
+let entry_valid_tr s = Ar.valid_tr s.ar

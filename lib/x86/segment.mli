@@ -50,6 +50,19 @@ val ar_granularity : t -> bool
 val unusable : t -> bool
 (** bit 16 *)
 
+(** The same predicates over a packed AR value, for callers that read
+    it straight from the VMCS without building a {!t}; [valid_cs] and
+    [valid_tr] are {!entry_valid_cs} and {!entry_valid_tr}. *)
+module Ar : sig
+  val typ : int -> int
+  val s : int -> bool
+  val present : int -> bool
+  val long : int -> bool
+  val unusable : int -> bool
+  val valid_cs : int -> bool
+  val valid_tr : int -> bool
+end
+
 val make_ar :
   ?typ:int -> ?s:bool -> ?dpl:int -> ?present:bool -> ?avl:bool ->
   ?long:bool -> ?db:bool -> ?granularity:bool -> ?unusable:bool ->
