@@ -2,7 +2,11 @@ let bit n =
   assert (n >= 0 && n < 64);
   Int64.shift_left 1L n
 
-let test v n = Int64.logand v (bit n) <> 0L
+(* Shifts [v] rather than building [bit n], which boxes a fresh Int64
+   wherever [bit] is not inlined: a test allocates nothing. *)
+let test v n =
+  assert (n >= 0 && n < 64);
+  Int64.logand (Int64.shift_right_logical v n) 1L <> 0L
 
 let set v n = Int64.logor v (bit n)
 

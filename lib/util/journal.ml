@@ -109,7 +109,7 @@ let mark d i v =
   d.dirty.(d.n) <- i;
   d.n <- d.n + 1
 
-let dense ?(on_undo = ignore) ~name values =
+let dense ~name values =
   let size = Array.length values in
   make ~name
     ~fresh:(fun () ->
@@ -120,11 +120,7 @@ let dense ?(on_undo = ignore) ~name values =
       d.n <- 0)
     ~length:(fun d -> d.n)
     ~undo:(fun d ->
-      for k = 0 to d.n - 1 do
-        let i = d.dirty.(k) in
-        values.(i) <- d.old.(i);
-        on_undo i
-      done)
+      for k = 0 to d.n - 1 do values.(d.dirty.(k)) <- d.old.(d.dirty.(k)) done)
     ~fold:(fun child parent ->
       for k = 0 to child.n - 1 do
         let i = child.dirty.(k) in

@@ -48,10 +48,8 @@ val saved : (_, 's) t -> 's
 
 type dense
 
-val dense :
-  ?on_undo:(int -> unit) -> name:string -> int64 array -> (dense, 's) t
-(** {!rewind} writes pre-images back into the given array, calling
-    [on_undo i] after it writes index [i]. *)
+val dense : name:string -> int64 array -> (dense, 's) t
+(** {!rewind} writes pre-images back into the given array. *)
 
 val note : (dense, _) t -> int64 array -> int -> unit
 (** Call before writing index [i] of the array given to {!dense}.

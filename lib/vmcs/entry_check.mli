@@ -19,31 +19,7 @@ type failure =
 
 val failure_message : failure -> string
 
-(** {2 Check groups}
-
-    The checks are split into groups: the control fields, the host
-    state, and each named guest-state check.  Each group declares the
-    fields it reads as its [inputs]; its verdict is a function of those
-    fields' values alone.  {!Vmcs} marks a group stale when one of its
-    inputs changes value, which is what lets {!run_stale} skip the
-    rest. *)
-
-type group = {
-  name : string;
-  inputs : Field.t list;  (** every field the verdict depends on *)
-  check : Vmcs.t -> (unit, failure) result;
-}
-
-val groups : group array
-(** In architectural order; group [g] owns bit [1 lsl g] of
-    {!Vmcs.stale}. *)
-
 val run : Vmcs.t -> (unit, failure) result
-(** Every group in order, from scratch: the first failure wins. *)
-
-val run_stale : Vmcs.t -> (unit, failure) result
-(** Only the stale groups, in the same order, clearing the bit of each
-    group that passes.  The groups it skips passed last time and their
-    inputs have not changed since, so the verdict (the first failure
-    and its message, or [Ok]) is {!run}'s.  The success path allocates
+(** The control, host-state and guest-state checks in architectural
+    order: the first failure wins.  The success path allocates
     nothing. *)

@@ -2,50 +2,17 @@ module Journal = Iris_util.Journal
 
 type launch_state = Clear | Active_current_clear | Active_current_launched
 
-(* --- VM-entry check staleness ---
-
-   [readers.(i)] is the mask of entry-check groups that read the field
-   of compact index [i].  [Entry_check] sets it once while it
-   initialises; it is read-only afterwards, so worker domains share it
-   like [Field]'s frozen registry. *)
-let readers = Array.make Field.count 0
-
-let readers_set = ref false
-
-let set_entry_check_inputs inputs =
-  if !readers_set then
-    invalid_arg "Vmcs.set_entry_check_inputs: inputs already set";
-  if Array.length inputs >= Sys.int_size then
-    invalid_arg "Vmcs.set_entry_check_inputs: too many groups";
-  readers_set := true;
-  Array.iteri
-    (fun g fields ->
-      List.iter
-        (fun f ->
-          let i = Field.compact f in
-          readers.(i) <- readers.(i) lor (1 lsl g))
-        fields)
-    inputs
-
-let all_groups = -1
-
 (* The copy-on-write journal is dense over the compact field space, so
    the per-write probe is a single byte load; each epoch also keeps
-   the launch state at its push.  [stale] is shared with the journal's
-   undo hook, which marks the groups of every field a rewind restores. *)
+   the launch state at its push. *)
 type t = {
   values : int64 array; (* indexed by Field.compact *)
   mutable launch : launch_state;
-  stale : int ref;
   journal : (Journal.dense, launch_state) Journal.t;
 }
 
 let make values launch =
-  let stale = ref all_groups in
-  { values; launch; stale;
-    journal =
-      Journal.dense ~name:"Vmcs" values
-        ~on_undo:(fun i -> stale := !stale lor readers.(i)) }
+  { values; launch; journal = Journal.dense ~name:"Vmcs" values }
 
 let revision_id = 0x00DE5E27L
 
@@ -70,21 +37,12 @@ type access_error =
 
 let read t f = t.values.(Field.compact f)
 
-(* Every store is journaled, changed or not, so rewind counts do not
-   depend on values; only a change makes its readers stale. *)
-let store t f v =
-  let idx = Field.compact f in
-  Journal.note t.journal t.values idx;
-  let v = Field.truncate f v in
-  if v <> t.values.(idx) then begin
-    t.values.(idx) <- v;
-    t.stale := !(t.stale) lor readers.(idx)
-  end
-
 let write t f v =
   if Field.readonly f then Error (Readonly_field f)
   else begin
-    store t f v;
+    let idx = Field.compact f in
+    Journal.note t.journal t.values idx;
+    t.values.(idx) <- Field.truncate f v;
     Ok ()
   end
 
@@ -93,11 +51,9 @@ let write_exit_info t f v =
      area (state save), and entry controls (clearing the event-
      injection valid bit); never the host area. *)
   assert (Field.area f <> Field.Host);
-  store t f v
-
-let stale t = !(t.stale)
-
-let clear_stale t groups = t.stale := !(t.stale) land lnot groups
+  let idx = Field.compact f in
+  Journal.note t.journal t.values idx;
+  t.values.(idx) <- Field.truncate f v
 
 let read_by_encoding t enc =
   match Field.of_encoding16 enc with
@@ -114,7 +70,6 @@ let copy t = make (Array.copy t.values) t.launch
 let restore_from t ~src =
   Array.blit src.values 0 t.values 0 Field.count;
   t.launch <- src.launch;
-  t.stale := all_groups;
   (* Full restore: any outstanding checkpoints are meaningless now. *)
   Journal.invalidate t.journal
 

@@ -47,32 +47,6 @@ val write_exit_info : t -> Field.t -> int64 -> unit
     information; bypasses the read-only restriction.  Asserts the
     field is in the exit-info area or guest area. *)
 
-(** {2 Stale entry-check groups}
-
-    {!Entry_check} splits the VM-entry checks into groups, numbered in
-    the order they run, each with the fields it reads.  Every VMCS
-    keeps a mask of {e stale} groups: groups whose verdict may have
-    changed since they last passed.  A {!write} or {!write_exit_info}
-    that changes a field's value marks the groups that read it; a
-    {!rewind} marks the groups of every field it restores; {!create},
-    {!copy} and {!restore_from} mark every group.  A write of the value
-    already held marks nothing.  A group that is not stale still holds
-    its last verdict, a pass, so running only the stale groups gives
-    the verdict of a full check. *)
-
-val set_entry_check_inputs : Field.t list array -> unit
-(** [set_entry_check_inputs inputs] declares group [g]'s input fields as
-    [inputs.(g)].  Called once, by {!Entry_check}'s initialisation;
-    raises [Invalid_argument] on a second call. *)
-
-val stale : t -> int
-(** The stale-group mask: bit [g] is set while group [g] is stale.
-    Bits beyond the declared groups may be set. *)
-
-val clear_stale : t -> int -> unit
-(** [clear_stale t groups] clears the bits of [groups], which just
-    passed. *)
-
 val read_by_encoding : t -> int -> (int64, access_error) result
 val write_by_encoding : t -> int -> int64 -> (unit, access_error) result
 

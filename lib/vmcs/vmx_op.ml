@@ -130,7 +130,7 @@ let do_entry ctx ~launch =
         fail_valid ctx err_vmresume_nonlaunched
           "VMRESUME with non-launched VMCS"
       else
-        match Entry_check.run_stale vmcs with
+        match Entry_check.run vmcs with
         | Ok () ->
             if launch then Vmcs.mark_launched vmcs;
             Ok Entered

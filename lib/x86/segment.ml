@@ -13,9 +13,15 @@ module Ar = struct
 
   let s ar = ar land 0x10 <> 0
 
+  let dpl ar = (ar lsr 5) land 0x3
+
   let present ar = ar land 0x80 <> 0
 
   let long ar = ar land 0x2000 <> 0
+
+  let db ar = ar land 0x4000 <> 0
+
+  let granularity ar = ar land 0x8000 <> 0
 
   let unusable ar = ar land 0x10000 <> 0
 
@@ -28,24 +34,6 @@ module Ar = struct
     && (not (s ar))
     && (typ ar = 3 || typ ar = 11)
 end
-
-let ar_type s = Ar.typ s.ar
-
-let ar_s s = Ar.s s.ar
-
-let ar_dpl s = (s.ar lsr 5) land 0x3
-
-let ar_present s = Ar.present s.ar
-
-let ar_avl s = s.ar land 0x1000 <> 0
-
-let ar_long s = Ar.long s.ar
-
-let ar_db s = s.ar land 0x4000 <> 0
-
-let ar_granularity s = s.ar land 0x8000 <> 0
-
-let unusable s = Ar.unusable s.ar
 
 let make_ar ?(typ = 0) ?(s = false) ?(dpl = 0) ?(present = false)
     ?(avl = false) ?(long = false) ?(db = false) ?(granularity = false)
@@ -90,7 +78,3 @@ let initial_tr =
 let initial_ldtr =
   { selector = 0; base = 0L; limit = 0L;
     ar = make_ar ~typ:0x2 ~present:true () }
-
-let entry_valid_cs s = Ar.valid_cs s.ar
-
-let entry_valid_tr s = Ar.valid_tr s.ar

@@ -21,46 +21,42 @@ type t = {
 
 val pp : Format.formatter -> t -> unit
 
-(** {2 Access-rights accessors (VMCS AR-byte layout)} *)
+(** {2 Access-rights accessors (VMCS AR-byte layout)}
 
-val ar_type : t -> int
-(** bits 0..3 *)
-
-val ar_s : t -> bool
-(** bit 4: code/data (1) vs system (0) *)
-
-val ar_dpl : t -> int
-(** bits 5..6 *)
-
-val ar_present : t -> bool
-(** bit 7 *)
-
-val ar_avl : t -> bool
-(** bit 12 *)
-
-val ar_long : t -> bool
-(** bit 13: 64-bit code *)
-
-val ar_db : t -> bool
-(** bit 14: default size *)
-
-val ar_granularity : t -> bool
-(** bit 15 *)
-
-val unusable : t -> bool
-(** bit 16 *)
-
-(** The same predicates over a packed AR value, for callers that read
-    it straight from the VMCS without building a {!t}; [valid_cs] and
-    [valid_tr] are {!entry_valid_cs} and {!entry_valid_tr}. *)
+    Over a packed AR value: a {!t}'s [ar], or a guest AR-bytes field
+    read straight from the VMCS. *)
 module Ar : sig
   val typ : int -> int
+  (** bits 0..3 *)
+
   val s : int -> bool
+  (** bit 4: code/data (1) vs system (0) *)
+
+  val dpl : int -> int
+  (** bits 5..6 *)
+
   val present : int -> bool
+  (** bit 7 *)
+
   val long : int -> bool
+  (** bit 13: 64-bit code *)
+
+  val db : int -> bool
+  (** bit 14: default size *)
+
+  val granularity : int -> bool
+  (** bit 15 *)
+
   val unusable : int -> bool
+  (** bit 16 *)
+
   val valid_cs : int -> bool
+  (** A VM-entry-valid CS: a usable, present code segment (S set,
+      type bit 3 set). *)
+
   val valid_tr : int -> bool
+  (** A VM-entry-valid TR: a present busy TSS (type 3 or 11) and not
+      unusable. *)
 end
 
 val make_ar :
@@ -87,9 +83,3 @@ val initial_tr : t
 (** A busy 32-bit TSS as required by entry checks. *)
 
 val initial_ldtr : t
-
-val entry_valid_cs : t -> bool
-(** CS must be a present, accessed code segment and not unusable. *)
-
-val entry_valid_tr : t -> bool
-(** TR must be a present busy TSS (type 3 or 11) and not unusable. *)

@@ -444,8 +444,6 @@ let prop_entry_check_deterministic =
       | Error _ -> V.write_exit_info vmcs f v);
       EC.run vmcs = EC.run vmcs)
 
-(* --- incremental entry checks --- *)
-
 (* Three valid states that reach different checks: [valid_vmcs]'s real
    mode, 32-bit protected mode with PAE paging (the PDPTE check), and
    IA-32e mode (CS.L, EFER.LMA, canonical RIP). *)
@@ -489,228 +487,6 @@ let test_references_pass () =
       | Ok () -> ()
       | Error f -> Alcotest.fail (EC.failure_message f))
     references
-
-(* Half the writes aim at the fields some check group declares, half at
-   any field, so a field missing from every declaration is still hit.
-   Values are arbitrary, small (selectors, AR bytes, limits, counts),
-   0 or all ones, one bit away from the current value, or a reference
-   state's value: between them they produce bad controls, bad host
-   state and invalid guest states, and walk back to valid ones. *)
-type value = Lit of int64 | Flip of int | Ref of int
-
-let resolve vmcs f = function
-  | Lit x -> x
-  | Flip b -> Int64.logxor (V.read vmcs f) (Int64.shift_left 1L b)
-  | Ref r -> V.read references.(r) f
-
-let show_value = function
-  | Lit x -> Printf.sprintf "0x%Lx" x
-  | Flip b -> Printf.sprintf "flip %d" b
-  | Ref r -> Printf.sprintf "reference %d" r
-
-let gen_ref = QCheck.Gen.int_bound (Array.length references - 1)
-
-let input_fields =
-  Array.to_list EC.groups
-  |> List.concat_map (fun g -> g.EC.inputs)
-  |> List.sort_uniq compare |> Array.of_list
-
-let gen_field =
-  QCheck.Gen.(frequency [ (1, oneofa input_fields); (1, field_gen) ])
-
-let gen_value =
-  QCheck.Gen.(
-    frequency
-      [ (2, map (fun x -> Lit x) ui64);
-        (2, map (fun x -> Lit (Int64.of_int x)) (int_bound 0x20000));
-        (1, return (Lit 0L));
-        (1, return (Lit (-1L)));
-        (3, map (fun b -> Flip b) (int_bound 63));
-        (2, map (fun r -> Ref r) gen_ref) ])
-
-(* A store that reaches any field: VMWRITE, or the processor-internal
-   path for the read-only exit-information fields. *)
-let poke vmcs f x =
-  match V.write vmcs f x with
-  | Ok () -> ()
-  | Error _ -> V.write_exit_info vmcs f x
-
-type op =
-  | Vmwrite of F.t * value  (* through Vmx_op: read-only fields VMfail *)
-  | Exit_info of F.t * value  (* the processor's own stores *)
-  | Checkpoint
-  | Rewind of int
-  | Commit
-  | Snapshot
-  | Restore of int
-  | Copy
-  | Enter
-
-let show_op = function
-  | Vmwrite (f, v) -> Printf.sprintf "vmwrite %s %s" (F.name f) (show_value v)
-  | Exit_info (f, v) ->
-      Printf.sprintf "exit-info %s %s" (F.name f) (show_value v)
-  | Checkpoint -> "checkpoint"
-  | Rewind i -> Printf.sprintf "rewind %d" i
-  | Commit -> "commit"
-  | Snapshot -> "snapshot"
-  | Restore i -> Printf.sprintf "restore %d" i
-  | Copy -> "copy"
-  | Enter -> "enter"
-
-let gen_op =
-  QCheck.Gen.(
-    frequency
-      [ (8, map2 (fun f v -> Vmwrite (f, v)) gen_field gen_value);
-        (4, map2 (fun f v -> Exit_info (f, v)) gen_field gen_value);
-        (2, return Checkpoint);
-        (2, map (fun i -> Rewind i) small_nat);
-        (1, return Commit);
-        (1, return Snapshot);
-        (1, map (fun i -> Restore i) small_nat);
-        (1, return Copy);
-        (2, return Enter) ])
-
-(* A step is one to three operations; the verdicts are compared after
-   each step, so staleness also accumulates across operations. *)
-let arb_steps =
-  QCheck.make
-    ~print:(fun (r, steps) ->
-      Printf.sprintf "from reference %d: %s" r
-        (String.concat " | "
-           (List.map
-              (fun ops -> String.concat "; " (List.map show_op ops))
-              steps)))
-    QCheck.Gen.(
-      pair gen_ref
-        (list_size (int_range 1 25) (list_size (int_range 1 3) gen_op)))
-
-type state = {
-  ctx : Op.ctx;
-  mutable cur : V.t;
-  mutable cps : V.checkpoint list;  (* innermost first *)
-  mutable snaps : V.t list;
-}
-
-let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
-
-(* [Enter] checks the VM entry itself: its outcome must be the one a
-   full check predicts, with the same VMfail number and message. *)
-let enter st =
-  if V.state st.cur = V.Clear then ignore (Op.vmptrld st.ctx st.cur);
-  let expected = EC.run st.cur in
-  let outcome =
-    if V.is_launched st.cur then Op.vmresume st.ctx else Op.vmlaunch st.ctx
-  in
-  match (expected, outcome) with
-  | Ok (), Ok Op.Entered -> true
-  | Error (EC.Invalid_control _ as f), Error (Op.VMfail_valid (n, msg)) ->
-      n = Op.err_entry_bad_controls && msg = EC.failure_message f
-  | Error (EC.Invalid_host_state _ as f), Error (Op.VMfail_valid (n, msg)) ->
-      n = Op.err_entry_bad_host && msg = EC.failure_message f
-  | Error (EC.Invalid_guest_state _ as f), Ok (Op.Entry_failed f') -> f = f'
-  | _ -> false
-
-let apply st = function
-  | Vmwrite (f, v) ->
-      ignore (Op.vmwrite st.ctx f (resolve st.cur f v));
-      true
-  | Exit_info (f, v) ->
-      let x = resolve st.cur f v in
-      if F.area f = F.Host then poke st.cur f x
-      else V.write_exit_info st.cur f x;
-      true
-  | Checkpoint ->
-      st.cps <- V.checkpoint st.cur :: st.cps;
-      true
-  | Rewind i ->
-      (match st.cps with
-      | [] -> ()
-      | cps ->
-          let k = i mod List.length cps in
-          ignore (V.rewind st.cur (List.nth cps k));
-          st.cps <- drop k cps);
-      true
-  | Commit ->
-      (match st.cps with
-      | cp :: rest ->
-          V.commit st.cur cp;
-          st.cps <- rest
-      | [] -> ());
-      true
-  | Snapshot ->
-      st.snaps <- V.copy st.cur :: st.snaps;
-      true
-  | Restore i ->
-      (match st.snaps with
-      | [] -> ()
-      | snaps ->
-          V.restore_from st.cur ~src:(List.nth snaps (i mod List.length snaps));
-          st.cps <- []);
-      true
-  | Copy ->
-      st.cur <- V.copy st.cur;
-      st.cps <- [];
-      ignore (Op.vmptrld st.ctx st.cur);
-      true
-  | Enter -> enter st
-
-(* The invariant behind {!EC.run_stale}: a group whose stale bit is
-   clear would pass if it ran. *)
-let fresh_groups_pass vmcs =
-  let stale = V.stale vmcs in
-  let ok = ref true in
-  Array.iteri
-    (fun g group ->
-      if stale land (1 lsl g) = 0 && group.EC.check vmcs <> Ok () then
-        ok := false)
-    EC.groups;
-  !ok
-
-let prop_incremental_equals_full =
-  QCheck.Test.make ~name:"incremental entry checks = full checks" ~count:2000
-    arb_steps (fun (r, steps) ->
-      let ctx = Op.create () in
-      ignore (Op.vmxon ctx);
-      let st = { ctx; cur = V.copy references.(r); cps = []; snaps = [] } in
-      ignore (Op.vmptrld ctx st.cur);
-      List.for_all
-        (fun ops ->
-          List.for_all (apply st) ops
-          && fresh_groups_pass st.cur
-          &&
-          let full = EC.run st.cur in
-          EC.run_stale st.cur = full)
-        steps)
-
-(* Each group's verdict depends on its declared inputs alone: from a
-   random state, storing a random value into any field outside a
-   group's inputs leaves that group's verdict unchanged.  Every group
-   and every such field is tried on each state. *)
-let prop_group_inputs_complete =
-  QCheck.Test.make ~name:"a group's verdict ignores fields outside its inputs"
-    ~count:200
-    QCheck.(
-      make
-        Gen.(
-          triple gen_ref
-            (list_size (int_bound 6) (pair gen_field gen_value))
-            gen_value))
-    (fun (r, setup, value) ->
-      let base = V.copy references.(r) in
-      List.iter (fun (f, v) -> poke base f (resolve base f v)) setup;
-      Array.for_all
-        (fun group ->
-          let before = group.EC.check base in
-          Array.for_all
-            (fun f ->
-              List.mem f group.EC.inputs
-              ||
-              let vmcs = V.copy base in
-              poke vmcs f (resolve vmcs f value);
-              group.EC.check vmcs = before)
-            F.all)
-        EC.groups)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -782,5 +558,4 @@ let () =
       ( "properties",
         qcheck
           [ prop_write_read_roundtrip; prop_truncate_idempotent;
-            prop_entry_check_total; prop_entry_check_deterministic;
-            prop_incremental_equals_full; prop_group_inputs_complete ] ) ]
+            prop_entry_check_total; prop_entry_check_deterministic ] ) ]

@@ -124,31 +124,30 @@ let test_segment_ar_fields () =
     Segment.make_ar ~typ:0xB ~s:true ~dpl:3 ~present:true ~db:true
       ~granularity:true ()
   in
-  let s = { Segment.selector = 0x08; base = 0L; limit = 0xFFFFFFFFL; ar } in
-  check Alcotest.int "type" 0xB (Segment.ar_type s);
-  check Alcotest.bool "s" true (Segment.ar_s s);
-  check Alcotest.int "dpl" 3 (Segment.ar_dpl s);
-  check Alcotest.bool "present" true (Segment.ar_present s);
-  check Alcotest.bool "db" true (Segment.ar_db s);
-  check Alcotest.bool "granularity" true (Segment.ar_granularity s);
-  check Alcotest.bool "usable" false (Segment.unusable s)
+  check Alcotest.int "type" 0xB (Segment.Ar.typ ar);
+  check Alcotest.bool "s" true (Segment.Ar.s ar);
+  check Alcotest.int "dpl" 3 (Segment.Ar.dpl ar);
+  check Alcotest.bool "present" true (Segment.Ar.present ar);
+  check Alcotest.bool "db" true (Segment.Ar.db ar);
+  check Alcotest.bool "granularity" true (Segment.Ar.granularity ar);
+  check Alcotest.bool "usable" false (Segment.Ar.unusable ar)
 
 let test_segment_entry_checks () =
   check Alcotest.bool "flat code valid CS" true
-    (Segment.entry_valid_cs Segment.flat_code32);
+    (Segment.Ar.valid_cs Segment.flat_code32.ar);
   check Alcotest.bool "data segment not a CS" false
-    (Segment.entry_valid_cs Segment.flat_data32);
+    (Segment.Ar.valid_cs Segment.flat_data32.ar);
   check Alcotest.bool "unusable not a CS" false
-    (Segment.entry_valid_cs Segment.null_unusable);
+    (Segment.Ar.valid_cs Segment.null_unusable.ar);
   check Alcotest.bool "initial TR valid" true
-    (Segment.entry_valid_tr Segment.initial_tr);
+    (Segment.Ar.valid_tr Segment.initial_tr.ar);
   check Alcotest.bool "code segment not a TR" false
-    (Segment.entry_valid_tr Segment.flat_code32)
+    (Segment.Ar.valid_tr Segment.flat_code32.ar)
 
 let test_segment_real_mode () =
   let cs = Segment.real_mode Segment.Cs in
   check Alcotest.int64 "real-mode limit 64K" 0xFFFFL cs.Segment.limit;
-  check Alcotest.bool "real-mode CS is code" true (Segment.entry_valid_cs cs)
+  check Alcotest.bool "real-mode CS is code" true (Segment.Ar.valid_cs cs.Segment.ar)
 
 (* --- Msr --- *)
 
